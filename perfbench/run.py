@@ -10,9 +10,13 @@ Every workload in turn, end-to-end metrics then per-layer metrics:
         python3 perfbench/run.py --workload $w --seed 1 --seconds 20 --trace $t; done; done
 
 ``--trace 0`` is the end-to-end run: a closed loop with one client, each
-solve one ``python -m strtour.cli solve`` child process, timed from fork to
-exit by ``launch.py``, until ``--seconds`` of solving is measured (at least
-one solve).
+solve one ``strtour solve`` child process, started through ``scaled_cli.py``
+(the CLI, with the sorter's memory scaled as the workload says) and timed
+from fork to exit by ``launch.py``.  The run solves each of the workload's
+graphs in turn until ``--seconds`` of solving is measured, with at least
+``MIN_ROUNDS`` solves of each graph.  The run keeps to one core, and times
+are scaled to a reference speed of that core by a probe run between solves
+(``calibrate.py``); the raw times are printed too.
 ``--trace 1`` is the per-layer run: one untraced CLI solve, then one solve
 in this process with spans installed around the solver's layers (see
 ``spans.py``).  Either way every solve's outputs are checked after its timed
@@ -53,15 +57,17 @@ from strtour import AdjacencyGraph, write_graph_file  # noqa: E402
 from strtour.pipeline import solve_file  # noqa: E402
 from strtour.stream_core import IntegrityFault, NotEulerianError, ParseError  # noqa: E402
 
+from calibrate import REFERENCE_PROBE_S, pin_to_one_cpu, probe  # noqa: E402
 from checks import (CounterStore, counter_mismatches, leaked_files,  # noqa: E402
                     pass_counters, sha256_file, signature_breaks, solve_counters,
                     solve_failures)
+from scaled_cli import sort_memory_divided_by  # noqa: E402
 from spans import Tracer, instrument, layer_metrics  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_REPEATS = 3
-SETUP_SECONDS = 1.0
 STARTUP_REPEATS = 5
+# every graph is solved at least this often, so each has a median of its own
+MIN_ROUNDS = 2
 CHILD_TIMEOUT_S = 170.0
 # no new solve starts once this much of the run has gone, so a run ends
 # well inside three minutes however slow the machine is
@@ -135,15 +141,19 @@ class Paths:
 
 
 def source_digest() -> str:
-    """Identifies the solver's code, so exact counters compare like with like."""
+    """Identifies the solver's code, the workloads and the sort memory.
+
+    Exact counters are compared only between runs with the same digest.
+    """
     digest = hashlib.sha256()
-    for path in sorted((SRC / "strtour").rglob("*.py")):
-        digest.update(str(path.relative_to(SRC)).encode())
+    for path in [*sorted((SRC / "strtour").rglob("*.py")),
+                 HERE / "workloads.py", HERE / "scaled_cli.py"]:
+        digest.update(str(path.relative_to(ROOT)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
 
 
-def machine_context(stream_dir: Path) -> dict:
+def machine_context(stream_dir: Path, workload, nproc: int, pinned_cpu: int) -> dict:
     cpu = "unknown"
     with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
         for line in fh:
@@ -152,12 +162,19 @@ def machine_context(stream_dir: Path) -> dict:
                 break
     return {
         "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": nproc,
+        "pinned_cpu": pinned_cpu,
         "cpu": cpu,
         "commit": git_commit(),
         "source_sha256": source_digest()[:16],
         "stream_dir_fs": filesystem_type(stream_dir),
+        "sort_chunk": sort_chunk(workload),
     }
+
+
+def sort_chunk(workload) -> int:
+    with sort_memory_divided_by(workload.sort_memory_divisor) as chunk:
+        return chunk
 
 
 def git_commit() -> str:
@@ -185,20 +202,18 @@ def filesystem_type(path: Path) -> str:
     return fstype
 
 
-def setup(workload, seed: int, paths: Paths, min_repeats: int, min_seconds: float):
-    """Generate the workload's graph and write its file, repeatedly.
+def setup(workload, seed: int, paths: Paths, repeats: int):
+    """Generate the workload's graph and write its file ``repeats`` times.
 
-    Repeats at least ``min_repeats`` times and until ``min_seconds`` have
-    passed, so that a millisecond set-up still yields a steady median.
-    Returns the graph and the median set-up time.
+    Returns the graph and the time of each repetition.
     """
     times = []
-    while len(times) < min_repeats or sum(times) < min_seconds:
+    for _ in range(repeats):
         t0 = time.perf_counter()
         n, edges = workload.make(seed)
         write_graph_file(str(paths.graph), n, edges)
         times.append(time.perf_counter() - t0)
-    return (n, edges), statistics.median(times)
+    return (n, edges), times
 
 
 class Solve(NamedTuple):
@@ -209,7 +224,7 @@ class Solve(NamedTuple):
     output: str
 
 
-def run_cli(args: list[str], paths: Paths) -> Solve:
+def run_cli(args: list[str], paths: Paths, sort_memory_divisor: int = 1) -> Solve:
     """One CLI child process, started through ``launch.py``."""
     env = dict(os.environ, STRTOUR_TMPDIR=str(paths.streams),
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -218,7 +233,7 @@ def run_cli(args: list[str], paths: Paths) -> Solve:
     with open(paths.log, "wb") as log:
         proc = subprocess.Popen(
             [sys.executable, str(HERE / "launch.py"), str(result),
-             sys.executable, "-m", "strtour.cli", *args],
+             sys.executable, str(HERE / "scaled_cli.py"), str(sort_memory_divisor), *args],
             cwd=ROOT, env=env, stdout=log, stderr=subprocess.STDOUT, start_new_session=True)
         try:
             proc.wait(timeout=CHILD_TIMEOUT_S)
@@ -239,6 +254,7 @@ class Run:
 
     def __init__(self, workload, seed: int, paths: Paths, graph):
         self.workload = workload
+        self.seed = seed
         self.paths = paths
         self.n, self.edges = graph
         self.m = len(self.edges)
@@ -266,7 +282,7 @@ class Run:
             path.unlink(missing_ok=True)
         solve = run_cli(
             ["solve", "--in", str(self.paths.graph), "--out", str(self.paths.tour),
-             "--stats", str(self.paths.stats)], self.paths)
+             "--stats", str(self.paths.stats)], self.paths, self.workload.sort_memory_divisor)
         try:
             failures = solve_failures(self.workload, self.graph, solve.exit, solve.output,
                                       str(self.paths.tour), str(self.paths.stats))
@@ -277,29 +293,58 @@ class Run:
         self.record(failures + self.store.check(counters))
         return solve, counters
 
-    def summary(self) -> list[str]:
-        return [f"fail_rate {self.failed / max(self.attempted, 1):.4f} "
-                f"({self.failed}/{self.attempted} solves)",
-                f"leaked_files {self.leaked}"] + self.notes + [
-                    f"FAIL {r}" for r in self.reasons[:20]]
 
 
-def end_to_end(run: Run, seconds: float, setup_s: float, started: float) -> dict:
-    walls, cpus, rss = [], [], []
-    while not walls or (sum(walls) < seconds
-                        and time.perf_counter() - started + walls[-1] < RUN_BUDGET_S):
-        solve, _ = run.solve_cli()
-        walls.append(solve.wall_s)
-        cpus.append(solve.cpu_s)
-        rss.append(solve.rss_mib)
-    solve_s = statistics.median(walls)
-    run.notes.append(f"solves {len(walls)}: wall {', '.join(f'{w:.3f}' for w in walls)} s")
+def summary(runs: list[Run]) -> list[str]:
+    attempted = sum(r.attempted for r in runs)
+    failed = sum(r.failed for r in runs)
+    reasons = [f"FAIL {reason}" for r in runs for reason in r.reasons]
+    return [f"fail_rate {failed / max(attempted, 1):.4f} ({failed}/{attempted} solves)",
+            f"leaked_files {sum(r.leaked for r in runs)}"] + [
+                note for r in runs for note in r.notes] + reasons[:20]
+
+
+def end_to_end(runs: list[Run], seconds: float, started: float) -> dict:
+    """Solves every graph in turn, in a closed loop, until ``seconds`` of
+    solving are measured; always whole rounds over the graphs, at least
+    ``MIN_ROUNDS``.
+
+    Set-up is repeated after every solve, outside the timed interval, so
+    its median spans the whole run as the solves' does.  A probe runs
+    between consecutive solves, and each solve and set-up is scaled to the
+    reference host speed by the mean of the probes on either side of it
+    (see ``calibrate.py``).  A time metric is the mean over the graphs of
+    each graph's median.
+    """
+    walls = [[] for _ in runs]
+    cpus = [[] for _ in runs]
+    rss, setups, raw_walls, probes = [], [], [], [probe()]
+    rounds = 0
+    while not rounds or (
+            time.perf_counter() - started + sum(raw_walls) / rounds < RUN_BUDGET_S
+            and (rounds < MIN_ROUNDS or sum(raw_walls) < seconds)):
+        for i, run in enumerate(runs):
+            solve, _ = run.solve_cli()
+            setup_s = setup(run.workload, run.seed, run.paths, 1)[1][0]
+            probes.append(probe())
+            scale = REFERENCE_PROBE_S / statistics.mean(probes[-2:])
+            raw_walls.append(solve.wall_s)
+            walls[i].append(solve.wall_s * scale)
+            cpus[i].append(solve.cpu_s * scale)
+            setups.append(setup_s * scale)
+            rss.append(solve.rss_mib)
+        rounds += 1
+    solve_s = [statistics.median(w) for w in walls]
+    runs[0].notes += [
+        f"solves {len(raw_walls)}: wall {', '.join(f'{w:.3f}' for w in raw_walls)} s as measured",
+        f"probes: {', '.join(f'{p:.3f}' for p in probes)} s "
+        f"(reference {REFERENCE_PROBE_S} s); raw median solve {statistics.median(raw_walls):.4f} s"]
     return {
-        "solve_s": solve_s,
-        "cpu_s": statistics.median(cpus),
+        "solve_s": statistics.mean(solve_s),
+        "cpu_s": statistics.mean(statistics.median(c) for c in cpus),
         "peak_rss_mib": statistics.median(rss),
-        "us_per_edge": solve_s * 1e6 / run.m,
-        "setup_s": setup_s,
+        "us_per_edge": statistics.mean(t * 1e6 / r.m for t, r in zip(solve_s, runs)),
+        "setup_s": statistics.median(setups),
     }
 
 
@@ -311,7 +356,8 @@ def traced(run: Run, seed: int) -> dict:
     for path in (run.paths.tour, run.paths.stats):
         path.unlink(missing_ok=True)
     tracer = Tracer(f"{run.workload.name}-{seed}-{os.getpid()}")
-    with instrument(tracer), tracer.span("solve") as root:
+    with sort_memory_divided_by(run.workload.sort_memory_divisor), \
+            instrument(tracer), tracer.span("solve") as root:
         try:
             solve_file(str(run.paths.graph), str(run.paths.tour), str(run.paths.stats),
                        tmpdir=str(run.paths.streams))
@@ -360,31 +406,36 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     workload = WORKLOADS[args.workload]
-    paths = Paths(workload.name, args.seed)
-    if args.trace:
-        graph, setup_s = setup(workload, args.seed, paths, 1, 0.0)
-    else:
-        graph, setup_s = setup(workload, args.seed, paths, SETUP_REPEATS, SETUP_SECONDS)
-    run = Run(workload, args.seed, paths, graph)
+    nproc = len(os.sched_getaffinity(0))
+    cpu = pin_to_one_cpu()
+    runs = []
+    for graph_seed in workload.graph_seeds(args.seed)[:1 if args.trace else None]:
+        paths = Paths(workload.name, graph_seed)
+        graph, _ = setup(workload, graph_seed, paths, 1)
+        runs.append(Run(workload, graph_seed, paths, graph))
     # warm-up: the first CLI start in a checkout compiles bytecode
     run_cli(["--help"], paths)
     if args.trace:
-        metrics = traced(run, args.seed)
+        metrics = traced(runs[0], runs[0].seed)
         units = {name: unit for name, (unit, _) in LAYERS.items()}
         moves = {name: f"  moves {target}" for name, (_, target) in LAYERS.items()}
     else:
-        metrics = end_to_end(run, args.seconds, setup_s, started)
+        metrics = end_to_end(runs, args.seconds, started)
         units, moves = END_TO_END, {}
 
-    print(f"workload {workload.name} seed {args.seed} n={run.n} m={run.m}: {workload.why}")
-    print("machine " + json.dumps(machine_context(paths.streams)))
+    print(f"workload {workload.name} seed {args.seed}: {workload.why}")
+    for r in runs:
+        print(f"graph seed {r.seed}: n={r.n} m={r.m}")
+    print("machine " + json.dumps(machine_context(paths.streams, workload, nproc, cpu)))
     for name in units:
         print(f"{name:36} {metrics[name]:16.6f} {units[name]:10}{moves.get(name, '')}")
-    print("\n".join(run.summary()))
+    print("\n".join(summary(runs)))
+    attempted = sum(r.attempted for r in runs)
+    failed = sum(r.failed for r in runs)
     print(json.dumps({
-        "correct": run.failed == 0,
-        "attempted": run.attempted,
-        "failed": run.failed,
+        "correct": failed == 0,
+        "attempted": attempted,
+        "failed": failed,
         "metrics": {name: {"value": metrics[name], "unit": units[name]} for name in units},
     }))
     return 0

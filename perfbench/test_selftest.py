@@ -20,10 +20,11 @@ from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, Workload, lollipop_graph, odd_graph, random_graph  # noqa: E402
 
 SMALL = {
+    # a chunk of 64 items, so every sort of the ~180-edge graph spills
     "random-large": Workload("selftest-random", "small random", lambda s: random_graph(s, 60, 200),
-                             signature=None),
-    "lollipop": Workload("selftest-lollipop", "small lollipop", lambda s: lollipop_graph(s, 40),
-                         signature="phase1"),
+                             signature="spill", sort_memory_divisor=1024),
+    # too small for phase 1 to dominate, so no signature
+    "lollipop": Workload("selftest-lollipop", "small lollipop", lambda s: lollipop_graph(s, 40)),
     "reject-odd": Workload("selftest-odd", "small odd", lambda s: odd_graph(s, 60, 200),
                            expect_exit=2, expect_reason=WORKLOADS["reject-odd"].expect_reason,
                            signature="reject"),
@@ -34,24 +35,25 @@ def start(workload, seed=3):
     paths = run.Paths(workload.name, seed)
     if paths.counters.exists():
         paths.counters.unlink()
-    graph, setup_s = run.setup(workload, seed, paths, 2, 0.0)
-    return run.Run(workload, seed, paths, graph), setup_s
+    graph, _ = run.setup(workload, seed, paths, 1)
+    return run.Run(workload, seed, paths, graph)
 
 
 class HarnessTest(unittest.TestCase):
     def test_end_to_end_metrics_and_checks(self):
         for workload in SMALL.values():
             with self.subTest(workload.name):
-                r, setup_s = start(workload)
-                metrics = run.end_to_end(r, 0.0, setup_s, run.time.perf_counter())
+                runs = [start(workload, seed) for seed in (3, 4)]
+                metrics = run.end_to_end(runs, 0.0, run.time.perf_counter())
                 self.assertEqual(set(metrics), set(run.END_TO_END))
                 self.assertTrue(all(v > 0 for v in metrics.values()), metrics)
-                self.assertEqual((r.attempted, r.failed, r.leaked), (1, 0, 0), r.reasons)
+                self.assertEqual([(r.attempted, r.failed, r.leaked) for r in runs],
+                                 [(run.MIN_ROUNDS, 0, 0)] * 2, run.summary(runs))
 
     def test_traced_run_reports_every_layer_and_repeats_counters(self):
         for workload in SMALL.values():
             with self.subTest(workload.name):
-                r, _ = start(workload)
+                r = start(workload)
                 first = run.traced(r, 3)
                 self.assertEqual(set(first), set(run.LAYERS))
                 self.assertEqual(r.failed, 0, r.reasons)
@@ -60,8 +62,10 @@ class HarnessTest(unittest.TestCase):
                 for name in ("stream_core.decode_calls", "stream_core.bytes_written",
                              "stream_core.sort_passes", "circuit_find.circuits"):
                     self.assertEqual(first[name], again[name], name)
+                self.assertEqual(first["trace.signature_breaks"], 0, r.notes)
+                self.assertEqual(first["stream_core.sort_spill_chunks"] > 0,
+                                 workload.sort_memory_divisor > 1)
         self.assertEqual(first["stream_core.sort_passes"], 0)
-        self.assertEqual(first["trace.signature_breaks"], 0)
 
     def test_counter_store_catches_a_changed_counter(self):
         path = run.WORK / "counters" / "selftest-store.json"
@@ -72,7 +76,7 @@ class HarnessTest(unittest.TestCase):
 
     def test_checks_catch_bad_outputs(self):
         workload = SMALL["random-large"]
-        r, _ = start(workload)
+        r = start(workload)
         r.solve_cli()
         self.assertEqual(r.failed, 0, r.reasons)
         tour, stats = str(r.paths.tour), str(r.paths.stats)

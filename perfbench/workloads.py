@@ -15,18 +15,23 @@ from strtour.stream_core import ODD_DEGREE
 
 Graph = tuple[int, list[tuple[int, int]]]
 
-# gen_eulerian keeps m within 10% of the target, so m >= 68 400 always
-# exceeds the sorter's 65 536-item in-memory chunk and every sort spills.
-RANDOM_N = 4000
-RANDOM_M = 76000
-LOLLIPOP_N = 3000
+# gen_eulerian returns m of about 0.9 times the target.  random-large runs
+# the solver with a sixteenth of its sort memory (scaled_cli.py), a chunk of
+# 4096 items, so its m of about 4280 makes every sort spill, as m = 68 400
+# does over the full 65 536-item chunk.  Every size is chosen so one solve
+# takes a few seconds and a run repeats it many times.
+RANDOM_N = 250
+RANDOM_M = 4750
+ODD_N = 2000
+ODD_M = 38000
+LOLLIPOP_N = 1500
 
 
 def random_graph(seed: int, n: int = RANDOM_N, m: int = RANDOM_M) -> Graph:
     return gen_eulerian(n, m, seed)
 
 
-def odd_graph(seed: int, n: int = RANDOM_N, m: int = RANDOM_M) -> Graph:
+def odd_graph(seed: int, n: int = ODD_N, m: int = ODD_M) -> Graph:
     return perturb(*random_graph(seed, n, m), "odd")
 
 
@@ -54,7 +59,10 @@ class Workload:
     """One benchmark workload and what a correct solve of it looks like.
 
     ``signature`` names the shape check the traced run applies
-    (``spill``, ``phase1`` or ``reject``); ``None`` skips it.
+    (``spill``, ``phase1`` or ``reject``); ``None`` skips it.  The solver
+    runs with its sort memory divided by ``sort_memory_divisor``.  An
+    end-to-end run solves ``graphs`` graphs in turn, so that no single
+    graph's shape decides the run; a traced run solves the first.
     """
 
     name: str
@@ -63,24 +71,30 @@ class Workload:
     expect_exit: int = 0
     expect_reason: Optional[str] = None
     signature: Optional[str] = None
+    sort_memory_divisor: int = 1
+    graphs: int = 1
+
+    def graph_seeds(self, seed: int) -> list[int]:
+        """Seeds of the graphs a run with ``seed`` solves; distinct per seed."""
+        return [seed * self.graphs + i for i in range(self.graphs)]
 
 
 WORKLOADS = {
     w.name: w for w in (
         Workload(
             "random-large",
-            "random Eulerian graph, m about 68k above the 65536-item sort chunk, "
-            "so every sorting pass spills and merges; codec and sort dominate",
-            random_graph, signature="spill"),
+            "8 random Eulerian graphs, m about 4280, over the sort chunk scaled to 4096: "
+            "every sorting pass spills and merges; codec and sort dominate",
+            random_graph, signature="spill", sort_memory_divisor=16, graphs=8),
         Workload(
             "lollipop",
-            "path, triangle fan and closing edge (N=3000): phase-1 circuit "
-            "extraction dominates; no spill, one merge round",
-            lollipop_graph, signature="phase1"),
+            "5 lollipops, each a path, triangle fan and closing edge (N=1500): phase-1 "
+            "circuit extraction dominates; no spill, one merge round",
+            lollipop_graph, signature="phase1", graphs=5),
         Workload(
             "reject-odd",
-            "random-large plus one pendant edge: rejected as odd degree after "
-            "ingest and phase 1, with no sort, prep or merge passes",
-            odd_graph, expect_exit=2, expect_reason=ODD_DEGREE, signature="reject"),
+            "5 random Eulerian graphs, m about 34k, plus a pendant edge: rejected as odd "
+            "degree after ingest and phase 1, with no sort, prep or merge passes",
+            odd_graph, expect_exit=2, expect_reason=ODD_DEGREE, signature="reject", graphs=5),
     )
 }
