@@ -1,0 +1,78 @@
+"""Golden corpus: fixed graphs must keep their exact tours, counters and passes.
+
+Each entry holds sha256 digests of the tour file text, of ``core_dict()``
+and of the list of per-pass ``PassRecord`` dicts, all as JSON with sorted
+keys.  The digests were recorded with the original text-line stream codec;
+a change to the stream representation, the sorter or the passes must
+reproduce them, never re-record them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from strtour import gen_eulerian, solve
+
+
+def lollipop(big_n):
+    """Path 1..N, N/2 triangles hanging off vertex N, then the edge (N, 1)."""
+    n = 2 * big_n
+    edges = [(v, v + 1) for v in range(1, big_n)]
+    for k in range(big_n + 1, n + 1, 2):
+        edges += [(big_n, k), (k, k + 1), (k + 1, big_n)]
+    edges.append((big_n, 1))
+    return n, edges
+
+
+GRAPHS = {
+    "random-10-20-1": lambda: gen_eulerian(10, 20, 1),
+    "random-100-400-3": lambda: gen_eulerian(100, 400, 3),
+    "random-1000-5000-1": lambda: gen_eulerian(1000, 5000, 1),
+    "lollipop-300": lambda: lollipop(300),
+}
+
+# name: (edges, passes, tour, core_dict, pass records)
+GOLDEN = {
+    "random-10-20-1": (
+        20, 25,
+        "d764981b12c52b0fce5bbed15d9cd0c0dea5d41e4e0b4a8868358dd26517c0c2",
+        "2d5fd45da198f0d1d5581b703d6e74a42c723423acc747ed62d90ff508f3c217",
+        "a08c8355e2942a3896bbd7b5602c93240b29c8cfcfb8d124bbc5bf7c5fa37f51"),
+    "random-100-400-3": (
+        361, 33,
+        "7df8c30bd757408302355f7bed9ebd94a21437af3775b482d094da0b1778bf29",
+        "155b80340b7b8433bf41b4c604cacb9fb8863ccbdb5800cfaed4f03fc6077bb3",
+        "fb54d4ff09db6c91fc9cae5ba3e441290f08286e9b543e9001a9676574131cb4"),
+    "random-1000-5000-1": (
+        4503, 41,
+        "6bc1ec48b05a0be7564a20f25fbd731955dc7cfd57645ccf468b3cdaca8c14c2",
+        "d4a60ef7ff60a4cdf13fe8647e6e0ce7473b1fe3ef81c152df1c08c3a0e5e85d",
+        "71cc5165d102031464923265e2304337b91045cfb944f9d06d811878cd4c49e2"),
+    "lollipop-300": (
+        750, 17,
+        "d35c812cd7d87a988044fcb30adedcd767476d0a30021b0c863f5ab543604c94",
+        "29fef04b61fb1f8a1dce28004cdefb9d0400ea686ac4d408366e2d477fe76d9d",
+        "907973e17e7abcdf713e2c90e22715d2df4bf9d1f3114a7509621b6071e0a033"),
+}
+
+
+def digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("ascii")).hexdigest()
+
+
+def tour_digest(tour):
+    text = "".join(f"{u} {v}\n" for u, v in tour)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_corpus(name, tmp_path):
+    n, edges = GRAPHS[name]()
+    m, passes, tour, core, records = GOLDEN[name]
+    assert len(edges) == m
+    result = solve(n, edges, tmpdir=str(tmp_path))
+    assert len(result.stats.passes) == passes
+    assert tour_digest(result.tour) == tour
+    assert digest(result.stats.core_dict()) == core
+    assert digest([rec.as_dict() for rec in result.stats.passes]) == records
