@@ -13,7 +13,7 @@ stored tree edges are emitted as info edges carrying parent depths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .stream_core import (
     DISCONNECTED,
@@ -349,10 +349,8 @@ class CircuitFinder(Processor):
 
     label = "circuit-find"
 
-    def __init__(self, n: int, fidelity_relabel: bool = False,
-                 on_circuit: Optional[Callable[[Circuit], None]] = None):
+    def __init__(self, n: int, fidelity_relabel: bool = False):
         self.state = Phase1State(n=n, fidelity_relabel=fidelity_relabel)
-        self.on_circuit = on_circuit
         self.height = 0
         self.depths: dict[int, int] = {}
 
@@ -392,8 +390,6 @@ class CircuitFinder(Processor):
             emit(InfoEdge(state.s_edge, state.cir, 0, state.s_vert, 1))
             state.flag1_parents.append(state.s_edge)
             circuit.rotate_to(state.s_vert)
-        if self.on_circuit is not None:
-            self.on_circuit(circuit)
         for pos, (tail, head) in enumerate(circuit.edges, start=1):
             emit(GraphEdge(tail, head, state.cir, pos, 0, 0))
         state.reset_circuit_flags()
@@ -414,15 +410,13 @@ def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
 
 
 def find_circuits(pipeline: StreamPipeline, n: int, source: Stream,
-                  fidelity_relabel: bool = False,
-                  on_circuit: Optional[Callable[[Circuit], None]] = None,
-                  ) -> tuple[Stream, int, CircuitFinder]:
+                  fidelity_relabel: bool = False) -> tuple[Stream, int, CircuitFinder]:
     """Run the phase-1 pass over a materialized edge stream.
 
     Returns the annotated stream, the rooted tree height, and the finished
     processor (which exposes the tree depths for tracing).
     """
-    finder = CircuitFinder(n, fidelity_relabel=fidelity_relabel, on_circuit=on_circuit)
+    finder = CircuitFinder(n, fidelity_relabel=fidelity_relabel)
     out = pipeline.run_streaming_pass(finder, source, phase="phase1")
     pipeline.stats.circuits_found = finder.state.cir
     pipeline.stats.tree_height = finder.height

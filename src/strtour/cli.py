@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (tour found, verification passed, graph generated),
 2 the graph is not Eulerian or a tour failed verification, 1 anything
-broken (usage, missing file, parse error, internal fault).
+broken (usage, unreadable or unwritable file, parse error, internal fault).
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotEulerianError as exc:
         print(exc)
         return 2
-    except (ParseError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except IntegrityFault as exc:

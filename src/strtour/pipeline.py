@@ -39,16 +39,18 @@ class SolveResult:
 
 def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
           trace_dir: Optional[str] = None, fidelity_relabel: bool = False,
-          keep_phase1: bool = False) -> SolveResult:
+          keep_phase1: bool = False, sort_chunk: Optional[int] = None) -> SolveResult:
     """Run the full streaming pipeline over an in-memory edge list.
 
-    Raises ``NotEulerianError`` for graphs without a tour, ``ParseError``
-    for malformed input, and ``IntegrityFault`` if any internal invariant
-    or budget breaks.
+    ``sort_chunk`` overrides the sorter's in-memory chunk size; ``None``
+    keeps the pipeline's default.  Raises ``NotEulerianError`` for graphs
+    without a tour, ``ParseError`` for malformed input, and
+    ``IntegrityFault`` if any internal invariant or budget breaks.
     """
     m = len(edges)
     stats = PassStats()
-    pipeline = StreamPipeline(stats, tmpdir=tmpdir, trace_dir=trace_dir)
+    chunk = {} if sort_chunk is None else {"sort_chunk": sort_chunk}
+    pipeline = StreamPipeline(stats, tmpdir=tmpdir, trace_dir=trace_dir, **chunk)
     try:
         source = pipeline.materialize(initial_stream(n, edges), "input")
         stream, height, finder = find_circuits(

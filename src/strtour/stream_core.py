@@ -7,6 +7,11 @@ sorting pass reorders the stream under a total order and is treated as a
 primitive: its internal working memory is not charged against the streaming
 meter.  Every pass and every inter-pass stream length is accounted in
 ``PassStats`` so budget assertions can be checked after a run.
+
+Inter-pass streams and sort spill chunks hold fixed-width binary records
+(``RECORD``), read and written in blocks.  The text form ``G tail head f3
+f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
+``decode_item``) appears only in the stream dumps of a trace directory.
 """
 
 from __future__ import annotations
@@ -14,9 +19,12 @@ from __future__ import annotations
 import heapq
 import os
 import shutil
+import struct
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 ODD_DEGREE = "odd degree"
 DISCONNECTED = "disconnected"
@@ -41,8 +49,7 @@ class NotEulerianError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     """A directed edge of the input graph, annotated for circuit bookkeeping.
 
     In steady state ``f3`` is the circuit id and ``f4`` the 1-based position
@@ -59,11 +66,10 @@ class GraphEdge:
     f6: int = 0
 
     def fields(self) -> tuple[int, ...]:
-        return (self.tail, self.head, self.f3, self.f4, self.f5, self.f6)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class InfoEdge:
+class InfoEdge(NamedTuple):
     """A tree edge between two circuits.
 
     ``pred`` is the parent circuit, ``succ`` the child, ``depth`` the depth
@@ -79,7 +85,7 @@ class InfoEdge:
     f5: int = 0
 
     def fields(self) -> tuple[int, ...]:
-        return (self.pred, self.succ, self.depth, self.cvertex, self.f5)
+        return tuple(self)
 
 
 StreamItem = Union[GraphEdge, InfoEdge]
@@ -89,10 +95,12 @@ def item_words(item: StreamItem) -> int:
     return GRAPH_EDGE_WORDS if isinstance(item, GraphEdge) else INFO_EDGE_WORDS
 
 
+# -- text form: the documented record syntax, used for trace dumps ----------
+
 def encode_item(item: StreamItem) -> str:
     if isinstance(item, GraphEdge):
-        return "G %d %d %d %d %d %d" % item.fields()
-    return "I %d %d %d %d %d" % item.fields()
+        return "G %d %d %d %d %d %d" % item
+    return "I %d %d %d %d %d" % item
 
 
 def decode_item(line: str) -> StreamItem:
@@ -117,59 +125,124 @@ def decode_item(line: str) -> StreamItem:
     raise ParseError(f"unknown record tag {tag!r}")
 
 
+# -- binary form: the inter-pass stream format -------------------------------
+#
+# Every record is RECORD: a tag byte (b"G" or b"I") and six little-endian
+# int64 fields; an info edge's sixth field is a zero pad.  Streams are read
+# and written in blocks of BLOCK_RECORDS records.
+
+RECORD = struct.Struct("<B6q")
+GRAPH_TAG, INFO_TAG = ord("G"), ord("I")
+BLOCK_RECORDS = 1024
+_GRAPH_BODY = struct.Struct("<x6q")
+_SIGN_BYTES = range(8, RECORD.size, 8)  # the high byte of each int64 field
+_NON_NEGATIVE = bytes(range(128))
+_graph_edge = partial(tuple.__new__, GraphEdge)
+
+
+def encode_block(items: list[StreamItem]) -> bytes:
+    """Pack records into their binary form, back to back."""
+    pack = RECORD.pack
+    try:
+        return b"".join([pack(GRAPH_TAG, *item) if type(item) is GraphEdge
+                         else pack(INFO_TAG, *item, 0) for item in items])
+    except struct.error as exc:
+        raise IntegrityFault(f"record does not fit the stream format: {exc}") from None
+
+
+def decode_block(block: bytes, first: int) -> list[StreamItem]:
+    """Unpack a block of records; ``first`` is the 1-based index of its first.
+
+    Tags and signs are checked for the whole block at once, every record is
+    unpacked as a graph edge, and the few info edges are then converted.
+    """
+    size = RECORD.size
+    whole, extra = divmod(len(block), size)
+    if extra:
+        raise ParseError(f"record {first + whole}: truncated to {extra} of {size} bytes")
+    tags = block[::size]
+    signs = b"".join([block[k::size] for k in _SIGN_BYTES])
+    if tags.translate(None, b"GI") or signs.translate(None, _NON_NEGATIVE):
+        _raise_first_fault(block, first)
+    items = list(map(_graph_edge, _GRAPH_BODY.iter_unpack(block)))
+    at = tags.find(b"I")
+    while at >= 0:
+        record = items[at]
+        if record[5]:
+            _raise_first_fault(block, first)
+        items[at] = tuple.__new__(InfoEdge, record[:5])
+        at = tags.find(b"I", at + 1)
+    return items
+
+
+def _raise_first_fault(block: bytes, first: int) -> None:
+    """Raise the error for the first malformed record of a block known to hold one."""
+    for index, (tag, *values) in enumerate(RECORD.iter_unpack(block), start=first):
+        if tag not in (GRAPH_TAG, INFO_TAG):
+            raise ParseError(f"record {index}: unknown record tag {bytes([tag])!r}")
+        if min(values) < 0:
+            raise ParseError(f"record {index}: negative field in {values}")
+        if tag == INFO_TAG and values[5]:
+            raise ParseError(f"record {index}: info edge pad is {values[5]}, not 0")
+
+
 @dataclass
 class Stream:
-    """A materialized stream: one encoded item per line of ``path``."""
+    """A materialized stream: back-to-back binary records in ``path``."""
 
     path: str
     items: int = 0
-    graph_items: int = 0
-    info_items: int = 0
 
     def iter_items(self) -> Iterator[StreamItem]:
-        with open(self.path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield decode_item(line)
-                except ParseError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
+        block_bytes = BLOCK_RECORDS * RECORD.size
+        index = 1
+        with open(self.path, "rb") as fh:
+            while block := fh.read(block_bytes):
+                items = decode_block(block, index)
+                index += len(items)
+                yield from items
 
     def read_all(self) -> list[StreamItem]:
         return list(self.iter_items())
 
 
 class StreamWriter:
-    """Appends items to a stream file, keeping per-kind counts."""
+    """Appends items to a stream file in blocks, counting them."""
 
     def __init__(self, path: str):
         self.stream = Stream(path)
-        self._fh = open(path, "w", encoding="ascii")
+        self._fh = open(path, "wb")
+        self._block: list[StreamItem] = []
 
     def write(self, item: StreamItem) -> None:
-        self._fh.write(encode_item(item))
-        self._fh.write("\n")
-        self.stream.items += 1
-        if isinstance(item, GraphEdge):
-            self.stream.graph_items += 1
-        else:
-            self.stream.info_items += 1
+        block = self._block
+        block.append(item)
+        if len(block) >= BLOCK_RECORDS:
+            self._flush()
 
-    def write_line(self, line: str) -> None:
-        """Append an already-encoded line without re-decoding it."""
-        self._fh.write(line)
-        self._fh.write("\n")
-        self.stream.items += 1
-        if line[0] == "G":
-            self.stream.graph_items += 1
-        else:
-            self.stream.info_items += 1
+    def write_all(self, items: Iterable[StreamItem]) -> None:
+        items = iter(items)
+        while True:
+            self._block.extend(islice(items, BLOCK_RECORDS - len(self._block)))
+            if len(self._block) < BLOCK_RECORDS:
+                return
+            self._flush()
 
-    def close(self) -> Stream:
-        self._fh.close()
-        return self.stream
+    def _flush(self) -> None:
+        self._fh.write(encode_block(self._block))
+        self.stream.items += len(self._block)
+        self._block = []
+
+    def __enter__(self) -> "StreamWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Write the pending block and close; a failed pass leaves it unwritten."""
+        try:
+            if exc_type is None:
+                self._flush()
+        finally:
+            self._fh.close()
 
 
 @dataclass
@@ -271,13 +344,6 @@ class Processor:
         return GRAPH_EDGE_WORDS * self.live_records() + self.scalar_words()
 
 
-class IdentityProcessor(Processor):
-    label = "identity"
-
-    def on_item(self, item, emit):
-        emit(item)
-
-
 class StreamPipeline:
     """Executes metered passes, materializing every stream between passes.
 
@@ -302,7 +368,7 @@ class StreamPipeline:
 
     def _new_path(self, label: str) -> str:
         self._counter += 1
-        return os.path.join(self.workdir, f"pass_{self._counter:03d}_{label}.txt")
+        return os.path.join(self.workdir, f"pass_{self._counter:03d}_{label}.bin")
 
     def _finish(self, kind: str, label: str, phase: str, items_in: int,
                 stream: Stream, peak_records: int = 0, peak_words: int = 0) -> Stream:
@@ -321,8 +387,10 @@ class StreamPipeline:
         self.stats.peak_live_records = max(self.stats.peak_live_records, peak_records)
         self.stats.peak_live_words = max(self.stats.peak_live_words, peak_words)
         if self.trace_dir:
-            shutil.copy(stream.path, os.path.join(
-                self.trace_dir, f"pass_{rec.index:03d}_{label}.txt"))
+            dump = os.path.join(self.trace_dir, f"pass_{rec.index:03d}_{label}.txt")
+            with open(dump, "w", encoding="ascii") as fh:
+                for item in stream.iter_items():
+                    fh.write(encode_item(item) + "\n")
         return stream
 
     def _consume(self, stream: Stream) -> None:
@@ -332,15 +400,13 @@ class StreamPipeline:
     # -- passes ------------------------------------------------------------
 
     def materialize(self, items: Iterable[StreamItem], label: str = "source") -> Stream:
-        writer = StreamWriter(self._new_path(label))
-        for item in items:
-            writer.write(item)
-        return self._finish("source", label, "source", 0, writer.close())
+        with StreamWriter(self._new_path(label)) as writer:
+            writer.write_all(items)
+        return self._finish("source", label, "source", 0, writer.stream)
 
     def run_streaming_pass(self, processor: Processor, stream: Stream,
                            phase: str, label: Optional[str] = None) -> Stream:
         label = label or processor.label
-        writer = StreamWriter(self._new_path(label))
         peak_records = 0
         peak_words = 0
 
@@ -349,7 +415,7 @@ class StreamPipeline:
             peak_records = max(peak_records, processor.live_records() + inflight_records)
             peak_words = max(peak_words, processor.live_words() + inflight_words)
 
-        try:
+        with StreamWriter(self._new_path(label)) as writer:
             processor.on_start(writer.write)
             poll(0, 0)
             for item in stream.iter_items():
@@ -357,13 +423,10 @@ class StreamPipeline:
                 poll(1, item_words(item))
             processor.on_end(writer.write)
             poll(0, 0)
-        except BaseException:
-            writer.close()
-            raise
 
         self.stats.streaming_passes += 1
         out = self._finish("stream", label, phase, stream.items,
-                           writer.close(), peak_records, peak_words)
+                           writer.stream, peak_records, peak_words)
         self._consume(stream)
         return out
 
@@ -372,52 +435,45 @@ class StreamPipeline:
         """Stable sort of the stream under ``key``.
 
         The sorter is a primitive of the model, so it carries no live-state
-        meter.  Internally it spills fixed-size sorted chunks and merges
-        them, which keeps memory bounded for streams larger than one chunk.
+        meter.  Internally it spills fixed-size sorted chunks, in the stream
+        format, and merges them, which keeps memory bounded for streams
+        larger than one chunk.
         """
         chunk_paths: list[str] = []
-        chunk: list[tuple[tuple, int, str]] = []
-        seq = 0
-
-        def dump_chunk() -> None:
-            chunk.sort(key=lambda entry: (entry[0], entry[1]))
-            fd, path = tempfile.mkstemp(prefix="chunk-", dir=self.workdir)
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                for k, s, line in chunk:
-                    fh.write("%s|%d|%s\n" % (" ".join(map(str, k)), s, line))
-            chunk_paths.append(path)
-
+        chunk: list[StreamItem] = []
         for item in stream.iter_items():
-            chunk.append((key(item), seq, encode_item(item)))
-            seq += 1
+            chunk.append(item)
             if len(chunk) >= self.sort_chunk:
-                dump_chunk()
+                chunk_paths.append(self._spill(chunk, key))
                 chunk = []
 
-        writer = StreamWriter(self._new_path(label))
-        if not chunk_paths:
-            chunk.sort(key=lambda entry: (entry[0], entry[1]))
-            for _, _, line in chunk:
-                writer.write_line(line)
-        else:
-            if chunk:
-                dump_chunk()
-
-            def read_chunk(path: str) -> Iterator[tuple[tuple, int, str]]:
-                with open(path, "r", encoding="ascii") as fh:
-                    for raw in fh:
-                        kpart, spart, line = raw.rstrip("\n").split("|", 2)
-                        yield (tuple(int(x) for x in kpart.split()), int(spart), line)
-
-            for _, _, line in heapq.merge(*(read_chunk(p) for p in chunk_paths)):
-                writer.write_line(line)
-            for path in chunk_paths:
-                os.unlink(path)
+        with StreamWriter(self._new_path(label)) as writer:
+            if not chunk_paths:
+                chunk.sort(key=key)
+                writer.write_all(chunk)
+            else:
+                if chunk:
+                    chunk_paths.append(self._spill(chunk, key))
+                    chunk = []
+                # merge breaks key ties by chunk order, so the sort stays stable
+                writer.write_all(heapq.merge(
+                    *(Stream(path).iter_items() for path in chunk_paths), key=key))
+        for path in chunk_paths:
+            os.unlink(path)
 
         self.stats.sorting_passes += 1
-        out = self._finish("sort", label, phase, stream.items, writer.close())
+        out = self._finish("sort", label, phase, stream.items, writer.stream)
         self._consume(stream)
         return out
+
+    def _spill(self, chunk: list[StreamItem], key: Callable[[StreamItem], tuple]) -> str:
+        """Sort one chunk in memory and write it to its own file."""
+        chunk.sort(key=key)
+        fd, path = tempfile.mkstemp(prefix="chunk-", dir=self.workdir)
+        os.close(fd)
+        with StreamWriter(path) as writer:
+            writer.write_all(chunk)
+        return path
 
     def cleanup(self) -> None:
         shutil.rmtree(self.workdir, ignore_errors=True)

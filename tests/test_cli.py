@@ -4,9 +4,9 @@ import json
 import os
 
 from strtour.cli import main
-from strtour import read_tour_file, write_graph_file
+from strtour import decode_item, encode_item, read_tour_file, write_graph_file
 
-from conftest import NINE_VERTEX_EDGES, NINE_VERTEX_N
+from conftest import NINE_VERTEX_EDGES, NINE_VERTEX_N, NINE_VERTEX_PHASE1
 
 STATS_KEYS = {
     "streaming_passes", "sorting_passes", "peak_live_words",
@@ -57,6 +57,14 @@ def test_solve_rejects_disconnected(tmp_path, capsys):
 
 def test_solve_missing_file_exits_1(tmp_path):
     assert main(["solve", "--in", str(tmp_path / "absent.txt")]) == 1
+
+
+def test_solve_not_a_directory_exits_1(tmp_path, capsys):
+    graph = write_nine(tmp_path)
+    assert main(["solve", "--in", graph + "/x"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Not a directory" in err[0]
 
 
 def test_usage_error_exits_1():
@@ -119,6 +127,14 @@ def test_trace_dir_keeps_streams_and_tree(tmp_path):
     assert len([n for n in names if n.startswith("pass_")]) >= 24
     tree_lines = (trace / "connectivity_tree.txt").read_text().splitlines()
     assert sorted(tree_lines) == ["T 1 2 7", "T 1 4 5", "T 4 3 1"]
+    # the dumps are the documented text records, not the binary stream files
+    phase1 = [n for n in names if n.startswith("pass_001_")]
+    assert len(phase1) == 1
+    assert (trace / phase1[0]).read_text().splitlines() == NINE_VERTEX_PHASE1
+    for name in names:
+        if name.startswith("pass_"):
+            for line in (trace / name).read_text(encoding="ascii").splitlines():
+                assert encode_item(decode_item(line)) == line
 
 
 def test_tmpdir_env_honored(tmp_path, monkeypatch):

@@ -84,3 +84,33 @@ def test_fidelity_relabel_same_tour(tmp_path):
     fast = solve(n, edges, tmpdir=str(tmp_path)).tour
     slow = solve(n, edges, tmpdir=str(tmp_path), fidelity_relabel=True).tour
     assert fast == slow
+
+
+@pytest.mark.parametrize("sort_chunk", [2, 3, 7])
+@pytest.mark.parametrize("n, m, seed", [(10, 20, 1), (40, 120, 2), (100, 400, 3)])
+def test_small_sort_chunks_match_default(tmp_path, sort_chunk, n, m, seed):
+    # every sort spills and merges, so the external merge runs end to end
+    n, edges = gen_eulerian(n, m, seed)
+    default = solve(n, edges, tmpdir=str(tmp_path))
+    spilled = solve_and_check(n, edges, tmp_path, sort_chunk=sort_chunk)
+    assert spilled.tour == default.tour
+    assert spilled.stats.core_dict() == default.stats.core_dict()
+    assert ([rec.as_dict() for rec in spilled.stats.passes]
+            == [rec.as_dict() for rec in default.stats.passes])
+
+
+def test_sort_chunk_reaches_the_sorter(tmp_path, monkeypatch):
+    from strtour import stream_core
+    chunks = []
+    real = stream_core.tempfile.mkstemp
+
+    def counting_mkstemp(*args, **kwargs):
+        chunks.append(kwargs.get("prefix"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stream_core.tempfile, "mkstemp", counting_mkstemp)
+    n, edges = gen_eulerian(10, 20, 1)
+    solve(n, edges, tmpdir=str(tmp_path))
+    assert chunks == []
+    solve(n, edges, tmpdir=str(tmp_path), sort_chunk=3)
+    assert chunks and set(chunks) == {"chunk-"}

@@ -1,5 +1,6 @@
 """Substrate tests: codec, passes, sorting, metering, and budgets."""
 
+import os
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from strtour import (
     BudgetViolation,
     GraphEdge,
     InfoEdge,
+    IntegrityFault,
     ParseError,
     PassStats,
     Processor,
@@ -17,7 +19,7 @@ from strtour import (
     read_graph_file,
     write_graph_file,
 )
-from strtour.stream_core import PassRecord
+from strtour.stream_core import BLOCK_RECORDS, RECORD, PassRecord
 
 from conftest import make_pipeline
 
@@ -69,10 +71,76 @@ def test_decode_rejects(line):
 def test_stream_parse_error_names_line(tmp_path):
     pl, _ = make_pipeline(tmp_path)
     stream = pl.materialize([GraphEdge(1, 2), GraphEdge(2, 3)])
-    with open(stream.path, "a") as fh:
-        fh.write("G 9 9\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with open(stream.path, "ab") as fh:
+        fh.write(RECORD.pack(ord("G"), 9, 9, 0, 0, 0, 0)[:20])
+    with pytest.raises(ParseError, match="record 3"):
         list(stream.iter_items())
+    pl.cleanup()
+
+
+# -- binary stream records ------------------------------------------------------
+
+BINARY_ITEMS = [
+    GraphEdge(1, 2, 1, 1, 0, 0),
+    GraphEdge(7, 3, 12, 99, 4, 18),
+    InfoEdge(3, 5, 0, 2, 1),
+    InfoEdge(1, 4, 0, 5, 0),
+    GraphEdge(2**62, 1, 0, 0, 0, 2**63 - 1),
+]
+
+
+@pytest.mark.parametrize("count", [1, 5, BLOCK_RECORDS, 2 * BLOCK_RECORDS + 3])
+def test_binary_stream_round_trip(tmp_path, count):
+    items = [BINARY_ITEMS[i % len(BINARY_ITEMS)] for i in range(count)]
+    items += [GraphEdge(i, i + 1, 2, i) for i in range(1, count + 1)]
+    pl, _ = make_pipeline(tmp_path)
+    stream = pl.materialize(items)
+    assert stream.items == len(items)
+    assert os.path.getsize(stream.path) == len(items) * RECORD.size
+    got = stream.read_all()
+    assert got == items
+    assert [type(it) for it in got] == [type(it) for it in items]
+    pl.cleanup()
+
+
+def corrupt_stream(tmp_path, record):
+    pl, _ = make_pipeline(tmp_path)
+    stream = pl.materialize([GraphEdge(1, 2), GraphEdge(2, 3)])
+    with open(stream.path, "ab") as fh:
+        fh.write(record)
+    return pl, stream
+
+
+@pytest.mark.parametrize("record, reason", [
+    (RECORD.pack(ord("X"), 1, 2, 3, 4, 5, 6), "unknown record tag"),
+    (RECORD.pack(ord("G"), 1, 2, 3, -4, 5, 6), "negative field"),
+    (RECORD.pack(ord("I"), 1, 2, -3, 4, 5, 0), "negative field"),
+    (RECORD.pack(ord("I"), 1, 2, 3, 4, 5, 6), "pad"),
+    (RECORD.pack(ord("G"), 1, 2, 3, 4, 5, 6)[:-1], "truncated"),
+    (b"G", "truncated"),
+])
+def test_binary_stream_rejects(tmp_path, record, reason):
+    pl, stream = corrupt_stream(tmp_path, record)
+    with pytest.raises(ParseError, match=f"record 3: .*{reason}"):
+        stream.read_all()
+    pl.cleanup()
+
+
+def test_binary_error_names_record_in_a_later_block(tmp_path):
+    pl, _ = make_pipeline(tmp_path)
+    stream = pl.materialize([GraphEdge(1, 2)] * (BLOCK_RECORDS + 9))
+    with open(stream.path, "r+b") as fh:
+        fh.seek((BLOCK_RECORDS + 4) * RECORD.size)
+        fh.write(b"Q")
+    with pytest.raises(ParseError, match=f"record {BLOCK_RECORDS + 5}: unknown record tag"):
+        stream.read_all()
+    pl.cleanup()
+
+
+def test_unencodable_record_is_an_integrity_fault(tmp_path):
+    pl, _ = make_pipeline(tmp_path)
+    with pytest.raises(IntegrityFault, match="does not fit"):
+        pl.materialize([GraphEdge(2**63, 1)])
     pl.cleanup()
 
 
