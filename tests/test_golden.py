@@ -2,13 +2,15 @@
 
 Each entry holds sha256 digests of the tour file text, of ``core_dict()``
 and of the list of per-pass ``PassRecord`` dicts, all as JSON with sorted
-keys.  The digests were recorded with the original text-line stream codec;
-a change to the stream representation, the sorter or the passes must
+keys.  The first four were recorded with the original text-line stream
+codec, the two shuffled ones with the restarting phase-1 walk; a change to
+the stream representation, the sorter, the walk or the passes must
 reproduce them, never re-record them.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -25,11 +27,37 @@ def lollipop(big_n):
     return n, edges
 
 
+def lollipop_shuffled(big_n, seed):
+    """As ``lollipop``, but the seed permutes the triangle-vertex labels.
+
+    A triangle vertex can then sort below its partner and dangle off the
+    walk's path when the buffer fills, which sequential labels rarely do.
+    """
+    n = 2 * big_n
+    fresh = list(range(big_n + 1, n + 1))
+    random.Random(seed).shuffle(fresh)
+    edges = [(v, v + 1) for v in range(1, big_n)]
+    for k in range(0, big_n, 2):
+        a, b = fresh[k], fresh[k + 1]
+        edges += [(big_n, a), (a, b), (b, big_n)]
+    edges.append((big_n, 1))
+    return n, edges
+
+
+def shuffled(graph, seed):
+    n, edges = graph
+    edges = list(edges)
+    random.Random(seed).shuffle(edges)
+    return n, edges
+
+
 GRAPHS = {
     "random-10-20-1": lambda: gen_eulerian(10, 20, 1),
     "random-100-400-3": lambda: gen_eulerian(100, 400, 3),
     "random-1000-5000-1": lambda: gen_eulerian(1000, 5000, 1),
     "lollipop-300": lambda: lollipop(300),
+    "lollipop-shuffled-300-1": lambda: lollipop_shuffled(300, 1),
+    "random-100-400-5-shuffled-1": lambda: shuffled(gen_eulerian(100, 400, 5), 1),
 }
 
 # name: (edges, passes, tour, core_dict, pass records)
@@ -54,6 +82,16 @@ GOLDEN = {
         "d35c812cd7d87a988044fcb30adedcd767476d0a30021b0c863f5ab543604c94",
         "29fef04b61fb1f8a1dce28004cdefb9d0400ea686ac4d408366e2d477fe76d9d",
         "907973e17e7abcdf713e2c90e22715d2df4bf9d1f3114a7509621b6071e0a033"),
+    "lollipop-shuffled-300-1": (
+        750, 17,
+        "8047f873b5fcd5842fe1ca336bb608abd1b17c343f825f58f6f1c951dc815b06",
+        "29fef04b61fb1f8a1dce28004cdefb9d0400ea686ac4d408366e2d477fe76d9d",
+        "907973e17e7abcdf713e2c90e22715d2df4bf9d1f3114a7509621b6071e0a033"),
+    "random-100-400-5-shuffled-1": (
+        361, 33,
+        "a28975b646a6dc6547d03d307e1b8d36d6e7c7b0cb4d60456170ba7739e3d135",
+        "8216ae8ffeea9b38aeeb47e1cd9fcda35f86d0f9a2642cd474e6c32f8f2470a6",
+        "d0daf48de8014f843f76c841dc72f1c1819e37c1d63c5b01684f0323466698ef"),
 }
 
 
