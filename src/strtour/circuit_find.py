@@ -12,6 +12,7 @@ stored tree edges are emitted as info edges carrying parent depths.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -35,25 +36,24 @@ class Circuit:
 
     id: int
     edges: list[tuple[int, int]]
+    _order: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.edges)
 
-    def vertices_in_order(self) -> list[int]:
-        """Distinct vertices in first-visit order along the trail."""
-        seen: set[int] = set()
-        out = []
-        for tail, _ in self.edges:
-            if tail not in seen:
-                seen.add(tail)
-                out.append(tail)
-        return out
+    def vertices_in_order(self) -> tuple[int, ...]:
+        """Distinct vertices in first-visit order along the trail (computed once)."""
+        if self._order is None:
+            self._order = tuple(dict.fromkeys(tail for tail, _ in self.edges))
+        return self._order
 
     def rotate_to(self, vertex: int) -> None:
         """Cyclically shift the trail so it starts at ``vertex``."""
         for i, (tail, _) in enumerate(self.edges):
             if tail == vertex:
                 self.edges = self.edges[i:] + self.edges[:i]
+                self._order = None
                 return
         raise IntegrityFault(f"vertex {vertex} not on circuit {self.id}")
 
@@ -65,11 +65,17 @@ class Circuit:
 
 
 class EdgeBuffer:
-    """Adjacency view over the undirected edges currently held in memory."""
+    """Adjacency view over the undirected edges currently held in memory.
+
+    The buffer also carries the walk of ``extract_circuit`` from one
+    extraction to the next: ``add`` tells the walk about the new edge, and
+    ``remove`` (any removal other than the walk's own cut) restarts it.
+    """
 
     def __init__(self) -> None:
         self.adj: dict[int, set[int]] = {}
         self.edge_count = 0
+        self.walk = Walk()
 
     def add(self, u: int, v: int) -> None:
         if v in self.adj.get(u, ()):  # ingestion already rejects duplicates
@@ -77,8 +83,14 @@ class EdgeBuffer:
         self.adj.setdefault(u, set()).add(v)
         self.adj.setdefault(v, set()).add(u)
         self.edge_count += 1
+        self.walk.edge_added(self.adj, u, v)
 
     def remove(self, u: int, v: int) -> None:
+        self.unlink(u, v)
+        self.walk.reset()
+
+    def unlink(self, u: int, v: int) -> None:
+        """Remove an edge without touching the walk (the walk's own cut)."""
         self.adj[u].discard(v)
         self.adj[v].discard(u)
         if not self.adj[u]:
@@ -88,51 +100,191 @@ class EdgeBuffer:
         self.edge_count -= 1
 
 
+class Walk:
+    """The lowest-first depth-first walk, suspended between extractions.
+
+    ``path`` is the active path and ``heaps[i]`` the min-heap of candidate
+    neighbours of ``path[i]``.  ``finished`` maps each dead-end vertex to
+    its DFS parent (0 for a start).  Every buffered edge of a finished
+    vertex is a tree edge, to its parent or to a finished child, so the
+    finished vertices form acyclic subtrees, each hanging off its root's
+    parent by one edge.  The edges the walk has used are exactly the tree
+    edges: the path's own and the finished vertices'.  Heap entries are
+    deleted lazily: a popped neighbour whose edge is used or no longer
+    buffered is skipped.  ``starts`` is a min-heap of start candidates,
+    used when a walk with no cut so far exhausts the component of
+    ``start``.  All of it is O(buffered edges).
+    """
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.started = False
+        self.cut = False  # a cycle was cut since this walk started
+        self.start = 0
+        self.starts: list[int] = []
+        self.path: list[int] = []
+        self.on_path: dict[int, int] = {}
+        self.heaps: list[list[int]] = []
+        self.finished: dict[int, int] = {}
+
+    def begin(self, adj: dict[int, set[int]]) -> None:
+        self.reset()
+        self.started = True
+        self.starts = list(adj)
+        heapq.heapify(self.starts)
+
+    def push(self, v: int, adj: dict[int, set[int]]) -> None:
+        self.on_path[v] = len(self.path)
+        self.path.append(v)
+        heap = list(adj[v])
+        heapq.heapify(heap)
+        self.heaps.append(heap)
+
+    def edge_added(self, adj: dict[int, set[int]], u: int, v: int) -> None:
+        """Fold a new edge into the suspended walk, or reset it.
+
+        The walk stays valid when a fresh walk over the grown buffer would
+        reach the same path with the same candidates left to try: the new
+        edge may only add a candidate that the fresh walk tries later than
+        the current path.
+        """
+        if not self.started:
+            return
+        if min(u, v) < self.start:
+            self.reset()
+            return
+        for x in (u, v):
+            if x in self.finished and not self.reopen(x, adj):
+                self.reset()
+                return
+        top = len(self.path) - 1
+        for x, y in ((u, v), (v, u)):
+            i = self.on_path.get(x)
+            if i is None:
+                continue
+            if i < top and y < self.path[i + 1]:
+                self.reset()
+                return
+            self.offer(i, y, adj)
+        for x in (u, v):
+            if len(adj[x]) == 1:  # x just entered the buffer
+                heapq.heappush(self.starts, x)
+        if len(self.starts) > 2 * len(adj):
+            self.starts = [x for x in adj
+                           if x not in self.finished and x not in self.on_path]
+            heapq.heapify(self.starts)
+
+    def reopen(self, x: int, adj: dict[int, set[int]]) -> bool:
+        """Unmark the dead-end subtree holding ``x``; False if that needs a reset.
+
+        Only a subtree hanging off the top of the path, or off a vertex that
+        has left the path, can reopen: the fresh walk would try its root
+        no earlier than the walk does from there.
+        """
+        root = x
+        parent = self.finished[root]
+        while parent in self.finished:
+            root, parent = parent, self.finished[parent]
+        i = self.on_path.get(parent)
+        if parent == 0 or (i is not None and i != len(self.path) - 1):
+            return False
+        del self.finished[root]
+        stack = [root]
+        while stack:
+            y = stack.pop()
+            for z in adj[y]:
+                if self.finished.get(z) == y:
+                    del self.finished[z]
+                    stack.append(z)
+        if i is not None:
+            self.offer(i, root, adj)
+        return True
+
+    def offer(self, i: int, w: int, adj: dict[int, set[int]]) -> None:
+        """Add candidate ``w`` to the heap of ``path[i]``.
+
+        A heap grown past twice the vertex's degree is cut back to its
+        entries whose edges are still buffered, which bounds it by O(degree).
+        """
+        heap = self.heaps[i]
+        heapq.heappush(heap, w)
+        nbrs = adj[self.path[i]]
+        if len(heap) > 2 * len(nbrs):
+            heap[:] = nbrs.intersection(heap)
+            heapq.heapify(heap)
+
+
 def extract_circuit(buffer: EdgeBuffer) -> Optional[Circuit]:
     """Remove and return one edge-simple cycle, or None if the buffer is acyclic.
 
-    Deterministic walk: depth-first from the lowest-numbered vertex with
-    positive degree, always stepping to the lowest-numbered neighbor whose
-    edge is still unused in this attempt.  The first edge that lands on a
-    vertex of the active path closes the cycle; abandoned branches stay
-    consumed for the remainder of the attempt.
+    The walk rule is the spec: depth-first from the lowest-numbered vertex
+    with positive degree, always stepping to the lowest-numbered neighbor
+    whose edge is still unused; the first edge that lands on a vertex of
+    the active path closes the cycle, and an exhausted start moves on to
+    the next-lowest vertex not yet visited.  Each call returns what that
+    walk, run afresh on the current buffer, would return.
+
+    The walk is not run afresh: its state (``buffer.walk``) survives the
+    cut and resumes at the cut vertex on the next call, and ``add`` folds
+    new edges into it or reopens dead ends they touch.  It starts over only
+    when a new edge would change the order of the path walked so far, when
+    the path empties after a cut (a dead-end vertex may then be the lowest),
+    or on an external ``remove``.  That keeps phase 1 close to linear in
+    the edges streamed.  The walk's scratch is O(buffered edges), outside
+    ``Phase1State.live_words`` like the per-call scratch it replaces.
     """
-    consumed: set[frozenset[int]] = set()
-    for start in sorted(buffer.adj):
-        path = [start]
-        on_path = {start: 0}
-        stack: list[tuple[int, list[int]]] = [(start, sorted(buffer.adj[start]))]
-        cursor = [0]
-        while stack:
-            v, nbrs = stack[-1]
-            i = cursor[-1]
-            step = None
-            while i < len(nbrs):
-                w = nbrs[i]
-                i += 1
-                if frozenset((v, w)) not in consumed:
-                    step = w
-                    break
-            cursor[-1] = i
-            if step is None:
-                stack.pop()
-                cursor.pop()
-                del on_path[path[-1]]
-                path.pop()
-                continue
-            consumed.add(frozenset((v, step)))
-            if step in on_path:
-                cut = on_path[step]
-                cycle = [(path[k], path[k + 1]) for k in range(cut, len(path) - 1)]
-                cycle.append((path[-1], step))
-                for a, b in cycle:
-                    buffer.remove(a, b)
-                return Circuit(0, cycle)
-            on_path[step] = len(path)
-            path.append(step)
-            stack.append((step, sorted(buffer.adj[step])))
-            cursor.append(0)
-    return None
+    walk = buffer.walk
+    adj = buffer.adj
+    if not walk.started:
+        walk.begin(adj)
+    path, heaps, on_path, finished = walk.path, walk.heaps, walk.on_path, walk.finished
+    heappop = heapq.heappop
+    while True:
+        if not path:
+            if walk.cut:
+                walk.begin(adj)
+                path, heaps, on_path, finished = walk.path, walk.heaps, walk.on_path, walk.finished
+            starts = walk.starts
+            while starts and (starts[0] not in adj or starts[0] in finished):
+                heappop(starts)
+            if not starts:
+                return None
+            walk.start = heappop(starts)
+            walk.push(walk.start, adj)
+        v = path[-1]
+        parent = path[-2] if len(path) > 1 else 0
+        heap = heaps[-1]
+        nbrs = adj.get(v, ())
+        step = None
+        while heap:
+            w = heappop(heap)
+            # a finished neighbour hangs off v by a used tree edge
+            if w in nbrs and w != parent and w not in finished:
+                step = w
+                break
+        if step is None:
+            path.pop()
+            heaps.pop()
+            del on_path[v]
+            finished[v] = parent
+            continue
+        if step in on_path:
+            cut = on_path[step]
+            cycle = [(path[k], path[k + 1]) for k in range(cut, len(path) - 1)]
+            cycle.append((v, step))
+            for a, b in cycle:
+                buffer.unlink(a, b)
+            for x in path[cut + 1:]:
+                del on_path[x]
+            del path[cut + 1:]
+            del heaps[cut + 1:]
+            walk.cut = True
+            if not buffer.edge_count:
+                walk.reset()  # nothing left to resume; free the scratch
+            return Circuit(0, cycle)
+        walk.push(step, adj)
 
 
 class LabelUnion:
@@ -231,7 +383,8 @@ class Phase1State:
     def live_words(self) -> int:
         # com + pre arrays, two words per buffered edge, one per tree vertex,
         # three per stored tree record, one per pending flag-1 parent, the
-        # label union table, and a handful of scalars.
+        # label union table, and a handful of scalars.  The extraction
+        # walk's scratch (``buffer.walk``, O(buffered edges)) is not counted.
         return (
             2 * self.n
             + 2 * self.buffer.edge_count

@@ -487,13 +487,13 @@ def validate_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[i
     Duplicate detection needs memory across the whole stream, so it happens
     here at ingestion rather than inside the metered pass.
     """
-    seen: set[frozenset[int]] = set()
+    seen: set[int] = set()  # the pair (min, max) as min * (n + 1) + max
     for idx, (u, v) in enumerate(edges, start=1):
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"edge {idx}: endpoint outside 1..{n}: ({u}, {v})")
         if u == v:
             raise ParseError(f"edge {idx}: self-loop at vertex {u}")
-        key = frozenset((u, v))
+        key = u * (n + 1) + v if u < v else v * (n + 1) + u
         if key in seen:
             raise ParseError(f"edge {idx}: duplicate edge ({u}, {v})")
         seen.add(key)

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strtour import (
     Circuit,
@@ -95,6 +96,165 @@ def test_extract_removes_only_cycle_edges():
     circ = extract_circuit(buf)
     assert {frozenset(e) for e in circ.edges} == {frozenset((1, 2)), frozenset((2, 3)), frozenset((1, 3))}
     assert buf.edge_count == 1
+
+
+# -- the resumed walk against the restarting walk -----------------------------
+
+class SpecBuffer:
+    """Plain adjacency buffer, with no walk state carried between calls."""
+
+    def __init__(self):
+        self.adj = {}
+        self.edge_count = 0
+
+    def add(self, u, v):
+        self.adj.setdefault(u, set()).add(v)
+        self.adj.setdefault(v, set()).add(u)
+        self.edge_count += 1
+
+    def remove(self, u, v):
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        if not self.adj[u]:
+            del self.adj[u]
+        if not self.adj[v]:
+            del self.adj[v]
+        self.edge_count -= 1
+
+
+def spec_extract_circuit(buffer):
+    """The walk rule, restarted from scratch on every call: the spec.
+
+    Depth-first from the lowest vertex with positive degree, stepping to
+    the lowest neighbor whose edge is unused in this attempt; the first edge
+    landing on the active path closes the cycle.  Returns its edge list.
+    """
+    consumed = set()
+    for start in sorted(buffer.adj):
+        path = [start]
+        on_path = {start: 0}
+        stack = [(start, sorted(buffer.adj[start]))]
+        cursor = [0]
+        while stack:
+            v, nbrs = stack[-1]
+            i = cursor[-1]
+            step = None
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                if frozenset((v, w)) not in consumed:
+                    step = w
+                    break
+            cursor[-1] = i
+            if step is None:
+                stack.pop()
+                cursor.pop()
+                del on_path[path[-1]]
+                path.pop()
+                continue
+            consumed.add(frozenset((v, step)))
+            if step in on_path:
+                cut = on_path[step]
+                cycle = [(path[k], path[k + 1]) for k in range(cut, len(path) - 1)]
+                cycle.append((path[-1], step))
+                for a, b in cycle:
+                    buffer.remove(a, b)
+                return cycle
+            on_path[step] = len(path)
+            path.append(step)
+            stack.append((step, sorted(buffer.adj[step])))
+            cursor.append(0)
+    return None
+
+
+def extract_both(spec, buf):
+    """Extract from both buffers; assert equal circuits and equal leftovers."""
+    want = spec_extract_circuit(spec)
+    got = extract_circuit(buf)
+    assert (got.edges if got else None) == want
+    assert buf.adj == spec.adj and buf.edge_count == spec.edge_count
+    return want
+
+
+def test_pendant_start_after_cut_walks_afresh():
+    # the walk from 1 leaves 2 as a dead end under 10, then cuts 1-10-11;
+    # 1 is gone, so the fresh walk starts at the dead end 2 and finds the
+    # cycle through 10 before the lower-labelled component {5, 6, 7}
+    edges = [(1, 10), (10, 2), (10, 11), (11, 1), (10, 12), (12, 13), (13, 10),
+             (5, 6), (6, 7), (7, 5)]
+    spec, buf = SpecBuffer(), buffer_of(edges)
+    for u, v in edges:
+        spec.add(u, v)
+    assert extract_both(spec, buf) == [(1, 10), (10, 11), (11, 1)]
+    assert extract_both(spec, buf) == [(10, 12), (12, 13), (13, 10)]
+    assert extract_both(spec, buf) == [(5, 6), (6, 7), (7, 5)]
+    assert extract_both(spec, buf) is None
+    assert buf.adj == {2: {10}, 10: {2}}
+
+
+OPS = ["add"] * 16 + ["extract"] * 3 + ["remove"]
+
+
+def lockstep(pending, capacity, recycle, pick):
+    """Drive a spec buffer and an ``EdgeBuffer`` through the same operations.
+
+    Edges are added in ``pending`` order, extracting while the buffer holds
+    ``capacity`` edges, as phase 1 does; ``pick`` chooses among its list
+    argument where to add an extraction or an external removal, which edge
+    to remove and whether to queue it again.  With ``recycle`` every cut
+    cycle is queued again too.  Each extraction is checked by
+    ``extract_both``, and the buffers are drained at the end.
+    """
+    spec, buf = SpecBuffer(), EdgeBuffer()
+    for _ in range(4 * len(pending)):
+        op = pick(OPS)
+        if op == "add" and pending:
+            u, v = pending.pop(0)
+            spec.add(u, v)
+            buf.add(u, v)
+            while spec.edge_count >= capacity:
+                if extract_both(spec, buf) is None:
+                    break
+        elif op == "remove" and spec.edge_count:
+            u, v = pick(sorted((u, v) for u in spec.adj for v in spec.adj[u] if u < v))
+            spec.remove(u, v)
+            buf.remove(u, v)
+            if pick([False, True]):
+                pending.append((u, v))
+        elif op == "extract":
+            cycle = extract_both(spec, buf)
+            if cycle and recycle:
+                pending.extend(cycle)
+    while extract_both(spec, buf) is not None:
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_resumed_walk_matches_restarting_walk(data):
+    """Lock-step: any add/extract/remove sequence gives the spec's circuits."""
+    n = data.draw(st.integers(2, 9), label="n")
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    m = data.draw(st.integers(0, len(pairs)), label="m")
+    chosen = data.draw(st.permutations(pairs), label="edge order")[:m]
+    flips = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="flips")
+    pending = [(b, a) if flip else (a, b) for (a, b), flip in zip(chosen, flips)]
+    capacity = data.draw(st.integers(1, n + 1), label="capacity")
+    recycle = data.draw(st.booleans(), label="recycle cut edges")
+    lockstep(pending, capacity, recycle, lambda xs: data.draw(st.sampled_from(xs)))
+
+
+def test_resumed_walk_matches_restarting_walk_seeded():
+    """The same lock-step over 3000 seeded cases, for rare interleavings."""
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 10)
+        density = rng.random()
+        pending = [(a, b) if rng.random() < 0.5 else (b, a)
+                   for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                   if rng.random() < density]
+        rng.shuffle(pending)
+        lockstep(pending, rng.randrange(1, n + 2), rng.random() < 0.3, rng.choice)
 
 
 # -- new_test / comp_test -----------------------------------------------------

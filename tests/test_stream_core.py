@@ -19,7 +19,7 @@ from strtour import (
     read_graph_file,
     write_graph_file,
 )
-from strtour.stream_core import BLOCK_RECORDS, RECORD, PassRecord
+from strtour.stream_core import BLOCK_RECORDS, RECORD, PassRecord, validate_edges
 
 from conftest import make_pipeline
 
@@ -370,3 +370,11 @@ def test_graph_file_rejects(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ParseError):
         read_graph_file(str(path))
+
+
+def test_validate_edges_names_first_offending_edge():
+    edges = [(1, 2), (3, 2), (2, 1), (2, 3)]  # reversed pairs are duplicates too
+    with pytest.raises(ParseError, match=r"^edge 3: duplicate edge \(2, 1\)$"):
+        list(validate_edges(3, edges))
+    with pytest.raises(ParseError, match=r"^edge 2: self-loop at vertex 3$"):
+        list(validate_edges(3, [(1, 2), (3, 3), (1, 2)]))
