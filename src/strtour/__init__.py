@@ -59,7 +59,6 @@ from .stream_core import (
 )
 from .tree_merge import (
     MergeIterationReport,
-    OddDepthNormalizer,
     emit_tour,
     iteration_bound,
     merge_iteration,

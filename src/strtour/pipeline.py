@@ -11,7 +11,6 @@ from .circuit_find import find_circuits, initial_stream
 from .stream_core import (
     IntegrityFault,
     PassStats,
-    StreamItem,
     StreamPipeline,
     assert_stream_budget,
     read_graph_file,
@@ -28,7 +27,6 @@ class SolveResult:
     tree_height: int
     circuits: int
     iteration_reports: list[MergeIterationReport] = field(default_factory=list)
-    phase1_items: Optional[list[StreamItem]] = None
 
     def stats_dict(self) -> dict:
         out = self.stats.core_dict()
@@ -39,7 +37,7 @@ class SolveResult:
 
 def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
           trace_dir: Optional[str] = None, fidelity_relabel: bool = False,
-          keep_phase1: bool = False, sort_chunk: Optional[int] = None) -> SolveResult:
+          sort_chunk: Optional[int] = None) -> SolveResult:
     """Run the full streaming pipeline over an in-memory edge list.
 
     ``sort_chunk`` overrides the sorter's in-memory chunk size; ``None``
@@ -55,9 +53,10 @@ def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
         source = pipeline.materialize(initial_stream(n, edges), "input")
         stream, height, finder = find_circuits(
             pipeline, n, source, fidelity_relabel=fidelity_relabel)
-        phase1_items = stream.read_all() if keep_phase1 else None
+        circuits = finder.state.cir
         if trace_dir:
             _dump_tree(trace_dir, finder)
+        del finder  # phase-1 state is O(n); free it before phase 2
 
         stream, completer = prepare(pipeline, stream)
         if completer.observed_height != height:
@@ -66,7 +65,7 @@ def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
                 f"phase 1 reported {height}")
 
         stream, reports = run_merges(
-            pipeline, stream, height, completer.info_out, finder.state.cir)
+            pipeline, stream, height, completer.info_out, circuits)
         tour = emit_tour(pipeline, stream, m)
 
         violation = assert_stream_budget(stats, m)
@@ -78,9 +77,8 @@ def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
             tour=tour,
             stats=stats,
             tree_height=height,
-            circuits=finder.state.cir,
+            circuits=circuits,
             iteration_reports=reports,
-            phase1_items=phase1_items,
         )
     finally:
         pipeline.cleanup()
@@ -98,7 +96,7 @@ def _dump_tree(trace_dir: str, finder) -> None:
 
 def solve_file(graph_path: str, tour_path: Optional[str] = None,
                stats_path: Optional[str] = None, **kwargs) -> SolveResult:
-    n, edges = read_graph_file(graph_path)
+    n, edges = read_graph_file(graph_path, validate=False)  # solve validates
     result = solve(n, edges, **kwargs)
     if tour_path:
         write_tour_file(tour_path, result.tour)

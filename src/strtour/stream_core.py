@@ -500,8 +500,12 @@ def validate_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[i
         yield u, v
 
 
-def read_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
-    """Parse a graph file: first line ``n m``, then m lines ``u v``."""
+def read_graph_file(path: str, *,
+                    validate: bool = True) -> tuple[int, list[tuple[int, int]]]:
+    """Parse a graph file: first line ``n m``, then m lines ``u v``.
+
+    ``validate=False`` leaves the ``validate_edges`` checks to the caller.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln]
@@ -527,7 +531,7 @@ def read_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
             raw.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"line {lineno}: expected integers 'u v'") from None
-    return n, list(validate_edges(n, raw))
+    return n, list(validate_edges(n, raw)) if validate else raw
 
 
 def write_graph_file(path: str, n: int, edges: list[tuple[int, int]]) -> None:

@@ -3,9 +3,7 @@
 Each iteration merges every circuit at odd depth into its even-depth parent
 and rewires the remaining info edges to the grandparent, so the out-tree
 height drops from h to floor(h / 2).  An iteration is exactly four sorts
-and four streams over a normalized stream, where normalized means info
-edges whose parent depth is odd arrive reversed with flag 1 (the previous
-iteration, or the preparation step, leaves them that way):
+and four streams:
 
   1. sort info edges in front, grouped by their second field; a stream then
      rewires each reversed edge to the grandparent found in the group head,
@@ -15,8 +13,15 @@ iteration, or the preparation step, leaves them that way):
   3. sort each instruction in front of its child circuit; a stream rewrites
      the child's edges to (tail, head, host, slot, orig circuit, orig pos),
   4. sort graph edges by those four labels, which interleaves children after
-     their splice points; a stream renumbers each merged circuit 1..L,
-     halves the surviving depths, and reverses next round's odd edges.
+     their splice points; a stream renumbers each merged circuit 1..L and
+     writes the halved depths back in normal form.
+
+Info edges enter every round in normal form: the parent edge of circuit
+``succ`` in circuit ``pred``, with parent depth ``depth`` and shared vertex
+``cvertex``, is ``(succ, pred, depth, cvertex, 1)`` when the depth is odd
+and ``(pred, succ, depth, cvertex, 0)`` otherwise.  ``NormalFormWriter`` is
+the one place that writes it: the preparation step for the first round,
+each round's last pass for the next.
 
 When no info edges remain the single surviving circuit is the tour, read
 off with one final sort by position.
@@ -75,6 +80,27 @@ def splice_key(item: StreamItem) -> tuple:
     if isinstance(item, InfoEdge):
         return (0,) + item.fields()
     return (1, item.f3, item.f4, item.f5, item.f6) + item.fields()
+
+
+class NormalFormWriter(Processor):
+    """Writes info edges in normal form; counts them and tracks the deepest
+    parent, which give the tree height the stream encodes."""
+
+    def __init__(self):
+        self.info_out = 0
+        self.max_pred_depth = -1
+
+    def emit_normal(self, pred: int, succ: int, depth: int, cvertex: int, emit) -> None:
+        self.info_out += 1
+        self.max_pred_depth = max(self.max_pred_depth, depth)
+        if depth % 2 == 1:
+            emit(InfoEdge(succ, pred, depth, cvertex, 1))
+        else:
+            emit(InfoEdge(pred, succ, depth, cvertex, 0))
+
+    @property
+    def observed_height(self) -> int:
+        return self.max_pred_depth + 1 if self.info_out else 0
 
 
 class GrandparentRewire(Processor):
@@ -173,17 +199,16 @@ class ChildRewriter(Processor):
         return 1 if self.instruction is not None else 0
 
 
-class SpliceRenumberer(Processor):
-    """Renumber merged circuits and normalize depths for the next round."""
+class SpliceRenumberer(NormalFormWriter):
+    """Renumber merged circuits and write halved depths in normal form."""
 
     label = "merge-renumber"
 
     def __init__(self):
+        super().__init__()
         self.circuit = 0
         self.counter = 0
         self.seen_graph = False
-        self.info_out = 0
-        self.max_pred_depth = -1
         self.circuits_out = 0
 
     def on_item(self, item, emit) -> None:
@@ -193,13 +218,8 @@ class SpliceRenumberer(Processor):
             if item.f5 != 0 or item.depth % 2 != 1:
                 raise IntegrityFault(
                     f"unexpected surviving info edge {item.fields()}")
-            depth = (item.depth - 1) // 2
-            self.info_out += 1
-            self.max_pred_depth = max(self.max_pred_depth, depth)
-            if depth % 2 == 1:
-                emit(InfoEdge(item.succ, item.pred, depth, item.cvertex, 1))
-            else:
-                emit(InfoEdge(item.pred, item.succ, depth, item.cvertex, 0))
+            self.emit_normal(item.pred, item.succ, (item.depth - 1) // 2,
+                             item.cvertex, emit)
             return
         self.seen_graph = True
         if item.f3 != self.circuit:
@@ -215,26 +235,6 @@ class SpliceRenumberer(Processor):
 
     def scalar_words(self) -> int:
         return 5
-
-    @property
-    def observed_height(self) -> int:
-        return self.max_pred_depth + 1 if self.info_out else 0
-
-
-class OddDepthNormalizer(Processor):
-    """Reverse and flag info edges with odd parent depth.
-
-    The pipeline fuses this step into the preceding pass; it exists on its
-    own for driving the merge loop from hand-built streams.
-    """
-
-    label = "odd-normalize"
-
-    def on_item(self, item, emit) -> None:
-        if isinstance(item, InfoEdge) and item.f5 == 0 and item.depth % 2 == 1:
-            emit(InfoEdge(item.succ, item.pred, item.depth, item.cvertex, 1))
-        else:
-            emit(item)
 
 
 @dataclass
@@ -255,7 +255,7 @@ class MergeIterationReport:
 def merge_iteration(pipeline: StreamPipeline, stream: Stream, *,
                     index: int = 1, circuits_before: int = 0,
                     height_before: int = 0) -> tuple[Stream, MergeIterationReport]:
-    """One normalized merge round: four sorts, four streams."""
+    """One merge round over a normal-form stream: four sorts, four streams."""
     first_pass = len(pipeline.stats.passes)
     s = pipeline.run_sorting_pass(regroup_key, stream, "merge", "sort-groups")
     s = pipeline.run_streaming_pass(GrandparentRewire(), s, "merge")
@@ -284,9 +284,9 @@ def run_merges(pipeline: StreamPipeline, stream: Stream, height: int,
                info_edges: int, circuits: int) -> tuple[Stream, list[MergeIterationReport]]:
     """Iterate merge rounds until a single circuit remains.
 
-    The input must be prepared (rotated, depths complete, odd parent depths
-    reversed).  The round count may not exceed ceil(log2(h + 1)) and every
-    round must halve the height exactly, otherwise the run aborts.
+    The input must be prepared: rotated, depths complete, in normal form.
+    The round count may not exceed ceil(log2(h + 1)) and every round must
+    halve the height exactly, otherwise the run aborts.
     """
     bound = iteration_bound(height)
     reports: list[MergeIterationReport] = []

@@ -8,9 +8,10 @@ fixes move information around with the usual trick: a sort puts the record
 that needs a value next to the record that has it, then a streaming pass
 with a handful of live records carries the value over.
 
-The pipeline entry point ``prepare`` fuses the flag swap of the depth fix
-and the odd-depth normalization of the merge loop into these passes, for a
-total of exactly six (three sorts, three streams).
+``prepare`` does both in exactly six passes (three sorts, three streams).
+The rotation's first stream also swaps the flag-1 edges for the depth sort,
+and the depth stream writes every info edge in the merge loop's normal form
+(see ``tree_merge``), so neither costs a pass of its own.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .stream_core import (
     StreamItem,
     StreamPipeline,
 )
+from .tree_merge import NormalFormWriter
 
 
 def circuit_grouping_key(item: StreamItem) -> tuple:
@@ -50,15 +52,14 @@ class RotationAnnotator(Processor):
     Holds the pending parent info edge and the circuit's first graph edge,
     counts the circuit length, and finds the pivot position (lowest position
     whose tail is the shared vertex).  Length and pivot ride out in the
-    first edge's two spare fields.  Optionally swaps flag-1 info edges
-    (pred and succ exchanged) so the later depth pass can group them behind
-    their parent's own info edge.
+    first edge's two spare fields.  Flag-1 info edges pass with pred and
+    succ exchanged, so the depth sort groups them behind their parent's own
+    info edge.
     """
 
     label = "rotate-annotate"
 
-    def __init__(self, swap_flag_edges: bool = False):
-        self.swap_flag_edges = swap_flag_edges
+    def __init__(self):
         self.pending: Optional[InfoEdge] = None
         self.first_edge: Optional[GraphEdge] = None
         self.length = 0
@@ -87,10 +88,7 @@ class RotationAnnotator(Processor):
         if isinstance(item, InfoEdge):
             self._flush(emit)
             if item.f5 == 1:
-                if self.swap_flag_edges:
-                    emit(InfoEdge(item.succ, item.pred, item.depth, item.cvertex, 1))
-                else:
-                    emit(item)
+                emit(InfoEdge(item.succ, item.pred, item.depth, item.cvertex, 1))
             else:
                 self.pending = item
             return
@@ -157,45 +155,21 @@ class RotationApplier(Processor):
         return 3
 
 
-class FlagEdgeSwapper(Processor):
-    """Exchange pred and succ on flag-1 info edges, keeping the flag set."""
-
-    label = "flag-swap"
-
-    def on_item(self, item, emit) -> None:
-        if isinstance(item, InfoEdge) and item.f5 == 1:
-            emit(InfoEdge(item.succ, item.pred, item.depth, item.cvertex, 1))
-        else:
-            emit(item)
-
-
-class DepthCompleter(Processor):
+class DepthCompleter(NormalFormWriter):
     """Fill missing parent depths into swapped flag-1 info edges.
 
     After the depth grouping sort, the flag-0 parent edge of circuit ``i``
     (if any) directly precedes every swapped leaf edge whose stored parent is
     ``i``.  A leaf whose parent has no own parent edge sits under the root
-    and gets depth 0.  With ``swap_odd_for_merge`` the pass also emits every
-    info edge whose final parent depth is odd in reversed, flagged form, the
-    shape the merge loop consumes.
+    and gets depth 0.  Every info edge leaves in normal form.
     """
 
     label = "depth-complete"
 
-    def __init__(self, swap_odd_for_merge: bool = False):
-        self.swap_odd_for_merge = swap_odd_for_merge
+    def __init__(self):
+        super().__init__()
         self.known_succ = 0
         self.known_depth = 0
-        self.info_out = 0
-        self.max_pred_depth = -1
-
-    def _emit_info(self, pred: int, succ: int, depth: int, cvertex: int, emit) -> None:
-        self.info_out += 1
-        self.max_pred_depth = max(self.max_pred_depth, depth)
-        if self.swap_odd_for_merge and depth % 2 == 1:
-            emit(InfoEdge(succ, pred, depth, cvertex, 1))
-        else:
-            emit(InfoEdge(pred, succ, depth, cvertex, 0))
 
     def on_item(self, item, emit) -> None:
         if isinstance(item, GraphEdge):
@@ -207,57 +181,40 @@ class DepthCompleter(Processor):
                     f"circuit {item.succ} has more than one parent edge")
             self.known_succ = item.succ
             self.known_depth = item.depth
-            self._emit_info(item.pred, item.succ, item.depth, item.cvertex, emit)
+            self.emit_normal(item.pred, item.succ, item.depth, item.cvertex, emit)
             return
         # swapped leaf edge (succ, pred, 0, v, 1): restore and fill the depth
         pred, succ = item.succ, item.pred
         depth = self.known_depth + 1 if self.known_succ == pred else 0
-        self._emit_info(pred, succ, depth, item.cvertex, emit)
+        self.emit_normal(pred, succ, depth, item.cvertex, emit)
 
     def scalar_words(self) -> int:
         return 4
 
-    @property
-    def observed_height(self) -> int:
-        return self.max_pred_depth + 1 if self.info_out else 0
 
-
-def rotate_member_circuits(pipeline: StreamPipeline, stream: Stream,
-                           swap_flag_edges: bool = False, phase: str = "prep") -> Stream:
+def rotate_member_circuits(pipeline: StreamPipeline, stream: Stream) -> Stream:
     """Rotate every parented circuit to start at its shared vertex.
 
     Two sorts and two streams; flag-1 circuits arrive pre-rotated and the
     root has no parent, so both pass through untouched.
     """
-    s = pipeline.run_sorting_pass(circuit_grouping_key, stream, phase, "sort-circuits")
-    s = pipeline.run_streaming_pass(RotationAnnotator(swap_flag_edges), s, phase)
-    s = pipeline.run_sorting_pass(circuit_grouping_key, s, phase, "sort-circuits")
-    return pipeline.run_streaming_pass(RotationApplier(), s, phase)
+    s = pipeline.run_sorting_pass(circuit_grouping_key, stream, "prep", "sort-circuits")
+    s = pipeline.run_streaming_pass(RotationAnnotator(), s, "prep")
+    s = pipeline.run_sorting_pass(circuit_grouping_key, s, "prep", "sort-circuits")
+    return pipeline.run_streaming_pass(RotationApplier(), s, "prep")
 
 
-def complete_depths(pipeline: StreamPipeline, stream: Stream,
-                    phase: str = "prep") -> tuple[Stream, DepthCompleter]:
-    """Resolve the parent depth of every flag-1 info edge.
+def complete_depths(pipeline: StreamPipeline, stream: Stream) -> tuple[Stream, DepthCompleter]:
+    """Resolve the parent depth of every swapped flag-1 info edge.
 
-    Two streams and one sort: swap the flag-1 edges, group them behind the
-    parent's own info edge, then carry the depth over.
+    One sort groups each swapped edge behind its parent's own info edge; one
+    stream carries the depth over and writes the normal form.
     """
-    s = pipeline.run_streaming_pass(FlagEdgeSwapper(), stream, phase)
-    s = pipeline.run_sorting_pass(depth_grouping_key, s, phase, "sort-depths")
-    completer = DepthCompleter(swap_odd_for_merge=False)
-    s = pipeline.run_streaming_pass(completer, s, phase)
-    return s, completer
+    s = pipeline.run_sorting_pass(depth_grouping_key, stream, "prep", "sort-depths")
+    completer = DepthCompleter()
+    return pipeline.run_streaming_pass(completer, s, "prep"), completer
 
 
 def prepare(pipeline: StreamPipeline, stream: Stream) -> tuple[Stream, DepthCompleter]:
-    """Full preparation in six passes, output normalized for the merge loop.
-
-    The flag swap rides inside the rotation's first stream and the odd-depth
-    reversal of the merge loop rides inside the depth stream, so no extra
-    passes are spent on either.
-    """
-    s = rotate_member_circuits(pipeline, stream, swap_flag_edges=True)
-    s = pipeline.run_sorting_pass(depth_grouping_key, s, "prep", "sort-depths")
-    completer = DepthCompleter(swap_odd_for_merge=True)
-    s = pipeline.run_streaming_pass(completer, s, "prep")
-    return s, completer
+    """Full preparation in six passes, output in normal form for the merge loop."""
+    return complete_depths(pipeline, rotate_member_circuits(pipeline, stream))

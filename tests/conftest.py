@@ -10,7 +10,7 @@ The edge order below forces exactly that discovery sequence.
 
 import pytest
 
-from strtour import PassStats, StreamPipeline
+from strtour import PassStats, StreamPipeline, find_circuits, initial_stream
 
 
 NINE_VERTEX_N = 9
@@ -70,3 +70,14 @@ def make_pipeline(tmp_path, **kwargs):
     os.makedirs(str(tmp_path), exist_ok=True)
     stats = PassStats()
     return StreamPipeline(stats, tmpdir=str(tmp_path), **kwargs), stats
+
+
+def phase1_output(tmp_path, n, edges):
+    """The phase-1 output stream of a graph, found on a pipeline of its own."""
+    pl, _ = make_pipeline(tmp_path)
+    try:
+        source = pl.materialize(initial_stream(n, edges), "input")
+        stream, _, _ = find_circuits(pl, n, source)
+        return stream.read_all()
+    finally:
+        pl.cleanup()

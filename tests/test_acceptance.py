@@ -15,7 +15,6 @@ from strtour import (
     GraphEdge,
     InfoEdge,
     NotEulerianError,
-    OddDepthNormalizer,
     PassStats,
     StreamPipeline,
     assert_stream_budget,
@@ -25,6 +24,7 @@ from strtour import (
     gen_eulerian,
     iteration_bound,
     perturb,
+    prepare,
     run_merges,
     solve,
     validate_tour,
@@ -37,6 +37,7 @@ from conftest import (
     NINE_VERTEX_HEIGHT,
     NINE_VERTEX_N,
     NINE_VERTEX_PHASE1,
+    phase1_output,
 )
 
 SIZES = [(10, 20), (100, 400), (1000, 5000)]
@@ -60,12 +61,11 @@ def sweep(tmp_path_factory):
             tour_path = str(root / f"t_{n}_{m}_{seed}.txt")
             write_graph_file(graph_path, gn, edges)
             started = time.perf_counter()
-            result = solve_file(graph_path, tour_path=tour_path,
-                                keep_phase1=True, tmpdir=str(root))
+            result = solve_file(graph_path, tour_path=tour_path, tmpdir=str(root))
             solve_seconds += time.perf_counter() - started
             runs.append({
                 "n": n, "m": m, "seed": seed, "gn": gn, "edges": edges,
-                "result": result,
+                "result": result, "phase1": phase1_output(root, gn, edges),
             })
     return {"runs": runs, "solve_seconds": solve_seconds}
 
@@ -116,8 +116,8 @@ def test_criterion_03_height_halving(tmp_path):
         stats = PassStats()
         pipeline = StreamPipeline(stats, tmpdir=str(tmp_path))
         try:
-            stream = pipeline.run_streaming_pass(
-                OddDepthNormalizer(), pipeline.materialize(items), "prep")
+            stream, completer = prepare(pipeline, pipeline.materialize(items))
+            assert completer.observed_height == height
             stream, reports = run_merges(pipeline, stream, height=height,
                                          info_edges=height, circuits=height + 1)
             expected = height
@@ -176,17 +176,17 @@ def test_criterion_06_stream_budget(sweep):
 
 
 def test_criterion_07_nine_vertex_golden(tmp_path):
-    result = solve(NINE_VERTEX_N, list(NINE_VERTEX_EDGES),
-                   tmpdir=str(tmp_path), keep_phase1=True)
+    result = solve(NINE_VERTEX_N, list(NINE_VERTEX_EDGES), tmpdir=str(tmp_path))
+    items = phase1_output(tmp_path, NINE_VERTEX_N, NINE_VERTEX_EDGES)
     from strtour import encode_item
-    assert [encode_item(it) for it in result.phase1_items] == NINE_VERTEX_PHASE1
-    info = [it for it in result.phase1_items if isinstance(it, InfoEdge)]
+    assert [encode_item(it) for it in items] == NINE_VERTEX_PHASE1
+    info = [it for it in items if isinstance(it, InfoEdge)]
     flagged = [it for it in info if it.f5 == 1]
     rooted = [it for it in info if it.f5 == 0]
     assert flagged == [InfoEdge(3, 5, 0, 2, 1)]
     tree = {frozenset((e.pred, e.succ)) for e in rooted}
     assert tree == {frozenset((1, 2)), frozenset((4, 1)), frozenset((4, 3))}
-    circuits = {it.f3 for it in result.phase1_items if isinstance(it, GraphEdge)}
+    circuits = {it.f3 for it in items if isinstance(it, GraphEdge)}
     assert circuits == {1, 2, 3, 4, 5}
     assert result.tree_height == NINE_VERTEX_HEIGHT
     g = AdjacencyGraph.from_edges(NINE_VERTEX_N, NINE_VERTEX_EDGES)
@@ -199,7 +199,7 @@ def test_criterion_07_nine_vertex_golden(tmp_path):
 
 def test_criterion_08_oracle_equivalence(sweep):
     for run in sweep["runs"]:
-        forest = CircuitForest.from_stream_items(run["result"].phase1_items)
+        forest = CircuitForest.from_stream_items(run["phase1"])
         reference = euler_tree_reference(forest)
         g = AdjacencyGraph.from_edges(run["gn"], run["edges"])
         assert validate_tour(g, reference) is None, (run["n"], run["seed"])
@@ -210,7 +210,7 @@ def test_criterion_09_tree_invariant(sweep):
     # the in-pass assertion raises on any violation, so completing the sweep
     # means zero; re-derive the tree from each stream as an independent check
     for run in sweep["runs"]:
-        rooted = [it for it in run["result"].phase1_items
+        rooted = [it for it in run["phase1"]
                   if isinstance(it, InfoEdge) and it.f5 == 0]
         vertices = {1} | {e.pred for e in rooted} | {e.succ for e in rooted}
         assert len(rooted) == len(vertices) - 1

@@ -13,6 +13,7 @@ from strtour import (
     iteration_bound,
     solve,
     validate_tour,
+    write_graph_file,
 )
 
 
@@ -114,3 +115,62 @@ def test_sort_chunk_reaches_the_sorter(tmp_path, monkeypatch):
     assert chunks == []
     solve(n, edges, tmpdir=str(tmp_path), sort_chunk=3)
     assert chunks and set(chunks) == {"chunk-"}
+
+
+def test_solve_file_validates_each_edge_once(tmp_path, monkeypatch):
+    from strtour import pipeline, stream_core
+    calls = []
+    real = stream_core.validate_edges
+
+    def counting_validate(n, edges):
+        calls.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(stream_core, "validate_edges", counting_validate)
+    n, edges = gen_eulerian(10, 20, 1)
+    path = str(tmp_path / "g.txt")
+    stream_core.write_graph_file(path, n, edges)
+    pipeline.solve_file(path, tmpdir=str(tmp_path))
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(1, 2), (2, 3), (3, 1), (2, 1)], "edge 4: duplicate edge (2, 1)"),
+    ([(1, 2), (2, 2), (1, 2)], "edge 2: self-loop at vertex 2"),
+    ([(1, 2), (2, 4)], "edge 2: endpoint outside 1..3: (2, 4)"),
+])
+def test_solve_file_reports_first_offending_edge(tmp_path, edges, message):
+    from strtour import ParseError, read_graph_file
+    from strtour.pipeline import solve_file
+    path = str(tmp_path / "g.txt")
+    write_graph_file(path, 3, edges)
+    with pytest.raises(ParseError) as via_read:
+        read_graph_file(path)
+    with pytest.raises(ParseError) as via_solve:
+        solve_file(path, tmpdir=str(tmp_path))
+    assert str(via_solve.value) == str(via_read.value) == message
+
+
+def test_phase1_finder_is_freed_before_prepare(tmp_path, monkeypatch):
+    import weakref
+    from strtour import pipeline
+    refs, alive_at_prepare = [], []
+    find, prep = pipeline.find_circuits, pipeline.prepare
+
+    def recording_find(*args, **kwargs):
+        out = find(*args, **kwargs)
+        refs.append(weakref.ref(out[2]))
+        return out
+
+    def checking_prepare(*args, **kwargs):
+        alive_at_prepare.append(refs[0]() is not None)
+        return prep(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "find_circuits", recording_find)
+    monkeypatch.setattr(pipeline, "prepare", checking_prepare)
+    n, edges = gen_eulerian(10, 20, 1)
+    result = pipeline.solve(n, edges, tmpdir=str(tmp_path),
+                            trace_dir=str(tmp_path / "trace"))
+    assert alive_at_prepare == [False]
+    assert result.circuits == result.stats.circuits_found > 1
+    assert (tmp_path / "trace" / "connectivity_tree.txt").exists()

@@ -10,17 +10,17 @@ from strtour import (
     GraphEdge,
     InfoEdge,
     IntegrityFault,
-    OddDepthNormalizer,
     emit_tour,
     euler_tree_reference,
     iteration_bound,
     merge_iteration,
+    prepare,
     run_merges,
     solve,
     validate_tour,
 )
 
-from conftest import make_pipeline
+from conftest import make_pipeline, phase1_output
 
 
 def circuit(cid, pairs):
@@ -29,14 +29,20 @@ def circuit(cid, pairs):
 
 
 def normalize(pl, items):
-    """Reverse odd-parent-depth info edges the way the pipeline prep would."""
-    return pl.run_streaming_pass(OddDepthNormalizer(), pl.materialize(items), "prep")
+    """Bring a hand-built stream into the merge loop's normal form via prep."""
+    stream, _ = prepare(pl, pl.materialize(items))
+    return stream
 
 
-def merged_once(tmp_path, items, height):
+def materialized(pl, items):
+    """Hand the stream to the merge loop as is; it must be in normal form."""
+    return pl.materialize(items)
+
+
+def merged_once(tmp_path, items, height, entry=normalize):
     pl, stats = make_pipeline(tmp_path)
     try:
-        stream = normalize(pl, items)
+        stream = entry(pl, items)
         out, report = merge_iteration(pl, stream, index=1, height_before=height)
         return out.read_all(), report, stats
     finally:
@@ -186,16 +192,16 @@ def test_run_merges_guards_iteration_bound(tmp_path):
 def test_orphan_instruction_faults(tmp_path):
     items = (circuit(1, [(1, 2), (2, 3), (3, 1)])
              + [InfoEdge(1, 9, 0, 2, 0)])  # successor circuit 9 does not exist
-    with pytest.raises(IntegrityFault):
-        merged_once(tmp_path, items, height=1)
+    with pytest.raises(IntegrityFault, match="matched no graph edges"):
+        merged_once(tmp_path, items, height=1, entry=materialized)
 
 
 def test_slot_vertex_not_on_host_faults(tmp_path):
     items = (circuit(1, [(1, 2), (2, 3), (3, 1)])
              + circuit(2, [(7, 8), (8, 9), (9, 7)])
              + [InfoEdge(1, 2, 0, 7, 0)])  # vertex 7 never heads a host edge
-    with pytest.raises(IntegrityFault):
-        merged_once(tmp_path, items, height=1)
+    with pytest.raises(IntegrityFault, match="has head 7"):
+        merged_once(tmp_path, items, height=1, entry=materialized)
 
 
 # -- tour emission ------------------------------------------------------------
@@ -251,8 +257,8 @@ def test_nine_vertex_final_tour(tmp_path, nine_vertex):
 
 def test_merge_oracle_equivalence_nine_vertex(tmp_path, nine_vertex):
     n, edges = nine_vertex
-    result = solve(n, edges, tmpdir=str(tmp_path), keep_phase1=True)
-    forest = CircuitForest.from_stream_items(result.phase1_items)
+    result = solve(n, edges, tmpdir=str(tmp_path))
+    forest = CircuitForest.from_stream_items(phase1_output(tmp_path, n, edges))
     reference = euler_tree_reference(forest)
     g = AdjacencyGraph.from_edges(n, edges)
     assert validate_tour(g, reference) is None

@@ -64,8 +64,8 @@ def test_rotation_skips_flagged_circuits(tmp_path):
              + circuit(2, [(3, 4), (4, 5), (5, 3)]))
     out, _ = run_rotate(tmp_path, items)
     assert by_position(out, 2) == [(3, 4), (4, 5), (5, 3)]
-    # untouched flag-1 edge still present by default
-    assert InfoEdge(1, 2, 0, 3, 1) in out
+    # the flag-1 edge passes swapped, ready for the depth sort
+    assert InfoEdge(2, 1, 0, 3, 1) in out
 
 
 def test_rotation_missing_pivot_faults(tmp_path):
@@ -110,17 +110,18 @@ def run_depths(tmp_path, items):
         pl.cleanup()
 
 
+# flag-1 edges arrive swapped, as the rotation pass leaves them
+
 def test_depth_root_parent_gets_zero(tmp_path):
-    out, _, _ = run_depths(tmp_path, [InfoEdge(1, 2, 0, 9, 1)])
+    out, _, _ = run_depths(tmp_path, [InfoEdge(2, 1, 0, 9, 1)])
     assert out == [InfoEdge(1, 2, 0, 9, 0)]
 
 
 def test_depth_parent_plus_one(tmp_path):
-    items = [InfoEdge(2, 4, 2, 8, 0), InfoEdge(4, 7, 0, 9, 1)]
+    items = [InfoEdge(2, 4, 2, 8, 0), InfoEdge(7, 4, 0, 9, 1)]
     out, _, _ = run_depths(tmp_path, items)
-    assert InfoEdge(4, 7, 3, 9, 0) in out
-    assert InfoEdge(2, 4, 2, 8, 0) in out
-    assert all(it.f5 == 0 for it in out)
+    # depth 3 is odd, so circuit 7's parent edge leaves reversed and flagged
+    assert out == [InfoEdge(2, 4, 2, 8, 0), InfoEdge(7, 4, 3, 9, 1)]
 
 
 def test_depth_multiple_parents_fault(tmp_path):
@@ -130,9 +131,9 @@ def test_depth_multiple_parents_fault(tmp_path):
 
 
 def test_depth_pass_shape(tmp_path):
-    _, _, stats = run_depths(tmp_path, [InfoEdge(1, 2, 0, 9, 1)])
+    _, _, stats = run_depths(tmp_path, [InfoEdge(2, 1, 0, 9, 1)])
     kinds = [r.kind for r in stats.passes if r.phase == "prep"]
-    assert kinds == ["stream", "sort", "stream"]
+    assert kinds == ["sort", "stream"]
 
 
 # -- fused preparation on the nine-vertex instance ---------------------------
