@@ -57,12 +57,6 @@ class Circuit:
                 return
         raise IntegrityFault(f"vertex {vertex} not on circuit {self.id}")
 
-    def check_chained(self) -> None:
-        for i, (_, head) in enumerate(self.edges):
-            nxt = self.edges[(i + 1) % len(self.edges)]
-            if head != nxt[0]:
-                raise IntegrityFault(f"circuit {self.id} breaks at position {i + 1}")
-
 
 class EdgeBuffer:
     """Adjacency view over the undirected edges currently held in memory.

@@ -12,8 +12,8 @@ from .stream_core import (
     IntegrityFault,
     PassStats,
     StreamPipeline,
+    _parse_graph_file as read_graph_file,  # solve's ingest checks the edges
     assert_stream_budget,
-    read_graph_file,
     write_tour_file,
 )
 from .tree_merge import MergeIterationReport, emit_tour, run_merges
@@ -96,7 +96,7 @@ def _dump_tree(trace_dir: str, finder) -> None:
 
 def solve_file(graph_path: str, tour_path: Optional[str] = None,
                stats_path: Optional[str] = None, **kwargs) -> SolveResult:
-    n, edges = read_graph_file(graph_path, validate=False)  # solve validates
+    n, edges = read_graph_file(graph_path)
     result = solve(n, edges, **kwargs)
     if tour_path:
         write_tour_file(tour_path, result.tour)

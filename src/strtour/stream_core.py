@@ -500,12 +500,14 @@ def validate_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[i
         yield u, v
 
 
-def read_graph_file(path: str, *,
-                    validate: bool = True) -> tuple[int, list[tuple[int, int]]]:
-    """Parse a graph file: first line ``n m``, then m lines ``u v``.
+def read_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
+    """Parse a graph file and check its edges with ``validate_edges``."""
+    n, raw = _parse_graph_file(path)
+    return n, list(validate_edges(n, raw))
 
-    ``validate=False`` leaves the ``validate_edges`` checks to the caller.
-    """
+
+def _parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
+    """Parse a graph file (``n m``, then m lines ``u v``); edges unchecked."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln]
@@ -531,7 +533,7 @@ def read_graph_file(path: str, *,
             raw.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"line {lineno}: expected integers 'u v'") from None
-    return n, list(validate_edges(n, raw)) if validate else raw
+    return n, raw
 
 
 def write_graph_file(path: str, n: int, edges: list[tuple[int, int]]) -> None:

@@ -72,12 +72,13 @@ def make_pipeline(tmp_path, **kwargs):
     return StreamPipeline(stats, tmpdir=str(tmp_path), **kwargs), stats
 
 
-def phase1_output(tmp_path, n, edges):
-    """The phase-1 output stream of a graph, found on a pipeline of its own."""
-    pl, _ = make_pipeline(tmp_path)
+def run_phase1(tmp_path, n, edges, **kwargs):
+    """Phase 1 of a graph on a pipeline of its own: stream items, height,
+    finder and stats."""
+    pl, stats = make_pipeline(tmp_path)
     try:
         source = pl.materialize(initial_stream(n, edges), "input")
-        stream, _, _ = find_circuits(pl, n, source)
-        return stream.read_all()
+        stream, height, finder = find_circuits(pl, n, source, **kwargs)
+        return stream.read_all(), height, finder, stats
     finally:
         pl.cleanup()

@@ -37,7 +37,7 @@ from conftest import (
     NINE_VERTEX_HEIGHT,
     NINE_VERTEX_N,
     NINE_VERTEX_PHASE1,
-    phase1_output,
+    run_phase1,
 )
 
 SIZES = [(10, 20), (100, 400), (1000, 5000)]
@@ -65,7 +65,7 @@ def sweep(tmp_path_factory):
             solve_seconds += time.perf_counter() - started
             runs.append({
                 "n": n, "m": m, "seed": seed, "gn": gn, "edges": edges,
-                "result": result, "phase1": phase1_output(root, gn, edges),
+                "result": result, "phase1": run_phase1(root, gn, edges)[0],
             })
     return {"runs": runs, "solve_seconds": solve_seconds}
 
@@ -177,7 +177,7 @@ def test_criterion_06_stream_budget(sweep):
 
 def test_criterion_07_nine_vertex_golden(tmp_path):
     result = solve(NINE_VERTEX_N, list(NINE_VERTEX_EDGES), tmpdir=str(tmp_path))
-    items = phase1_output(tmp_path, NINE_VERTEX_N, NINE_VERTEX_EDGES)
+    items = run_phase1(tmp_path, NINE_VERTEX_N, NINE_VERTEX_EDGES)[0]
     from strtour import encode_item
     assert [encode_item(it) for it in items] == NINE_VERTEX_PHASE1
     info = [it for it in items if isinstance(it, InfoEdge)]

@@ -18,9 +18,7 @@ from strtour import (
     comp_test,
     encode_item,
     extract_circuit,
-    find_circuits,
     gen_eulerian,
-    initial_stream,
     new_test,
     root_and_flush,
     solve,
@@ -31,18 +29,8 @@ from strtour.stream_core import DISCONNECTED, ODD_DEGREE
 from conftest import (
     NINE_VERTEX_HEIGHT,
     NINE_VERTEX_PHASE1,
-    make_pipeline,
+    run_phase1,
 )
-
-
-def run_phase1(tmp_path, n, edges, **kwargs):
-    pl, stats = make_pipeline(tmp_path)
-    try:
-        source = pl.materialize(initial_stream(n, edges), "input")
-        stream, height, finder = find_circuits(pl, n, source, **kwargs)
-        return stream.read_all(), height, finder, stats
-    finally:
-        pl.cleanup()
 
 
 def buffer_of(edges):
@@ -87,7 +75,8 @@ def test_extract_full_buffer_always_finds_cycle():
         buf = buffer_of([tuple(sorted(e)) for e in edges])
         circ = extract_circuit(buf)
         assert circ is not None
-        circ.check_chained()
+        tails = [t for t, _ in circ.edges]
+        assert [h for _, h in circ.edges] == tails[1:] + tails[:1]  # chained
 
 
 def test_extract_removes_only_cycle_edges():

@@ -20,7 +20,7 @@ from strtour import (
     validate_tour,
 )
 
-from conftest import make_pipeline, phase1_output
+from conftest import make_pipeline, run_phase1
 
 
 def circuit(cid, pairs):
@@ -34,15 +34,10 @@ def normalize(pl, items):
     return stream
 
 
-def materialized(pl, items):
-    """Hand the stream to the merge loop as is; it must be in normal form."""
-    return pl.materialize(items)
-
-
-def merged_once(tmp_path, items, height, entry=normalize):
+def merged_once(tmp_path, items, height):
     pl, stats = make_pipeline(tmp_path)
     try:
-        stream = entry(pl, items)
+        stream = normalize(pl, items)
         out, report = merge_iteration(pl, stream, index=1, height_before=height)
         return out.read_all(), report, stats
     finally:
@@ -192,16 +187,26 @@ def test_run_merges_guards_iteration_bound(tmp_path):
 def test_orphan_instruction_faults(tmp_path):
     items = (circuit(1, [(1, 2), (2, 3), (3, 1)])
              + [InfoEdge(1, 9, 0, 2, 0)])  # successor circuit 9 does not exist
-    with pytest.raises(IntegrityFault, match="matched no graph edges"):
-        merged_once(tmp_path, items, height=1, entry=materialized)
+    # depth-0 streams are already in normal form: skip prep, which would
+    # reject circuit 9 before the merge round sees it
+    pl, _ = make_pipeline(tmp_path)
+    try:
+        with pytest.raises(IntegrityFault, match="matched no graph edges"):
+            merge_iteration(pl, pl.materialize(items), index=1, height_before=1)
+    finally:
+        pl.cleanup()
 
 
 def test_slot_vertex_not_on_host_faults(tmp_path):
     items = (circuit(1, [(1, 2), (2, 3), (3, 1)])
              + circuit(2, [(7, 8), (8, 9), (9, 7)])
              + [InfoEdge(1, 2, 0, 7, 0)])  # vertex 7 never heads a host edge
-    with pytest.raises(IntegrityFault, match="has head 7"):
-        merged_once(tmp_path, items, height=1, entry=materialized)
+    pl, _ = make_pipeline(tmp_path)
+    try:
+        with pytest.raises(IntegrityFault, match="has head 7"):
+            merge_iteration(pl, pl.materialize(items), index=1, height_before=1)
+    finally:
+        pl.cleanup()
 
 
 # -- tour emission ------------------------------------------------------------
@@ -258,7 +263,7 @@ def test_nine_vertex_final_tour(tmp_path, nine_vertex):
 def test_merge_oracle_equivalence_nine_vertex(tmp_path, nine_vertex):
     n, edges = nine_vertex
     result = solve(n, edges, tmpdir=str(tmp_path))
-    forest = CircuitForest.from_stream_items(phase1_output(tmp_path, n, edges))
+    forest = CircuitForest.from_stream_items(run_phase1(tmp_path, n, edges)[0])
     reference = euler_tree_reference(forest)
     g = AdjacencyGraph.from_edges(n, edges)
     assert validate_tour(g, reference) is None

@@ -28,10 +28,10 @@ def by_position(items, cid):
     return [(e.tail, e.head) for e in sorted(edges, key=lambda e: e.f4)]
 
 
-def run_rotate(tmp_path, items, **kwargs):
+def run_rotate(tmp_path, items):
     pl, stats = make_pipeline(tmp_path)
     try:
-        out = rotate_member_circuits(pl, pl.materialize(items), **kwargs)
+        out = rotate_member_circuits(pl, pl.materialize(items))
         return out.read_all(), stats
     finally:
         pl.cleanup()
