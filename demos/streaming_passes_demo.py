@@ -55,7 +55,7 @@ try:
           f"peak live records {stats.passes[-1].peak_live_records}")
 
     stream = pipeline.run_sorting_pass(
-        lambda it: (it.head,) + it.fields(), stream, "demo", "sort-by-head")
+        lambda it: (it.head,) + it, stream, "demo", "sort-by-head")
     print(f"after sort by head: first heads = "
           f"{[it.head for it in stream.read_all()][:5]}")
 

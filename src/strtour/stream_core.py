@@ -23,7 +23,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 ODD_DEGREE = "odd degree"
@@ -65,9 +65,6 @@ class GraphEdge(NamedTuple):
     f5: int = 0
     f6: int = 0
 
-    def fields(self) -> tuple[int, ...]:
-        return tuple(self)
-
 
 class InfoEdge(NamedTuple):
     """A tree edge between two circuits.
@@ -84,15 +81,8 @@ class InfoEdge(NamedTuple):
     cvertex: int
     f5: int = 0
 
-    def fields(self) -> tuple[int, ...]:
-        return tuple(self)
-
 
 StreamItem = Union[GraphEdge, InfoEdge]
-
-
-def item_words(item: StreamItem) -> int:
-    return GRAPH_EDGE_WORDS if isinstance(item, GraphEdge) else INFO_EDGE_WORDS
 
 
 # -- text form: the documented record syntax, used for trace dumps ----------
@@ -194,13 +184,16 @@ class Stream:
     items: int = 0
 
     def iter_items(self) -> Iterator[StreamItem]:
+        return chain.from_iterable(self._iter_blocks())
+
+    def _iter_blocks(self) -> Iterator[list[StreamItem]]:
         block_bytes = BLOCK_RECORDS * RECORD.size
         index = 1
         with open(self.path, "rb") as fh:
             while block := fh.read(block_bytes):
                 items = decode_block(block, index)
                 index += len(items)
-                yield from items
+                yield items
 
     def read_all(self) -> list[StreamItem]:
         return list(self.iter_items())
@@ -355,6 +348,8 @@ class StreamPipeline:
 
     def __init__(self, stats: PassStats, tmpdir: Optional[str] = None,
                  trace_dir: Optional[str] = None, sort_chunk: int = 1 << 16):
+        if sort_chunk < 1:
+            raise ValueError(f"sort_chunk must be at least 1, got {sort_chunk}")
         base = tmpdir or os.environ.get("STRTOUR_TMPDIR") or None
         self.workdir = tempfile.mkdtemp(prefix="strtour-", dir=base)
         self.stats = stats
@@ -406,23 +401,36 @@ class StreamPipeline:
 
     def run_streaming_pass(self, processor: Processor, stream: Stream,
                            phase: str, label: Optional[str] = None) -> Stream:
-        label = label or processor.label
-        peak_records = 0
-        peak_words = 0
+        """Run ``processor`` once over ``stream`` and write what it emits.
 
-        def poll(inflight_records: int, inflight_words: int) -> None:
-            nonlocal peak_records, peak_words
-            peak_records = max(peak_records, processor.live_records() + inflight_records)
-            peak_words = max(peak_words, processor.live_words() + inflight_words)
+        The pass's peak live state is the largest of these meter readings:
+        the processor's ``live_records`` / ``live_words`` after ``on_start``;
+        after each ``on_item``, the same plus the item in flight (one record,
+        of 6 words for a graph edge and 5 for an info edge); and after
+        ``on_end``.
+        """
+        label = label or processor.label
+        on_item = processor.on_item
+        live_records = processor.live_records
+        live_words = processor.live_words
 
         with StreamWriter(self._new_path(label)) as writer:
-            processor.on_start(writer.write)
-            poll(0, 0)
+            emit = writer.write
+            processor.on_start(emit)
+            peak_records = live_records()
+            peak_words = live_words()
             for item in stream.iter_items():
-                processor.on_item(item, writer.write)
-                poll(1, item_words(item))
-            processor.on_end(writer.write)
-            poll(0, 0)
+                on_item(item, emit)
+                records = live_records() + 1
+                words = live_words() + (GRAPH_EDGE_WORDS if type(item) is GraphEdge
+                                        else INFO_EDGE_WORDS)
+                if records > peak_records:
+                    peak_records = records
+                if words > peak_words:
+                    peak_words = words
+            processor.on_end(emit)
+            peak_records = max(peak_records, live_records())
+            peak_words = max(peak_words, live_words())
 
         self.stats.streaming_passes += 1
         out = self._finish("stream", label, phase, stream.items,
@@ -439,13 +447,13 @@ class StreamPipeline:
         format, and merges them, which keeps memory bounded for streams
         larger than one chunk.
         """
+        items = stream.iter_items()
+        size = self.sort_chunk
         chunk_paths: list[str] = []
-        chunk: list[StreamItem] = []
-        for item in stream.iter_items():
-            chunk.append(item)
-            if len(chunk) >= self.sort_chunk:
-                chunk_paths.append(self._spill(chunk, key))
-                chunk = []
+        chunk = list(islice(items, size))
+        while len(chunk) >= size:
+            chunk_paths.append(self._spill(chunk, key))
+            chunk = list(islice(items, size))
 
         with StreamWriter(self._new_path(label)) as writer:
             if not chunk_paths:

@@ -52,8 +52,8 @@ def regroup_key(item: StreamItem) -> tuple:
     """Info edges first, grouped by second field; within a group the flag-0
     parent edge precedes the reversed edges that need its first field."""
     if isinstance(item, InfoEdge):
-        return (0, item.succ, item.f5, item.pred) + item.fields()
-    return (1, item.f3, item.f4) + item.fields()
+        return (0, item.succ, item.f5, item.pred) + item
+    return (1, item.f3, item.f4) + item
 
 
 def slot_search_key(item: StreamItem) -> tuple:
@@ -61,25 +61,25 @@ def slot_search_key(item: StreamItem) -> tuple:
     right after the host edges whose head equals its shared vertex; odd
     (rewired) info edges parked at the end."""
     if isinstance(item, GraphEdge):
-        return (0, item.f3, item.head, 0, item.f4) + item.fields()
+        return (0, item.f3, item.head, 0, item.f4) + item
     if item.depth % 2 == 0:
-        return (0, item.pred, item.cvertex, 1, item.succ) + item.fields()
-    return (1, item.pred, item.succ) + item.fields()
+        return (0, item.pred, item.cvertex, 1, item.succ) + item
+    return (1, item.pred, item.succ) + item
 
 
 def instruction_key(item: StreamItem) -> tuple:
     """Each info edge directly in front of its successor circuit's edges."""
     if isinstance(item, InfoEdge):
-        return (item.succ, 0) + item.fields()
-    return (item.f3, 1, item.f4) + item.fields()
+        return (item.succ, 0) + item
+    return (item.f3, 1, item.f4) + item
 
 
 def splice_key(item: StreamItem) -> tuple:
     """Info edges in front; graph edges by their four trailing labels, which
     places every child block right after its splice edge."""
     if isinstance(item, InfoEdge):
-        return (0,) + item.fields()
-    return (1, item.f3, item.f4, item.f5, item.f6) + item.fields()
+        return (0,) + item
+    return (1, item.f3, item.f4, item.f5, item.f6) + item
 
 
 class NormalFormWriter(Processor):
@@ -217,7 +217,7 @@ class SpliceRenumberer(NormalFormWriter):
                 raise IntegrityFault("info edge sorted behind graph edges")
             if item.f5 != 0 or item.depth % 2 != 1:
                 raise IntegrityFault(
-                    f"unexpected surviving info edge {item.fields()}")
+                    f"unexpected surviving info edge {tuple(item)}")
             self.emit_normal(item.pred, item.succ, (item.depth - 1) // 2,
                              item.cvertex, emit)
             return
@@ -311,8 +311,8 @@ def run_merges(pipeline: StreamPipeline, stream: Stream, height: int,
 
 def tour_position_key(item: StreamItem) -> tuple:
     if isinstance(item, GraphEdge):
-        return (0, item.f4) + item.fields()
-    return (1,) + item.fields()
+        return (0, item.f4) + item
+    return (1,) + item
 
 
 def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int) -> list[tuple[int, int]]:

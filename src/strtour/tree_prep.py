@@ -34,16 +34,16 @@ def circuit_grouping_key(item: StreamItem) -> tuple:
     """Graph edges by (circuit, position); each info edge just before the
     circuit it points to, flag-0 parent edges first."""
     if isinstance(item, InfoEdge):
-        return (item.succ, 0, item.f5) + item.fields()
-    return (item.f3, 1, item.f4) + item.fields()
+        return (item.succ, 0, item.f5) + item
+    return (item.f3, 1, item.f4) + item
 
 
 def depth_grouping_key(item: StreamItem) -> tuple:
     """All info edges up front, grouped by their second field then flag, so a
     swapped leaf edge follows the parent edge holding its missing depth."""
     if isinstance(item, InfoEdge):
-        return (0, item.succ, item.f5) + item.fields()
-    return (1, item.f3, item.f4) + item.fields()
+        return (0, item.succ, item.f5) + item
+    return (1, item.f3, item.f4) + item
 
 
 class RotationAnnotator(Processor):

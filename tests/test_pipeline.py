@@ -117,6 +117,14 @@ def test_sort_chunk_reaches_the_sorter(tmp_path, monkeypatch):
     assert chunks and set(chunks) == {"chunk-"}
 
 
+@pytest.mark.parametrize("sort_chunk", [0, -1])
+def test_sort_chunk_below_one_is_rejected(tmp_path, sort_chunk):
+    n, edges = gen_eulerian(10, 20, 1)
+    with pytest.raises(ValueError, match="sort_chunk must be at least 1"):
+        solve(n, edges, tmpdir=str(tmp_path), sort_chunk=sort_chunk)
+    assert list(tmp_path.glob("strtour-*")) == []
+
+
 def test_solve_file_validates_each_edge_once(tmp_path, monkeypatch):
     from strtour import pipeline, stream_core
     calls = []

@@ -230,6 +230,53 @@ def test_metering_reports_at_least_true_holdings(tmp_path):
     pl.cleanup()
 
 
+class Scripted(Processor):
+    """Reports a scripted live state: the next (records, words) pair after
+    ``on_start``, after each item, and after ``on_end``."""
+
+    def __init__(self, states):
+        self.states = iter(states)
+        self.state = None
+
+    def on_start(self, emit):
+        self.state = next(self.states)
+
+    def on_item(self, item, emit):
+        self.state = next(self.states)
+        emit(item)
+
+    def on_end(self, emit):
+        self.state = next(self.states)
+
+    def live_records(self):
+        return self.state[0]
+
+    def live_words(self):
+        return self.state[1]
+
+
+@pytest.mark.parametrize("states, peak_records, peak_words", [
+    # the peak is in on_start: nothing is in flight there
+    ([(5, 17), (1, 3), (2, 4), (1, 2), (0, 0)], 5, 17),
+    # the peak is mid-stream, with the 5-word info edge in flight
+    ([(1, 1), (2, 5), (4, 20), (2, 5), (1, 1)], 5, 25),
+    # the peak is in on_end
+    ([(0, 0), (1, 4), (1, 4), (1, 4), (7, 30)], 7, 30),
+    # records peak in on_start, words with the first graph edge in flight
+    ([(6, 6), (1, 40), (1, 1), (1, 1), (0, 0)], 6, 46),
+])
+def test_meter_reads_start_each_item_in_flight_and_end(
+        tmp_path, states, peak_records, peak_words):
+    items = [GraphEdge(1, 2), InfoEdge(1, 2, 0, 3, 0), GraphEdge(2, 3)]
+    pl, stats = make_pipeline(tmp_path)
+    out = pl.run_streaming_pass(Scripted(states), pl.materialize(items), "test")
+    assert out.read_all() == items
+    rec = stats.passes[-1]
+    assert (rec.peak_live_records, rec.peak_live_words) == (peak_records, peak_words)
+    assert (stats.peak_live_records, stats.peak_live_words) == (peak_records, peak_words)
+    pl.cleanup()
+
+
 def test_pass_composition_matches_record_replay(tmp_path):
     """P1;P2 through files equals replaying P1's emissions straight into P2."""
     items = [GraphEdge(i, i + 1, 1, i) for i in range(1, 8)]
@@ -260,7 +307,7 @@ def test_stats_monotone_across_passes(tmp_path):
     snapshots = [dict(stats.core_dict())]
     stream = pl.run_streaming_pass(Identity(), stream, "test")
     snapshots.append(dict(stats.core_dict()))
-    stream = pl.run_sorting_pass(lambda it: it.fields(), stream, "test", "sort")
+    stream = pl.run_sorting_pass(tuple, stream, "test", "sort")
     snapshots.append(dict(stats.core_dict()))
     for before, after in zip(snapshots, snapshots[1:]):
         for key in before:
@@ -319,12 +366,40 @@ def test_sort_multi_chunk_matches_single_chunk(tmp_path):
     big.cleanup()
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+def test_sort_spills_one_chunk_per_full_or_partial_chunk(tmp_path, monkeypatch, chunk):
+    from strtour import stream_core
+    spills = []
+    real = stream_core.tempfile.mkstemp
+
+    def counting_mkstemp(*args, **kwargs):
+        spills.append(kwargs.get("prefix"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stream_core.tempfile, "mkstemp", counting_mkstemp)
+    rng = random.Random(chunk)
+    for length in sorted({0, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1}):
+        items = [GraphEdge(rng.randrange(1, 4), rng.randrange(1, 4), 1, i)
+                 for i in range(1, length + 1)]
+        big, _ = make_pipeline(tmp_path / f"big{length}")
+        expected = big.run_sorting_pass(head_key, big.materialize(items), "t", "s").read_all()
+        big.cleanup()
+        assert spills == []
+
+        small, _ = make_pipeline(tmp_path / f"small{length}", sort_chunk=chunk)
+        got = small.run_sorting_pass(head_key, small.materialize(items), "t", "s").read_all()
+        small.cleanup()
+        assert got == expected
+        assert len(spills) == (0 if length < chunk else -(-length // chunk))
+        spills.clear()
+
+
 def test_sort_is_permutation(tmp_path):
     rng = random.Random(17)
     items = [GraphEdge(rng.randrange(1, 50), rng.randrange(1, 50)) for _ in range(80)]
     pl, _ = make_pipeline(tmp_path)
     out = pl.run_sorting_pass(head_key, pl.materialize(items), "test", "sort")
-    assert sorted(it.fields() for it in out.read_all()) == sorted(it.fields() for it in items)
+    assert sorted(tuple(it) for it in out.read_all()) == sorted(tuple(it) for it in items)
     pl.cleanup()
 
 

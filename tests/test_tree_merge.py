@@ -101,7 +101,7 @@ def test_single_circuit_needs_no_iterations(tmp_path):
         out, reports = run_merges(pl, stream, height=0, info_edges=0, circuits=1)
         assert reports == []
         assert stats.merge_iterations == 0
-        assert [it.fields()[:4] for it in out.read_all()] == [
+        assert [tuple(it)[:4] for it in out.read_all()] == [
             (1, 2, 1, 1), (2, 3, 1, 2), (3, 1, 1, 3)]
     finally:
         pl.cleanup()

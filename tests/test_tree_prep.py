@@ -87,8 +87,8 @@ def test_rotation_preserves_cycle_and_budget(tmp_path):
              + [InfoEdge(1, 2, 0, 3, 0)]
              + circuit(2, [(6, 3), (3, 7), (7, 6)]))
     out, stats = run_rotate(tmp_path, items)
-    assert Counter(it.fields()[:2] for it in out if isinstance(it, GraphEdge)) == \
-        Counter(it.fields()[:2] for it in items if isinstance(it, GraphEdge))
+    assert Counter(tuple(it)[:2] for it in out if isinstance(it, GraphEdge)) == \
+        Counter(tuple(it)[:2] for it in items if isinstance(it, GraphEdge))
     seq = by_position(out, 2)
     assert seq[0][0] == 3
     for a, b in zip(seq, seq[1:] + seq[:1]):
