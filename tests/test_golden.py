@@ -3,9 +3,10 @@
 Each entry holds sha256 digests of the tour file text, of ``core_dict()``
 and of the list of per-pass ``PassRecord`` dicts, all as JSON with sorted
 keys.  The first four were recorded with the original text-line stream
-codec, the two shuffled ones with the restarting phase-1 walk; a change to
-the stream representation, the sorter, the walk or the passes must
-reproduce them, never re-record them.
+codec, the two shuffled ones with the restarting phase-1 walk, and the
+triangle chain (the only entry with more than 4 merge rounds) with the
+union-find component labels; a change to the stream representation, the
+sorter, the walk or the passes must reproduce them, never re-record them.
 """
 
 import hashlib
@@ -44,6 +45,22 @@ def lollipop_shuffled(big_n, seed):
     return n, edges
 
 
+def triangle_chain_shuffled(k, seed):
+    """A path of ``k`` triangles, each sharing one vertex with the next.
+
+    The seed permutes the vertex labels, so phase 1 meets the triangles out
+    of order and the circuit tree is deep (height 368 for k = 500).
+    """
+    n = 2 * k + 1
+    labels = list(range(1, n + 1))
+    random.Random(seed).shuffle(labels)
+    edges = []
+    for i in range(k):
+        a, b, c = labels[2 * i], labels[2 * i + 1], labels[2 * i + 2]
+        edges += [(a, b), (b, c), (c, a)]
+    return n, edges
+
+
 def shuffled(graph, seed):
     n, edges = graph
     edges = list(edges)
@@ -58,6 +75,7 @@ GRAPHS = {
     "lollipop-300": lambda: lollipop(300),
     "lollipop-shuffled-300-1": lambda: lollipop_shuffled(300, 1),
     "random-100-400-5-shuffled-1": lambda: shuffled(gen_eulerian(100, 400, 5), 1),
+    "triangle-chain-500-1": lambda: triangle_chain_shuffled(500, 1),
 }
 
 # name: (edges, passes, tour, core_dict, pass records)
@@ -92,6 +110,11 @@ GOLDEN = {
         "a28975b646a6dc6547d03d307e1b8d36d6e7c7b0cb4d60456170ba7739e3d135",
         "8216ae8ffeea9b38aeeb47e1cd9fcda35f86d0f9a2642cd474e6c32f8f2470a6",
         "d0daf48de8014f843f76c841dc72f1c1819e37c1d63c5b01684f0323466698ef"),
+    "triangle-chain-500-1": (
+        1500, 81,
+        "d290842841ee9df76912011a058b5ddecbcd54fdaf1ea41d741d30c733a76536",
+        "85a6d36e61d809b7dc3e837f88737b5cebfd58c5601f7ea8ef97ef314de661b3",
+        "907597a2ed867d5f366fe459514a296c9cdca0824ca3663643e1b24c37fc2d25"),
 }
 
 
