@@ -11,14 +11,9 @@ stream length throughout.
 from .circuit_find import (
     Circuit,
     CircuitFinder,
-    EdgeBuffer,
-    Phase1State,
-    comp_test,
     extract_circuit,
     find_circuits,
     initial_stream,
-    new_test,
-    root_and_flush,
 )
 from .oracle_gen import (
     AdjacencyGraph,
@@ -31,7 +26,6 @@ from .oracle_gen import (
     eulerian_reason,
     gen_eulerian,
     hierholzer,
-    is_eulerian,
     perturb,
     validate_tour,
 )

@@ -39,9 +39,6 @@ class Circuit:
     _order: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
     def vertices_in_order(self) -> tuple[int, ...]:
         """Distinct vertices in first-visit order along the trail (computed once)."""
         if self._order is None:
@@ -63,7 +60,7 @@ class EdgeBuffer:
 
     The buffer also carries the walk of ``extract_circuit`` from one
     extraction to the next: ``add`` tells the walk about the new edge, and
-    ``remove`` (any removal other than the walk's own cut) restarts it.
+    the walk's own cut is the only removal.
     """
 
     def __init__(self) -> None:
@@ -79,12 +76,8 @@ class EdgeBuffer:
         self.edge_count += 1
         self.walk.edge_added(self.adj, u, v)
 
-    def remove(self, u: int, v: int) -> None:
-        self.unlink(u, v)
-        self.walk.reset()
-
     def unlink(self, u: int, v: int) -> None:
-        """Remove an edge without touching the walk (the walk's own cut)."""
+        """Remove an edge of a cut cycle; the walk already knows it is gone."""
         self.adj[u].discard(v)
         self.adj[v].discard(u)
         if not self.adj[u]:
@@ -223,10 +216,10 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[Circuit]:
     The walk is not run afresh: its state (``buffer.walk``) survives the
     cut and resumes at the cut vertex on the next call, and ``add`` folds
     new edges into it or reopens dead ends they touch.  It starts over only
-    when a new edge would change the order of the path walked so far, when
-    the path empties after a cut (a dead-end vertex may then be the lowest),
-    or on an external ``remove``.  That keeps phase 1 close to linear in
-    the edges streamed.  The walk's scratch is O(buffered edges), outside
+    when a new edge would change the order of the path walked so far, or
+    when the path empties after a cut (a dead-end vertex may then be the
+    lowest).  That keeps phase 1 close to linear in the edges streamed.
+    The walk's scratch is O(buffered edges), outside
     ``Phase1State.live_words`` like the per-call scratch it replaces.
     """
     walk = buffer.walk
@@ -315,44 +308,32 @@ class TreeRecord:
     cvertex: int
 
 
-@dataclass
 class Phase1State:
     """All in-memory state of the phase-1 pass.
 
-    ``com`` tracks the connected component label of each vertex in the graph
-    formed by the circuits emitted so far (0 means unseen); ``pre`` records
-    the first circuit that used a vertex.  The connectivity tree keeps one
-    vertex per circuit that either introduced a new graph vertex or joined
-    existing components, and one ``TreeRecord`` per tree edge.
+    ``com`` holds a component label for each vertex in the graph formed by
+    the circuits emitted so far (0 means unseen), and ``labels`` merges
+    labels when a circuit joins components, so a vertex's component is
+    ``labels.find(com[v])``.  ``pre`` records the first circuit that used a
+    vertex.  The connectivity tree keeps one vertex per circuit that either
+    introduced a new graph vertex or joined existing components, and one
+    ``TreeRecord`` per tree edge.
     """
 
-    n: int
-    fidelity_relabel: bool = False
-    com: list[int] = field(default_factory=list)
-    pre: list[int] = field(default_factory=list)
-    cir: int = 0
-    buffer: EdgeBuffer = field(default_factory=EdgeBuffer)
-    labels: LabelUnion = field(default_factory=LabelUnion)
-    tree_vertices: set[int] = field(default_factory=set)
-    tree_records: list[TreeRecord] = field(default_factory=list)
-    tree_forest: LabelUnion = field(default_factory=LabelUnion)
-    flag1_parents: list[int] = field(default_factory=list)
-    # per-circuit flags, reset after each emission
-    s: bool = False
-    s_edge: int = 0
-    s_vert: int = 0
-    s_comp: set[int] = field(default_factory=lambda: {0})
-    com_star: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.com:
-            self.com = [0] * (self.n + 1)
-        if not self.pre:
-            self.pre = [0] * (self.n + 1)
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.com = [0] * (n + 1)
+        self.pre = [0] * (n + 1)
+        self.cir = 0
+        self.buffer = EdgeBuffer()
+        self.labels = LabelUnion()
+        self.tree_vertices: set[int] = set()
+        self.tree_records: list[TreeRecord] = []
+        self.tree_forest = LabelUnion()
+        self.flag1_parents: list[int] = []
+        self.reset_circuit_flags()  # per-circuit flags, reset after each emission
 
     def component(self, v: int) -> int:
-        if self.fidelity_relabel:
-            return self.com[v]
         return self.labels.find(self.com[v])
 
     def add_tree_vertex(self, cid: int) -> None:
@@ -436,15 +417,8 @@ def comp_test(circuit: Circuit, state: Phase1State) -> None:
             if cv not in state.s_comp:
                 state.add_tree_edge(state.cir, state.pre[v], v)
                 state.s_comp.add(cv)
-    touched = state.s_comp - {0, state.com_star}
-    if state.fidelity_relabel:
-        # the O(n) relabel sweep, kept for fidelity runs
-        for k in range(1, state.n + 1):
-            if state.com[k] in touched:
-                state.com[k] = state.com_star
-    else:
-        for label in touched:
-            state.labels.union_into(label, state.com_star)
+    for label in state.s_comp - {0, state.com_star}:
+        state.labels.union_into(label, state.com_star)
     for v in circuit.vertices_in_order():
         state.com[v] = state.com_star
 
@@ -496,8 +470,8 @@ class CircuitFinder(Processor):
 
     label = "circuit-find"
 
-    def __init__(self, n: int, fidelity_relabel: bool = False):
-        self.state = Phase1State(n=n, fidelity_relabel=fidelity_relabel)
+    def __init__(self, n: int):
+        self.state = Phase1State(n)
         self.height = 0
         self.depths: dict[int, int] = {}
 
@@ -556,14 +530,14 @@ def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
         yield GraphEdge(u, v, 0, 0, 0, 0)
 
 
-def find_circuits(pipeline: StreamPipeline, n: int, source: Stream,
-                  fidelity_relabel: bool = False) -> tuple[Stream, int, CircuitFinder]:
+def find_circuits(pipeline: StreamPipeline, n: int,
+                  source: Stream) -> tuple[Stream, int, CircuitFinder]:
     """Run the phase-1 pass over a materialized edge stream.
 
     Returns the annotated stream, the rooted tree height, and the finished
     processor (which exposes the tree depths for tracing).
     """
-    finder = CircuitFinder(n, fidelity_relabel=fidelity_relabel)
+    finder = CircuitFinder(n)
     out = pipeline.run_streaming_pass(finder, source, phase="phase1")
     pipeline.stats.circuits_found = finder.state.cir
     pipeline.stats.tree_height = finder.height

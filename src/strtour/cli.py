@@ -58,8 +58,6 @@ def build_parser() -> _Parser:
     slv.add_argument("--stats", default=None, help="stats file (JSON) to write")
     slv.add_argument("--trace-dir", default=None,
                      help="keep every inter-pass stream here")
-    slv.add_argument("--fidelity-relabel", action="store_true",
-                     help="use the O(n) component relabel sweep instead of union-find")
 
     ver = sub.add_parser("verify", help="check a tour file against a graph file")
     ver.add_argument("--in", dest="input", required=True, help="graph file")
@@ -86,7 +84,6 @@ def cmd_solve(args) -> int:
         tour_path=args.output,
         stats_path=args.stats,
         trace_dir=args.trace_dir,
-        fidelity_relabel=args.fidelity_relabel,
     )
     print(f"tour of {len(result.tour)} edges, "
           f"{result.circuits} circuits, tree height {result.tree_height}")

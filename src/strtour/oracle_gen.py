@@ -75,10 +75,6 @@ def eulerian_reason(g: AdjacencyGraph) -> Optional[str]:
     return None
 
 
-def is_eulerian(g: AdjacencyGraph) -> bool:
-    return eulerian_reason(g) is None
-
-
 def hierholzer(g: AdjacencyGraph) -> Optional[list[tuple[int, int]]]:
     """Classical in-memory Euler tour, or None when none exists.
 

@@ -36,7 +36,7 @@ class SolveResult:
 
 
 def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
-          trace_dir: Optional[str] = None, fidelity_relabel: bool = False,
+          trace_dir: Optional[str] = None,
           sort_chunk: Optional[int] = None) -> SolveResult:
     """Run the full streaming pipeline over an in-memory edge list.
 
@@ -51,8 +51,7 @@ def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
     pipeline = StreamPipeline(stats, tmpdir=tmpdir, trace_dir=trace_dir, **chunk)
     try:
         source = pipeline.materialize(initial_stream(n, edges), "input")
-        stream, height, finder = find_circuits(
-            pipeline, n, source, fidelity_relabel=fidelity_relabel)
+        stream, height, finder = find_circuits(pipeline, n, source)
         circuits = finder.state.cir
         if trace_dir:
             _dump_tree(trace_dir, finder)

@@ -284,9 +284,6 @@ class PassStats:
             "tree_height": self.tree_height,
         }
 
-    def phase_passes(self, phase: str) -> list[PassRecord]:
-        return [rec for rec in self.passes if rec.phase == phase]
-
 
 @dataclass(frozen=True)
 class BudgetViolation:
@@ -354,10 +351,15 @@ class StreamPipeline:
         self.workdir = tempfile.mkdtemp(prefix="strtour-", dir=base)
         self.stats = stats
         self.trace_dir = trace_dir
-        self.sort_chunk = sort_chunk
+        self._sort_chunk = sort_chunk
         self._counter = 0
         if trace_dir:
             os.makedirs(trace_dir, exist_ok=True)
+
+    @property
+    def sort_chunk(self) -> int:
+        """Records per in-memory sort chunk; fixed, and checked, at construction."""
+        return self._sort_chunk
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -518,30 +520,42 @@ def _parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse a graph file (``n m``, then m lines ``u v``); edges unchecked."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    at = next((i for i, ln in enumerate(lines) if ln), None)
+    if at is None:
         raise ParseError("empty graph file")
-    header = lines[0].split()
+    lineno, header = at + 1, lines[at].split()
     if len(header) != 2:
-        raise ParseError("line 1: expected 'n m'")
+        raise ParseError(f"line {lineno}: expected 'n m'")
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise ParseError("line 1: expected integers 'n m'") from None
+        raise ParseError(f"line {lineno}: expected integers 'n m'") from None
     if n < 1 or m < 0:
-        raise ParseError(f"line 1: bad sizes n={n} m={m}")
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    raw = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+        raise ParseError(f"line {lineno}: bad sizes n={n} m={m}")
+    found = len(lines) - lines.count("") - 1
+    if found != m:
+        raise ParseError(f"expected {m} edge lines, found {found}")
+    return n, _pair_lines(islice(lines, at + 1, None), first=lineno + 1)
+
+
+def _pair_lines(lines: Iterable[str], first: int = 1) -> list[tuple[int, int]]:
+    """Parse ``u v`` lines, skipping blank ones.
+
+    Errors name the physical line: ``first`` is the number of the first
+    line given, and blank lines are counted.
+    """
+    pairs = []
+    for lineno, ln in enumerate(lines, start=first):
         parts = ln.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v'")
         try:
-            raw.append((int(parts[0]), int(parts[1])))
+            pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"line {lineno}: expected integers 'u v'") from None
-    return n, raw
+    return pairs
 
 
 def write_graph_file(path: str, n: int, edges: list[tuple[int, int]]) -> None:
@@ -558,17 +572,5 @@ def write_tour_file(path: str, tour: list[tuple[int, int]]) -> None:
 
 
 def read_tour_file(path: str) -> list[tuple[int, int]]:
-    tour = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if not ln:
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'u v'")
-            try:
-                tour.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(f"line {lineno}: expected integers 'u v'") from None
-    return tour
+        return _pair_lines(fh)

@@ -52,7 +52,7 @@ def regroup_key(item: StreamItem) -> tuple:
     """Info edges first, grouped by second field; within a group the flag-0
     parent edge precedes the reversed edges that need its first field."""
     if isinstance(item, InfoEdge):
-        return (0, item.succ, item.f5, item.pred) + item
+        return (0, item.succ, item.f5) + item
     return (1, item.f3, item.f4) + item
 
 

@@ -27,7 +27,7 @@ from .stream_core import (
     StreamItem,
     StreamPipeline,
 )
-from .tree_merge import NormalFormWriter
+from .tree_merge import NormalFormWriter, regroup_key
 
 
 def circuit_grouping_key(item: StreamItem) -> tuple:
@@ -36,14 +36,6 @@ def circuit_grouping_key(item: StreamItem) -> tuple:
     if isinstance(item, InfoEdge):
         return (item.succ, 0, item.f5) + item
     return (item.f3, 1, item.f4) + item
-
-
-def depth_grouping_key(item: StreamItem) -> tuple:
-    """All info edges up front, grouped by their second field then flag, so a
-    swapped leaf edge follows the parent edge holding its missing depth."""
-    if isinstance(item, InfoEdge):
-        return (0, item.succ, item.f5) + item
-    return (1, item.f3, item.f4) + item
 
 
 class RotationAnnotator(Processor):
@@ -207,10 +199,12 @@ def rotate_member_circuits(pipeline: StreamPipeline, stream: Stream) -> Stream:
 def complete_depths(pipeline: StreamPipeline, stream: Stream) -> tuple[Stream, DepthCompleter]:
     """Resolve the parent depth of every swapped flag-1 info edge.
 
-    One sort groups each swapped edge behind its parent's own info edge; one
-    stream carries the depth over and writes the normal form.
+    One sort groups each swapped edge behind its parent's own info edge (the
+    merge loop's ``regroup_key`` order: info edges first, by second field,
+    flag-0 parent edge first); one stream carries the depth over and writes
+    the normal form.
     """
-    s = pipeline.run_sorting_pass(depth_grouping_key, stream, "prep", "sort-depths")
+    s = pipeline.run_sorting_pass(regroup_key, stream, "prep", "sort-depths")
     completer = DepthCompleter()
     return pipeline.run_streaming_pass(completer, s, "prep"), completer
 

@@ -72,13 +72,13 @@ def make_pipeline(tmp_path, **kwargs):
     return StreamPipeline(stats, tmpdir=str(tmp_path), **kwargs), stats
 
 
-def run_phase1(tmp_path, n, edges, **kwargs):
+def run_phase1(tmp_path, n, edges):
     """Phase 1 of a graph on a pipeline of its own: stream items, height,
     finder and stats."""
     pl, stats = make_pipeline(tmp_path)
     try:
         source = pl.materialize(initial_stream(n, edges), "input")
-        stream, height, finder = find_circuits(pl, n, source, **kwargs)
+        stream, height, finder = find_circuits(pl, n, source)
         return stream.read_all(), height, finder, stats
     finally:
         pl.cleanup()

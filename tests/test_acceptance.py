@@ -138,9 +138,8 @@ def test_criterion_04_pass_budget(sweep):
         stats = run["result"].stats
         h = run["result"].tree_height
         iters = stats.merge_iterations
-        prep = len(stats.phase_passes("prep"))
-        merge = len(stats.phase_passes("merge"))
-        emit = len(stats.phase_passes("emit"))
+        phases = Counter(rec.phase for rec in stats.passes)
+        prep, merge, emit = phases["prep"], phases["merge"], phases["emit"]
         assert prep == 6
         assert merge == 8 * iters
         assert emit == 1
@@ -153,7 +152,7 @@ def test_criterion_05_memory_budget(sweep):
     size_maxima = {}
     for run in sweep["runs"]:
         stats = run["result"].stats
-        phase1 = stats.phase_passes("phase1")
+        phase1 = [rec for rec in stats.passes if rec.phase == "phase1"]
         assert len(phase1) == 1
         assert phase1[0].peak_live_words <= 10 * run["gn"], run
         phase2 = [rec for rec in stats.passes

@@ -8,22 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from strtour import (
     Circuit,
-    EdgeBuffer,
     GraphEdge,
     InfoEdge,
     IntegrityFault,
     NotEulerianError,
     ParseError,
-    Phase1State,
-    comp_test,
     encode_item,
     extract_circuit,
     gen_eulerian,
-    new_test,
-    root_and_flush,
     solve,
 )
-from strtour.circuit_find import TreeRecord
+from strtour.circuit_find import (
+    EdgeBuffer,
+    Phase1State,
+    TreeRecord,
+    comp_test,
+    new_test,
+    root_and_flush,
+)
 from strtour.stream_core import DISCONNECTED, ODD_DEGREE
 
 from conftest import (
@@ -181,7 +183,7 @@ def test_pendant_start_after_cut_walks_afresh():
     assert buf.adj == {2: {10}, 10: {2}}
 
 
-OPS = ["add"] * 16 + ["extract"] * 3 + ["remove"]
+OPS = ["add"] * 16 + ["extract"] * 3
 
 
 def lockstep(pending, capacity, recycle, pick):
@@ -189,10 +191,9 @@ def lockstep(pending, capacity, recycle, pick):
 
     Edges are added in ``pending`` order, extracting while the buffer holds
     ``capacity`` edges, as phase 1 does; ``pick`` chooses among its list
-    argument where to add an extraction or an external removal, which edge
-    to remove and whether to queue it again.  With ``recycle`` every cut
-    cycle is queued again too.  Each extraction is checked by
-    ``extract_both``, and the buffers are drained at the end.
+    argument where to add an extra extraction.  With ``recycle`` every cut
+    cycle is queued again.  Each extraction is checked by ``extract_both``,
+    and the buffers are drained at the end.
     """
     spec, buf = SpecBuffer(), EdgeBuffer()
     for _ in range(4 * len(pending)):
@@ -204,12 +205,6 @@ def lockstep(pending, capacity, recycle, pick):
             while spec.edge_count >= capacity:
                 if extract_both(spec, buf) is None:
                     break
-        elif op == "remove" and spec.edge_count:
-            u, v = pick(sorted((u, v) for u in spec.adj for v in spec.adj[u] if u < v))
-            spec.remove(u, v)
-            buf.remove(u, v)
-            if pick([False, True]):
-                pending.append((u, v))
         elif op == "extract":
             cycle = extract_both(spec, buf)
             if cycle and recycle:
@@ -221,7 +216,7 @@ def lockstep(pending, capacity, recycle, pick):
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_resumed_walk_matches_restarting_walk(data):
-    """Lock-step: any add/extract/remove sequence gives the spec's circuits."""
+    """Lock-step: any add/extract sequence gives the spec's circuits."""
     n = data.draw(st.integers(2, 9), label="n")
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     m = data.draw(st.integers(0, len(pairs)), label="m")
@@ -248,8 +243,8 @@ def test_resumed_walk_matches_restarting_walk_seeded():
 
 # -- new_test / comp_test -----------------------------------------------------
 
-def fresh_state(n=9, **kwargs):
-    return Phase1State(n=n, **kwargs)
+def fresh_state(n=9):
+    return Phase1State(n)
 
 
 def test_new_test_all_new_founds_component():
@@ -289,11 +284,10 @@ def test_new_test_all_seen_leaves_s_false():
     assert state.s_edge == 1 and state.s_vert == 5
 
 
-@pytest.mark.parametrize("fidelity", [False, True])
-def test_comp_test_joins_two_components(fidelity):
+def test_comp_test_joins_two_components():
     # circuits on {5,7,8} then {1,2,3,4}; a triangle through 5 and 1 joins them,
     # first-seen vertex 5 so the surviving label is component 1
-    state = fresh_state(fidelity_relabel=fidelity)
+    state = fresh_state()
     state.cir = 1
     new_test(Circuit(1, [(5, 7), (7, 8), (8, 5)]), state)
     state.reset_circuit_flags()
@@ -395,13 +389,6 @@ def test_nine_vertex_golden_stream(tmp_path, nine_vertex):
     assert finder.depths == {1: 0, 2: 1, 4: 1, 3: 2}
 
 
-def test_fidelity_relabel_matches_union_find(tmp_path, nine_vertex):
-    n, edges = nine_vertex
-    fast, h1, _, _ = run_phase1(tmp_path / "a", n, edges)
-    slow, h2, _, _ = run_phase1(tmp_path / "b", n, edges, fidelity_relabel=True)
-    assert fast == slow and h1 == h2
-
-
 def test_isolated_vertices_ignored(tmp_path):
     # same triangle, declared over 5 vertices; 4 and 5 have degree zero
     items, height, _, _ = run_phase1(tmp_path, 5, [(1, 2), (2, 3), (3, 1)])
@@ -413,6 +400,11 @@ def test_ingestion_rejects_duplicates_and_loops(tmp_path):
         run_phase1(tmp_path, 3, [(1, 2), (1, 2)])
     with pytest.raises(ParseError):
         run_phase1(tmp_path, 3, [(1, 1)])
+
+
+def phase1_record(stats):
+    (record,) = [rec for rec in stats.passes if rec.phase == "phase1"]
+    return record
 
 
 def phase1_invariants(n, edges, items, words_peak):
@@ -450,14 +442,14 @@ def phase1_invariants(n, edges, items, words_peak):
 def test_phase1_invariants_random(tmp_path, seed):
     n, edges = gen_eulerian(30, 90, seed)
     items, _, _, stats = run_phase1(tmp_path, n, edges)
-    words = stats.phase_passes("phase1")[0].peak_live_words
+    words = phase1_record(stats).peak_live_words
     phase1_invariants(n, edges, items, words)
 
 
 def test_nine_vertex_invariants(tmp_path, nine_vertex):
     n, edges = nine_vertex
     items, _, _, stats = run_phase1(tmp_path, n, edges)
-    words = stats.phase_passes("phase1")[0].peak_live_words
+    words = phase1_record(stats).peak_live_words
     phase1_invariants(n, edges, items, words)
 
 

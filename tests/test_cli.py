@@ -111,11 +111,14 @@ def test_oracle_writes_tour_file(tmp_path):
     assert main(["verify", "--in", graph, "--tour", tour]) == 0
 
 
-def test_solve_then_verify_fidelity_flag(tmp_path):
+def test_solve_rejects_removed_relabel_flag(tmp_path, capsys):
+    # phase 1 has one component tracker; the old switch is a usage error
     graph = write_nine(tmp_path)
-    tour = str(tmp_path / "t.txt")
-    assert main(["solve", "--in", graph, "--out", tour, "--fidelity-relabel"]) == 0
-    assert main(["verify", "--in", graph, "--tour", tour]) == 0
+    assert main(["solve", "--in", graph, "--fidelity-relabel"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ")
 
 
 def test_trace_dir_keeps_streams_and_tree(tmp_path):

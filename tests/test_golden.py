@@ -4,9 +4,9 @@ Each entry holds sha256 digests of the tour file text, of ``core_dict()``
 and of the list of per-pass ``PassRecord`` dicts, all as JSON with sorted
 keys.  The first four were recorded with the original text-line stream
 codec, the two shuffled ones with the restarting phase-1 walk, and the
-triangle chain (the only entry with more than 4 merge rounds) with the
-union-find component labels; a change to the stream representation, the
-sorter, the walk or the passes must reproduce them, never re-record them.
+triangle chain, the only entry with more than 4 merge rounds, with the
+resumed walk; a change to the stream representation, the sorter, the walk
+or the passes must reproduce them, never re-record them.
 """
 
 import hashlib

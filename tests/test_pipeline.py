@@ -22,7 +22,7 @@ def solve_and_check(n, edges, tmp_path, **kwargs):
     g = AdjacencyGraph.from_edges(n, edges)
     assert validate_tour(g, result.tour) is None
     assert assert_stream_budget(result.stats, len(edges)) is None
-    phase1 = result.stats.phase_passes("phase1")[0]
+    phase1 = next(rec for rec in result.stats.passes if rec.phase == "phase1")
     assert phase1.peak_live_words <= 10 * n
     assert result.stats.merge_iterations <= iteration_bound(result.tree_height)
     return result
@@ -78,13 +78,6 @@ def test_shuffled_streams_all_solve(tmp_path):
         shuffled = list(edges)
         rng.shuffle(shuffled)
         solve_and_check(n, shuffled, tmp_path)
-
-
-def test_fidelity_relabel_same_tour(tmp_path):
-    n, edges = gen_eulerian(50, 150, 4)
-    fast = solve(n, edges, tmpdir=str(tmp_path)).tour
-    slow = solve(n, edges, tmpdir=str(tmp_path), fidelity_relabel=True).tour
-    assert fast == slow
 
 
 @pytest.mark.parametrize("sort_chunk", [2, 3, 7])

@@ -17,6 +17,7 @@ from strtour import (
     decode_item,
     encode_item,
     read_graph_file,
+    read_tour_file,
     write_graph_file,
 )
 from strtour.stream_core import BLOCK_RECORDS, RECORD, PassRecord, validate_edges
@@ -355,8 +356,7 @@ def test_sort_multi_chunk_matches_single_chunk(tmp_path):
     rng = random.Random(13)
     items = [GraphEdge(rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(1, 5), i)
              for i in range(1, 101)]
-    small, _ = make_pipeline(tmp_path / "a")
-    small.sort_chunk = 7  # force the external merge path
+    small, _ = make_pipeline(tmp_path / "a", sort_chunk=7)  # force the external merge path
     big, _ = make_pipeline(tmp_path / "b")
     key = lambda it: (it.f3, it.head)
     got_small = small.run_sorting_pass(key, small.materialize(items), "t", "s").read_all()
@@ -364,6 +364,15 @@ def test_sort_multi_chunk_matches_single_chunk(tmp_path):
     assert got_small == got_big
     small.cleanup()
     big.cleanup()
+
+
+def test_sort_chunk_is_read_only(tmp_path):
+    # only the constructor checks the size, so it must be the only setter
+    pl, _ = make_pipeline(tmp_path, sort_chunk=7)
+    with pytest.raises(AttributeError):
+        pl.sort_chunk = 0
+    assert pl.sort_chunk == 7
+    pl.cleanup()
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 8])
@@ -445,6 +454,23 @@ def test_graph_file_rejects(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ParseError):
         read_graph_file(str(path))
+
+
+@pytest.mark.parametrize("reader, content, message", [
+    (read_graph_file, "3 3\n\n1 2\n2 x\n3 1\n", "line 4: expected integers 'u v'"),
+    (read_graph_file, "3 3\n1 2\n\n\n2 3 1\n3 1\n", "line 5: expected 'u v'"),
+    (read_graph_file, "\n3\n1 2\n", "line 2: expected 'n m'"),
+    (read_graph_file, "\n\nx 1\n1 2\n", "line 3: expected integers 'n m'"),
+    (read_tour_file, "1 2\n\n2 x\n", "line 3: expected integers 'u v'"),
+], ids=["graph-edge", "graph-edge-fields", "graph-header", "graph-header-integers",
+        "tour-edge"])
+def test_parse_errors_name_the_physical_line(tmp_path, reader, content, message):
+    # blank lines are skipped but still counted
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(ParseError) as err:
+        reader(str(path))
+    assert str(err.value) == message
 
 
 def test_validate_edges_names_first_offending_edge():
