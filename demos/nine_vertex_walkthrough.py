@@ -10,13 +10,12 @@ Run with:  python demos/nine_vertex_walkthrough.py
 
 from strtour import (
     AdjacencyGraph,
-    CircuitForest,
     PassStats,
     StreamPipeline,
     encode_item,
-    euler_tree_reference,
     find_circuits,
     initial_stream,
+    merge_spec,
     prepare,
     run_merges,
     emit_tour,
@@ -45,12 +44,6 @@ try:
         print("  " + encode_item(item))
     print(f"  tree height {height}, depths {finder.depths}")
 
-    # the recursive reference merger works straight off this decomposition
-    forest = CircuitForest.from_stream_items(phase1)
-    reference = euler_tree_reference(forest)
-    ok = validate_tour(AdjacencyGraph.from_edges(N, EDGES), reference) is None
-    print(f"\nreference merger tour valid: {ok}")
-
     print("\npreparation: rotate parented circuits, complete missing depths")
     stream, completer = prepare(pipeline, stream)
     for item in stream.read_all():
@@ -69,6 +62,9 @@ try:
     print("  " + " -> ".join(str(u) for u, _ in tour) + f" -> {tour[0][0]}")
     ok = validate_tour(AdjacencyGraph.from_edges(N, EDGES), tour) is None
     print(f"tour valid: {ok}")
+    # the in-memory merge spec replays prep and every round on phase 1's output
+    rounds = [(r.circuits_after, r.height_after, r.info_edges_after) for r in reports]
+    print(f"merge spec equals pipeline: {merge_spec(phase1) == (tour, rounds)}")
     print(f"\npasses: {stats.streaming_passes} streaming + "
           f"{stats.sorting_passes} sorting, peak stream {stats.peak_stream_items} "
           f"items (budget {2 * len(EDGES) + 4})")

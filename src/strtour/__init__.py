@@ -17,15 +17,14 @@ from .circuit_find import (
 )
 from .oracle_gen import (
     AdjacencyGraph,
-    CircuitForest,
     GenerationError,
     PERTURB_DISCONNECTED,
     PERTURB_ODD,
     TourViolation,
-    euler_tree_reference,
     eulerian_reason,
     gen_eulerian,
     hierholzer,
+    merge_spec,
     perturb,
     validate_tour,
 )

@@ -1,9 +1,9 @@
 """Ground truth: in-memory Euler machinery, tour validation, and generators.
 
 Everything here is independent of the streaming pipeline, so it can confirm
-pipeline results from the other side: a classical in-memory tour builder, a
-recursive merger that walks a circuit forest directly, a tour validator,
-and seeded random generators for Eulerian and deliberately broken inputs.
+pipeline results from the other side: a classical in-memory tour builder, an
+in-memory spec of the merge rounds, a tour validator, and seeded random
+generators for Eulerian and deliberately broken inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 from .stream_core import (
     DISCONNECTED,
     GraphEdge,
+    InfoEdge,
     IntegrityFault,
     ODD_DEGREE,
     StreamItem,
@@ -107,101 +108,62 @@ def hierholzer(g: AdjacencyGraph) -> Optional[list[tuple[int, int]]]:
     return [(order[i], order[i + 1]) for i in range(len(order) - 1)]
 
 
-@dataclass
-class CircuitForest:
-    """A circuit decomposition plus its rooted connection tree.
+def merge_spec(items: Iterable[StreamItem]
+               ) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """The pipeline's preparation and merge rounds, run in memory.
 
-    ``circuits`` maps circuit id to its directed edge list; ``parent`` maps
-    every non-root id to (parent id, shared vertex).  A valid forest has
-    each non-root circuit starting at the vertex it shares with its parent.
+    Takes a phase-1 stream and returns the tour plus, per round,
+    ``(circuits_after, height_after, info_edges_after)``.  Each parented
+    circuit is first rotated to its lowest-position edge leaving the shared
+    vertex (flag-1 circuits arrive rotated), and a flag-1 leaf's parent
+    depth becomes its parent's own parent depth plus one, or 0 when the
+    parent has no parent edge.  A round splices every
+    circuit whose parent depth is even after the last edge of its parent
+    whose head is the shared vertex (children sharing a slot in increasing
+    id), and points every other circuit at its grandparent with depth
+    ``(d - 1) // 2`` (Atallah and Vishkin's rounds).
     """
-
-    circuits: dict[int, list[tuple[int, int]]]
-    parent: dict[int, tuple[int, int]]
-    root: int
-
-    @classmethod
-    def from_stream_items(cls, items: Iterable[StreamItem]) -> "CircuitForest":
-        """Assemble a forest from phase-1 output, rotating members into place."""
-        raw: dict[int, list[GraphEdge]] = {}
-        parent: dict[int, tuple[int, int]] = {}
-        for item in items:
-            if isinstance(item, GraphEdge):
-                raw.setdefault(item.f3, []).append(item)
-            else:
-                if item.succ in parent:
-                    raise IntegrityFault(f"circuit {item.succ} has two parents")
-                parent[item.succ] = (item.pred, item.cvertex)
-        circuits: dict[int, list[tuple[int, int]]] = {}
-        for cid, edges in raw.items():
-            edges.sort(key=lambda e: e.f4)
-            seq = [(e.tail, e.head) for e in edges]
-            if cid in parent:
-                share = parent[cid][1]
-                pivot = next((i for i, (t, _) in enumerate(seq) if t == share), None)
-                if pivot is None:
-                    raise IntegrityFault(
-                        f"circuit {cid} does not touch shared vertex {share}")
-                seq = seq[pivot:] + seq[:pivot]
-            circuits[cid] = seq
-        roots = [cid for cid in circuits if cid not in parent]
-        if len(roots) != 1:
-            raise IntegrityFault(f"forest has roots {sorted(roots)}")
-        return cls(circuits=circuits, parent=parent, root=roots[0])
-
-    def validate(self) -> None:
-        for cid, seq in self.circuits.items():
-            if not seq:
-                raise IntegrityFault(f"circuit {cid} is empty")
-            for i, (_, head) in enumerate(seq):
-                if head != seq[(i + 1) % len(seq)][0]:
-                    raise IntegrityFault(f"circuit {cid} breaks at {i}")
-        for cid, (pid, share) in self.parent.items():
-            if pid not in self.circuits:
-                raise IntegrityFault(f"parent {pid} of {cid} missing")
-            if self.circuits[cid][0][0] != share:
-                raise IntegrityFault(f"circuit {cid} does not start at {share}")
-            if all(t != share for t, _ in self.circuits[pid]):
-                raise IntegrityFault(f"vertex {share} not on parent {pid}")
-
-
-def euler_tree_reference(forest: CircuitForest) -> list[tuple[int, int]]:
-    """Recursive reference merger over a circuit forest.
-
-    Walks the root circuit and, before consuming the next edge, descends
-    into any unvisited child whose first vertex is the current vertex
-    (lowest child id first).  Iterative so deep trees cannot overflow the
-    interpreter stack.
-    """
-    forest.validate()
-    children: dict[int, list[int]] = {}
-    for cid, (pid, _) in forest.parent.items():
-        children.setdefault(pid, []).append(cid)
-    for lst in children.values():
-        lst.sort()
-    visited = {forest.root}
-    out: list[tuple[int, int]] = []
-    stack: list[tuple[int, int]] = [(forest.root, 0)]
-    while stack:
-        cid, i = stack[-1]
-        seq = forest.circuits[cid]
-        if i == len(seq):
-            stack.pop()
-            continue
-        here = seq[i][0]
-        child = next(
-            (k for k in children.get(cid, ())
-             if k not in visited and forest.circuits[k][0][0] == here),
-            None)
-        if child is not None:
-            visited.add(child)
-            stack.append((child, 0))
-            continue
-        out.append(seq[i])
-        stack[-1] = (cid, i + 1)
-    if len(visited) != len(forest.circuits):
-        raise IntegrityFault("reference merge left circuits unvisited")
-    return out
+    seqs: dict[int, list[tuple[int, int]]] = {}
+    rooted: dict[int, tuple[int, int, int]] = {}
+    leaves: list[InfoEdge] = []
+    # graph edges in position order; a stable sort keeps everything else
+    for item in sorted(items, key=lambda it: it.f4 if isinstance(it, GraphEdge) else 0):
+        if isinstance(item, GraphEdge):
+            seqs.setdefault(item.f3, []).append((item.tail, item.head))
+        elif item.f5:
+            leaves.append(item)
+        else:
+            rooted[item.succ] = (item.pred, item.depth, item.cvertex)
+    for cid, (_, _, share) in rooted.items():
+        seq = seqs.get(cid, [])
+        pivot = next((i for i, (tail, _) in enumerate(seq) if tail == share), None)
+        if pivot is None:
+            raise IntegrityFault(f"circuit {cid} has no edge leaving vertex {share}")
+        seqs[cid] = seq[pivot:] + seq[:pivot]
+    parent = dict(rooted)
+    for leaf in leaves:
+        depth = rooted[leaf.pred][1] + 1 if leaf.pred in rooted else 0
+        parent[leaf.succ] = (leaf.pred, depth, leaf.cvertex)
+    rounds = []
+    while parent:
+        slots: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        for cid in sorted(c for c, (_, d, _) in parent.items() if d % 2 == 0):
+            host, _, share = parent[cid]
+            slot = max((i for i, (_, head) in enumerate(seqs.get(host, ()))
+                        if head == share), default=None)
+            if slot is None:
+                raise IntegrityFault(f"no edge of circuit {host} has head {share}")
+            slots.setdefault(host, {}).setdefault(slot, []).extend(seqs.pop(cid))
+        for host, at in slots.items():
+            seqs[host] = [e for i, edge in enumerate(seqs[host])
+                          for e in [edge] + at.get(i, [])]
+        parent = {c: (parent[p][0], (d - 1) // 2, share)
+                  for c, (p, d, share) in parent.items() if d % 2}
+        height = max(d for _, d, _ in parent.values()) + 1 if parent else 0
+        rounds.append((len(seqs), height, len(parent)))
+    if len(seqs) > 1:
+        raise IntegrityFault(f"merges left circuits {sorted(seqs)}")
+    return next(iter(seqs.values()), []), rounds
 
 
 @dataclass(frozen=True)

@@ -530,7 +530,7 @@ def _parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError(f"line {lineno}: expected integers 'n m'") from None
-    if n < 1 or m < 0:
+    if n < 1 or m < 0 or n + 1 >= 1 << 63:  # n + 1 must fit an int64 field
         raise ParseError(f"line {lineno}: bad sizes n={n} m={m}")
     found = len(lines) - lines.count("") - 1
     if found != m:

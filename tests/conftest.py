@@ -72,6 +72,11 @@ def make_pipeline(tmp_path, **kwargs):
     return StreamPipeline(stats, tmpdir=str(tmp_path), **kwargs), stats
 
 
+def spec_rounds(reports):
+    """Merge-round reports in ``merge_spec``'s per-round form."""
+    return [(r.circuits_after, r.height_after, r.info_edges_after) for r in reports]
+
+
 def run_phase1(tmp_path, n, edges):
     """Phase 1 of a graph on a pipeline of its own: stream items, height,
     finder and stats."""

@@ -11,7 +11,6 @@ import pytest
 
 from strtour import (
     AdjacencyGraph,
-    CircuitForest,
     GraphEdge,
     InfoEdge,
     NotEulerianError,
@@ -19,10 +18,10 @@ from strtour import (
     StreamPipeline,
     assert_stream_budget,
     emit_tour,
-    euler_tree_reference,
     eulerian_reason,
     gen_eulerian,
     iteration_bound,
+    merge_spec,
     perturb,
     prepare,
     run_merges,
@@ -38,6 +37,7 @@ from conftest import (
     NINE_VERTEX_N,
     NINE_VERTEX_PHASE1,
     run_phase1,
+    spec_rounds,
 )
 
 SIZES = [(10, 20), (100, 400), (1000, 5000)]
@@ -198,11 +198,13 @@ def test_criterion_07_nine_vertex_golden(tmp_path):
 
 def test_criterion_08_oracle_equivalence(sweep):
     for run in sweep["runs"]:
-        forest = CircuitForest.from_stream_items(run["phase1"])
-        reference = euler_tree_reference(forest)
+        result = run["result"]
+        tour, rounds = merge_spec(run["phase1"])
+        assert tour == result.tour, (run["n"], run["seed"])
+        assert rounds == spec_rounds(result.iteration_reports), (run["n"], run["seed"])
         g = AdjacencyGraph.from_edges(run["gn"], run["edges"])
-        assert validate_tour(g, reference) is None, (run["n"], run["seed"])
-    note(8, "reference merger validates on every sweep decomposition")
+        assert validate_tour(g, tour) is None, (run["n"], run["seed"])
+    note(8, "merge spec reproduces every sweep tour and round exactly")
 
 
 def test_criterion_09_tree_invariant(sweep):

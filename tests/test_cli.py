@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from strtour.cli import main
 from strtour import decode_item, encode_item, read_tour_file, write_graph_file
 
@@ -76,6 +78,21 @@ def test_parse_error_exits_1(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n1 1\n")
     assert main(["solve", "--in", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("n", [10 ** 20, 2 ** 63 - 1])
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+def test_vertex_count_beyond_int64_exits_1(tmp_path, capsys, command, n):
+    # n + 1 must fit an int64 record field; larger headers are parse errors
+    graph = tmp_path / "huge.txt"
+    graph.write_text(f"{n} 3\n1 2\n2 3\n3 1\n")
+    tour = tmp_path / "t.txt"
+    tour.write_text("1 2\n2 3\n3 1\n")
+    args = ["--tour", str(tour)] if command == "verify" else []
+    assert main([command, "--in", str(graph)] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: line 1: bad sizes n={n} m=3"]
 
 
 def test_verify_truncated_tour_exits_2(tmp_path, capsys):

@@ -1,18 +1,19 @@
-"""Oracle tests: Eulerian check, tour builder, reference merger, generators."""
+"""Oracle tests: Eulerian check, tour builder, merge spec, generators."""
 
 import pytest
 
 from strtour import (
     AdjacencyGraph,
-    CircuitForest,
     GenerationError,
+    GraphEdge,
+    InfoEdge,
     IntegrityFault,
     PERTURB_DISCONNECTED,
     PERTURB_ODD,
-    euler_tree_reference,
     eulerian_reason,
     gen_eulerian,
     hierholzer,
+    merge_spec,
     perturb,
     validate_tour,
 )
@@ -69,27 +70,40 @@ def test_hierholzer_always_validates(seed):
     assert validate_tour(g, hierholzer(g)) is None
 
 
-# -- reference merger ----------------------------------------------------------
+# -- merge spec -----------------------------------------------------------------
 
-def test_reference_single_circuit_verbatim():
-    forest = CircuitForest(circuits={1: TRIANGLE}, parent={}, root=1)
-    assert euler_tree_reference(forest) == TRIANGLE
-
-
-def test_reference_host_child_pair():
-    forest = CircuitForest(
-        circuits={1: [(1, 2), (2, 3), (3, 1)], 2: [(2, 4), (4, 5), (5, 2)]},
-        parent={2: (1, 2)}, root=1)
-    assert euler_tree_reference(forest) == [
-        (1, 2), (2, 4), (4, 5), (5, 2), (2, 3), (3, 1)]
+def circuit(cid, pairs):
+    return [GraphEdge(t, h, cid, pos, 0, 0)
+            for pos, (t, h) in enumerate(pairs, start=1)]
 
 
-def test_reference_rejects_broken_forest():
-    forest = CircuitForest(
-        circuits={1: TRIANGLE, 2: [(9, 8), (8, 7), (7, 9)]},
-        parent={2: (1, 9)}, root=1)
-    with pytest.raises(IntegrityFault):
-        euler_tree_reference(forest)
+def test_spec_single_circuit_verbatim():
+    assert merge_spec(circuit(1, TRIANGLE)) == (TRIANGLE, [])
+
+
+def test_spec_host_child_pair():
+    items = (circuit(1, TRIANGLE) + circuit(2, [(2, 4), (4, 5), (5, 2)])
+             + [InfoEdge(1, 2, 0, 2, 0)])
+    assert merge_spec(items) == (
+        [(1, 2), (2, 4), (4, 5), (5, 2), (2, 3), (3, 1)], [(1, 0, 0)])
+
+
+def test_spec_rejects_child_off_shared_vertex():
+    items = (circuit(1, TRIANGLE) + circuit(2, [(9, 8), (8, 7), (7, 9)])
+             + [InfoEdge(1, 2, 0, 1, 0)])  # circuit 2 never leaves vertex 1
+    with pytest.raises(IntegrityFault, match="no edge leaving vertex 1"):
+        merge_spec(items)
+
+
+def test_spec_empty_stream():
+    assert merge_spec([]) == ([], [])
+
+
+def test_spec_rejects_host_without_shared_head():
+    items = (circuit(1, TRIANGLE) + circuit(2, [(9, 8), (8, 7), (7, 9)])
+             + [InfoEdge(1, 2, 0, 9, 0)])  # no edge of circuit 1 heads into 9
+    with pytest.raises(IntegrityFault, match="circuit 1 has head 9"):
+        merge_spec(items)
 
 
 # -- validator ----------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Whole-pipeline checks on structured graph families."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from strtour import (
     AdjacencyGraph,
@@ -11,10 +13,13 @@ from strtour import (
     eulerian_reason,
     gen_eulerian,
     iteration_bound,
+    merge_spec,
     solve,
     validate_tour,
     write_graph_file,
 )
+
+from conftest import run_phase1, spec_rounds
 
 
 def solve_and_check(n, edges, tmp_path, **kwargs):
@@ -175,3 +180,47 @@ def test_phase1_finder_is_freed_before_prepare(tmp_path, monkeypatch):
     assert alive_at_prepare == [False]
     assert result.circuits == result.stats.circuits_found > 1
     assert (tmp_path / "trace" / "connectivity_tree.txt").exists()
+
+
+def draw_graph(data):
+    """A simple graph on 3..8 vertices in a drawn edge order: either
+    arbitrary, or the symmetric difference of a few cycles (all degrees
+    even, so often Eulerian)."""
+    n = data.draw(st.integers(3, 8), label="n")
+    if data.draw(st.booleans(), label="cycle union"):
+        chosen = set()
+        for _ in range(data.draw(st.integers(2, 5), label="cycles")):
+            length = data.draw(st.integers(3, n), label="length")
+            cycle = data.draw(st.permutations(range(1, n + 1)), label="cycle")[:length]
+            chosen ^= {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+        pairs = sorted(tuple(sorted(e)) for e in chosen)
+    else:
+        every = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(every),
+                                  max_size=len(every)), label="edges")
+        pairs = [pair for pair, kept in zip(every, keep) if kept]
+    order = data.draw(st.permutations(pairs), label="edge order")
+    flips = data.draw(st.lists(st.booleans(), min_size=len(order),
+                               max_size=len(order)), label="flips")
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(order, flips)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_small_graphs_match_spec_within_budgets(tmp_path, data):
+    n, edges = draw_graph(data)
+    sort_chunk = data.draw(st.sampled_from([1, 2, 3, None]), label="sort_chunk")
+    reason = eulerian_reason(AdjacencyGraph.from_edges(n, edges))
+    if reason is not None:
+        with pytest.raises(NotEulerianError) as err:
+            solve(n, edges, tmpdir=str(tmp_path), sort_chunk=sort_chunk)
+        assert err.value.reason == reason
+        return
+    result = solve_and_check(n, edges, tmp_path, sort_chunk=sort_chunk)
+    rounds = spec_rounds(result.iteration_reports)
+    assert merge_spec(run_phase1(tmp_path, n, edges)[0]) == (result.tour, rounds)
+    phases = Counter(rec.phase for rec in result.stats.passes)
+    assert (phases["prep"], phases["merge"], phases["emit"]) == (6, 8 * len(rounds), 1)
+    assert max(rec.peak_live_records for rec in result.stats.passes
+               if rec.phase in ("prep", "merge", "emit") and rec.kind == "stream") <= 4

@@ -456,6 +456,13 @@ def test_graph_file_rejects(tmp_path, content):
         read_graph_file(str(path))
 
 
+def test_graph_file_largest_vertex_count(tmp_path):
+    # the largest n whose n + 1 still fits an int64 record field
+    path = tmp_path / "g.txt"
+    path.write_text(f"{2 ** 63 - 2} 3\n1 2\n2 3\n3 1\n")
+    assert read_graph_file(str(path)) == (2 ** 63 - 2, [(1, 2), (2, 3), (3, 1)])
+
+
 @pytest.mark.parametrize("reader, content, message", [
     (read_graph_file, "3 3\n\n1 2\n2 x\n3 1\n", "line 4: expected integers 'u v'"),
     (read_graph_file, "3 3\n1 2\n\n\n2 3 1\n3 1\n", "line 5: expected 'u v'"),

@@ -6,21 +6,20 @@ import pytest
 
 from strtour import (
     AdjacencyGraph,
-    CircuitForest,
     GraphEdge,
     InfoEdge,
     IntegrityFault,
     emit_tour,
-    euler_tree_reference,
     iteration_bound,
     merge_iteration,
+    merge_spec,
     prepare,
     run_merges,
     solve,
     validate_tour,
 )
 
-from conftest import make_pipeline, run_phase1
+from conftest import make_pipeline, run_phase1, spec_rounds
 
 
 def circuit(cid, pairs):
@@ -71,17 +70,15 @@ def test_host_child_splice_matches_reference(tmp_path):
     child = [(2, 4), (4, 5), (5, 2)]
     items = circuit(1, host) + circuit(2, child) + [InfoEdge(1, 2, 0, 2, 0)]
 
-    forest = CircuitForest(circuits={1: host, 2: child},
-                           parent={2: (1, 2)}, root=1)
-    expected = euler_tree_reference(forest)
+    expected, rounds = merge_spec(items)
     assert expected == [(1, 2), (2, 4), (4, 5), (5, 2), (2, 3), (3, 1)]
 
     out, report, _ = merged_once(tmp_path, items, height=1)
     graph = [it for it in out if isinstance(it, GraphEdge)]
     assert [(g.tail, g.head) for g in sorted(graph, key=lambda g: g.f4)] == expected
     assert [g.f4 for g in sorted(graph, key=lambda g: g.f4)] == [1, 2, 3, 4, 5, 6]
-    assert report.height_before == 1 and report.height_after == 0
-    assert report.circuits_after == 1 and report.info_edges_after == 0
+    assert report.height_before == 1
+    assert rounds == spec_rounds([report]) == [(1, 0, 0)]
 
 
 def test_chain_rewires_to_grandparent(tmp_path):
@@ -263,8 +260,6 @@ def test_nine_vertex_final_tour(tmp_path, nine_vertex):
 def test_merge_oracle_equivalence_nine_vertex(tmp_path, nine_vertex):
     n, edges = nine_vertex
     result = solve(n, edges, tmpdir=str(tmp_path))
-    forest = CircuitForest.from_stream_items(run_phase1(tmp_path, n, edges)[0])
-    reference = euler_tree_reference(forest)
-    g = AdjacencyGraph.from_edges(n, edges)
-    assert validate_tour(g, reference) is None
-    assert validate_tour(g, result.tour) is None
+    assert merge_spec(run_phase1(tmp_path, n, edges)[0]) == (
+        result.tour, spec_rounds(result.iteration_reports))
+    assert validate_tour(AdjacencyGraph.from_edges(n, edges), result.tour) is None
