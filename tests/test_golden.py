@@ -127,12 +127,18 @@ def tour_digest(tour):
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_corpus(name, tmp_path):
+# A chunk of 64 records makes every sort of every entry but the smallest
+# spill and merge, so the corpus also pins the external merge-sort path.
+CHUNKS = [pytest.param(name, None, id=name) for name in sorted(GOLDEN)] + [
+    pytest.param(name, 64, id=f"{name}-chunk64") for name in sorted(GOLDEN)]
+
+
+@pytest.mark.parametrize("name, sort_chunk", CHUNKS)
+def test_golden_corpus(name, sort_chunk, tmp_path):
     n, edges = GRAPHS[name]()
     m, passes, tour, core, records = GOLDEN[name]
     assert len(edges) == m
-    result = solve(n, edges, tmpdir=str(tmp_path))
+    result = solve(n, edges, tmpdir=str(tmp_path), sort_chunk=sort_chunk)
     assert len(result.stats.passes) == passes
     assert tour_digest(result.tour) == tour
     assert digest(result.stats.core_dict()) == core
