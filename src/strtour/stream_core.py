@@ -9,8 +9,9 @@ meter.  Every pass and every inter-pass stream length is accounted in
 ``PassStats`` so budget assertions can be checked after a run.
 
 Inter-pass streams and sort spill chunks hold fixed-width binary records
-(``RECORD``), read and written in blocks.  The text form ``G tail head f3
-f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
+(``RECORD``).  Files are written in whole blocks of ``BLOCK_RECORDS``, each
+packed in one call, and read a block at a time.  The text form ``G tail head
+f3 f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
 ``decode_item``) appears only in the stream dumps of a trace directory.
 """
 
@@ -125,19 +126,36 @@ RECORD = struct.Struct("<B6q")
 GRAPH_TAG, INFO_TAG = ord("G"), ord("I")
 BLOCK_RECORDS = 1024
 _GRAPH_BODY = struct.Struct("<x6q")
+_BLOCK_BODY = struct.Struct("<" + "x6q" * BLOCK_RECORDS)
+# a record's field count (one word per field) to its tag
+_TAG_OF_LENGTH = bytes.maketrans(bytes([GRAPH_EDGE_WORDS, INFO_EDGE_WORDS]), b"GI")
 _SIGN_BYTES = range(8, RECORD.size, 8)  # the high byte of each int64 field
 _NON_NEGATIVE = bytes(range(128))
 _graph_edge = partial(tuple.__new__, GraphEdge)
 
 
-def encode_block(items: list[StreamItem]) -> bytes:
-    """Pack records into their binary form, back to back."""
-    pack = RECORD.pack
+def encode_block(items: list[StreamItem]) -> bytearray:
+    """Pack records into their binary form, back to back, in one call.
+
+    Info edges get their zero pad, one format packs every field, and each
+    record's tag, found from its field count, fills the byte left before it.
+    """
+    lengths = bytes(map(len, items))
+    at = lengths.find(INFO_EDGE_WORDS)
+    if at >= 0:
+        items = list(items)
+        while at >= 0:
+            items[at] += (0,)
+            at = lengths.find(INFO_EDGE_WORDS, at + 1)
+    body = (_BLOCK_BODY if len(items) == BLOCK_RECORDS
+            else struct.Struct("<" + "x6q" * len(items)))
+    out = bytearray(body.size)
     try:
-        return b"".join([pack(GRAPH_TAG, *item) if type(item) is GraphEdge
-                         else pack(INFO_TAG, *item, 0) for item in items])
+        body.pack_into(out, 0, *chain.from_iterable(items))
     except struct.error as exc:
         raise IntegrityFault(f"record does not fit the stream format: {exc}") from None
+    out[::RECORD.size] = lengths.translate(_TAG_OF_LENGTH)
+    return out
 
 
 def decode_block(block: bytes, first: int) -> list[StreamItem]:
@@ -200,40 +218,46 @@ class Stream:
 
 
 class StreamWriter:
-    """Appends items to a stream file in blocks, counting them."""
+    """Appends items to a stream file in whole blocks, counting them.
+
+    Items wait in ``pending`` until ``flush`` or close writes them; a caller
+    may append to it directly.  Every block but the last of a file holds
+    exactly ``BLOCK_RECORDS`` records.
+    """
 
     def __init__(self, path: str):
         self.stream = Stream(path)
         self._fh = open(path, "wb")
-        self._block: list[StreamItem] = []
-
-    def write(self, item: StreamItem) -> None:
-        block = self._block
-        block.append(item)
-        if len(block) >= BLOCK_RECORDS:
-            self._flush()
+        self.pending: list[StreamItem] = []
 
     def write_all(self, items: Iterable[StreamItem]) -> None:
         items = iter(items)
+        pending = self.pending
         while True:
-            self._block.extend(islice(items, BLOCK_RECORDS - len(self._block)))
-            if len(self._block) < BLOCK_RECORDS:
+            pending.extend(islice(items, BLOCK_RECORDS))
+            if len(pending) < BLOCK_RECORDS:
                 return
-            self._flush()
+            self.flush()
 
-    def _flush(self) -> None:
-        self._fh.write(encode_block(self._block))
-        self.stream.items += len(self._block)
-        self._block = []
+    def flush(self) -> None:
+        """Write every full block of ``pending``; a shorter tail waits."""
+        self._write(len(self.pending) // BLOCK_RECORDS * BLOCK_RECORDS)
+
+    def _write(self, end: int) -> None:
+        pending = self.pending
+        for start in range(0, end, BLOCK_RECORDS):
+            self._fh.write(encode_block(pending[start:start + BLOCK_RECORDS]))
+        del pending[:end]
+        self.stream.items += end
 
     def __enter__(self) -> "StreamWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Write the pending block and close; a failed pass leaves it unwritten."""
+        """Write what is pending and close; a failed pass leaves it unwritten."""
         try:
             if exc_type is None:
-                self._flush()
+                self._write(len(self.pending))
         finally:
             self._fh.close()
 
@@ -409,30 +433,46 @@ class StreamPipeline:
         the processor's ``live_records`` / ``live_words`` after ``on_start``;
         after each ``on_item``, the same plus the item in flight (one record,
         of 6 words for a graph edge and 5 for an info edge); and after
-        ``on_end``.
+        ``on_end``.  A processor that keeps the default ``live_words`` is read
+        as ``6 * live_records() + scalar_words()``, with one ``live_records``
+        call per reading.
+
+        ``emit`` appends to the writer's pending block, which is written
+        whenever an ``on_item`` leaves a full block pending.  Like the
+        sorter's chunk, that block is writer buffer outside the meter: fewer
+        than ``BLOCK_RECORDS`` records plus what one callback emits (in
+        phase 1, at most one circuit and one info edge).
         """
         label = label or processor.label
         on_item = processor.on_item
         live_records = processor.live_records
-        live_words = processor.live_words
+        if getattr(processor.live_words, "__func__", None) is Processor.live_words:
+            scale, other_words = GRAPH_EDGE_WORDS, processor.scalar_words
+        else:
+            scale, other_words = 0, processor.live_words
 
         with StreamWriter(self._new_path(label)) as writer:
-            emit = writer.write
+            pending = writer.pending
+            emit = pending.append
             processor.on_start(emit)
             peak_records = live_records()
-            peak_words = live_words()
+            peak_words = scale * peak_records + other_words()
             for item in stream.iter_items():
                 on_item(item, emit)
-                records = live_records() + 1
-                words = live_words() + (GRAPH_EDGE_WORDS if type(item) is GraphEdge
-                                        else INFO_EDGE_WORDS)
+                if len(pending) >= BLOCK_RECORDS:
+                    writer.flush()
+                records = live_records()
+                words = scale * records + other_words() + (
+                    GRAPH_EDGE_WORDS if type(item) is GraphEdge else INFO_EDGE_WORDS)
+                records += 1
                 if records > peak_records:
                     peak_records = records
                 if words > peak_words:
                     peak_words = words
             processor.on_end(emit)
-            peak_records = max(peak_records, live_records())
-            peak_words = max(peak_words, live_words())
+            records = live_records()
+            peak_records = max(peak_records, records)
+            peak_words = max(peak_words, scale * records + other_words())
 
         self.stats.streaming_passes += 1
         out = self._finish("stream", label, phase, stream.items,

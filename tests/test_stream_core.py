@@ -4,7 +4,9 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from strtour import stream_core
 from strtour import (
     BudgetViolation,
     GraphEdge,
@@ -20,7 +22,8 @@ from strtour import (
     read_tour_file,
     write_graph_file,
 )
-from strtour.stream_core import BLOCK_RECORDS, RECORD, PassRecord, validate_edges
+from strtour.stream_core import (
+    BLOCK_RECORDS, RECORD, PassRecord, encode_block, validate_edges)
 
 from conftest import make_pipeline
 
@@ -143,6 +146,43 @@ def test_unencodable_record_is_an_integrity_fault(tmp_path):
     with pytest.raises(IntegrityFault, match="does not fit"):
         pl.materialize([GraphEdge(2**63, 1)])
     pl.cleanup()
+
+
+def packed_one_by_one(items):
+    return b"".join(RECORD.pack(ord("G"), *item) if type(item) is GraphEdge
+                    else RECORD.pack(ord("I"), *item, 0) for item in items)
+
+
+FIELD = st.integers(0, 2**63 - 1)
+RECORDS = st.one_of(st.builds(GraphEdge, *[FIELD] * 6), st.builds(InfoEdge, *[FIELD] * 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(RECORDS, max_size=2100),
+    st.sampled_from([0, 1, BLOCK_RECORDS - 1, BLOCK_RECORDS]).flatmap(
+        lambda size: st.lists(RECORDS, min_size=size, max_size=size))))
+def test_block_encoding_matches_per_record_packing(items):
+    assert encode_block(items) == packed_one_by_one(items)
+
+
+@pytest.mark.parametrize("info_at", ["first", "last", "all", "none"])
+@pytest.mark.parametrize("size", [1, BLOCK_RECORDS - 1, BLOCK_RECORDS, 2100])
+def test_block_encoding_places_info_edges(size, info_at):
+    info = {"first": {0}, "last": {size - 1}, "all": set(range(size)), "none": set()}[info_at]
+    items = [InfoEdge(i, i + 1, 2, 3, i % 2) if i in info else GraphEdge(i, i + 1, 3, i)
+             for i in range(size)]
+    assert encode_block(items) == packed_one_by_one(items)
+    assert encode_block([]) == b""
+
+
+@pytest.mark.parametrize("at", [0, BLOCK_RECORDS // 2, BLOCK_RECORDS - 1])
+@pytest.mark.parametrize("bad", [GraphEdge(1, 2, 3, 4, 5, 2**63), InfoEdge(1, 2, 3, 2**64, 0)])
+def test_out_of_range_field_in_a_full_block_is_an_integrity_fault(at, bad):
+    items = [GraphEdge(i, i + 1) for i in range(BLOCK_RECORDS)]
+    items[at] = bad
+    with pytest.raises(IntegrityFault, match="record does not fit the stream format"):
+        encode_block(items)
 
 
 # -- streaming passes ---------------------------------------------------------
@@ -275,6 +315,57 @@ def test_meter_reads_start_each_item_in_flight_and_end(
     rec = stats.passes[-1]
     assert (rec.peak_live_records, rec.peak_live_words) == (peak_records, peak_words)
     assert (stats.peak_live_records, stats.peak_live_words) == (peak_records, peak_words)
+    pl.cleanup()
+
+
+class CountedReads(Counting):
+    """Keeps the default ``live_words``; counts the meter's record reads."""
+
+    reads = 0
+
+    def live_records(self):
+        self.reads += 1
+        return 0
+
+
+def test_default_live_words_reads_live_records_once_per_reading(tmp_path):
+    items = [GraphEdge(i, i + 1) for i in range(1, 8)]
+    pl, stats = make_pipeline(tmp_path)
+    processor = CountedReads()
+    pl.run_streaming_pass(processor, pl.materialize(items), "test")
+    # after on_start, after each item, after on_end
+    assert processor.reads == len(items) + 2
+    # 1 scalar word plus the graph edge in flight
+    assert (stats.passes[-1].peak_live_records, stats.passes[-1].peak_live_words) == (1, 7)
+    pl.cleanup()
+
+
+class Tripling(Processor):
+    """Emits each item three times, so a full block overshoots mid-callback."""
+
+    def on_item(self, item, emit):
+        emit(item)
+        emit(item)
+        emit(item)
+
+
+@pytest.mark.parametrize("processor, copies", [(Identity(), 1), (Tripling(), 3)],
+                         ids=["identity", "tripling"])
+def test_writer_encodes_whole_blocks_but_the_last(tmp_path, monkeypatch, processor, copies):
+    items = [GraphEdge(i, i + 1) for i in range(1, 5001)]
+    pl, _ = make_pipeline(tmp_path)
+    stream = pl.materialize(items)
+    sizes = []
+
+    def spy(block):
+        sizes.append(len(block))
+        return encode_block(block)
+
+    monkeypatch.setattr(stream_core, "encode_block", spy)
+    out = pl.run_streaming_pass(processor, stream, "test")
+    whole, tail = divmod(copies * len(items), BLOCK_RECORDS)
+    assert sizes == [BLOCK_RECORDS] * whole + [tail]
+    assert out.read_all() == [item for item in items for _ in range(copies)]
     pl.cleanup()
 
 
