@@ -57,7 +57,7 @@ def eulerian_reason(g: AdjacencyGraph) -> Optional[str]:
     Odd degree is reported first; vertices of degree zero are ignored by the
     connectivity check.
     """
-    active = [v for v in range(1, g.n + 1) if g.degree(v) > 0]
+    active = sorted(g.adj)  # the vertices of positive degree
     for v in active:
         if g.degree(v) % 2 == 1:
             return ODD_DEGREE
@@ -86,7 +86,7 @@ def hierholzer(g: AdjacencyGraph) -> Optional[list[tuple[int, int]]]:
         return None
     if g.m == 0:
         return []
-    start = min(v for v in range(1, g.n + 1) if g.degree(v) > 0)
+    start = min(g.adj)
     used = [False] * g.m
     cursor = {v: 0 for v in g.adj}
     stack = [start]

@@ -121,6 +121,17 @@ def test_oracle_reports_reason(tmp_path, capsys):
     assert "eulerian: no (odd degree)" in capsys.readouterr().out
 
 
+def test_oracle_time_does_not_follow_the_header_n(tmp_path, capsys):
+    # the largest n whose n + 1 fits an int64 field; a scan of 1..n never ends
+    tours = []
+    for n in (9223372036854775806, 3):
+        graph = str(tmp_path / f"g{n}.txt")
+        write_graph_file(graph, n, [(1, 2), (2, 3), (3, 1)])
+        assert main(["oracle", "--in", graph]) == 0
+        tours.append(capsys.readouterr().out)
+    assert tours[0] == tours[1]
+
+
 def test_oracle_writes_tour_file(tmp_path):
     graph = write_nine(tmp_path)
     tour = str(tmp_path / "t.txt")
