@@ -173,7 +173,6 @@ def test_block_encoding_places_info_edges(size, info_at):
     items = [InfoEdge(i, i + 1, 2, 3, i % 2) if i in info else GraphEdge(i, i + 1, 3, i)
              for i in range(size)]
     assert encode_block(items) == packed_one_by_one(items)
-    assert encode_block([]) == b""
 
 
 @pytest.mark.parametrize("at", [0, BLOCK_RECORDS // 2, BLOCK_RECORDS - 1])
