@@ -7,15 +7,22 @@ codec, the two shuffled ones with the restarting phase-1 walk, and the
 triangle chain, the only entry with more than 4 merge rounds, with the
 resumed walk; a change to the stream representation, the sorter, the walk
 or the passes must reproduce them, never re-record them.
+
+``GOLDEN_FILES`` adds two digests per entry, recorded before the pass
+counters were computed from the pass records: the exact text that
+``write_stats_file`` writes, and every file of the solve's trace directory
+(sorted names and bytes).  So every golden solve runs with a trace
+directory.
 """
 
 import hashlib
 import json
+import os
 import random
 
 import pytest
 
-from strtour import gen_eulerian, solve
+from strtour import gen_eulerian, solve, write_stats_file
 
 
 def lollipop(big_n):
@@ -117,6 +124,31 @@ GOLDEN = {
         "907597a2ed867d5f366fe459514a296c9cdca0824ca3663643e1b24c37fc2d25"),
 }
 
+# name: (stats file text, trace directory)
+GOLDEN_FILES = {
+    "random-10-20-1": (
+        "d49e52b2e71f36c701887faef323781fa06878584bb7d215f0825bf50baa8fad",
+        "d8b89e0018026c993e0109eb518064bbb37b242d2ad8eb10cbb28616595c61a1"),
+    "random-100-400-3": (
+        "bdf581a45e31fa8060e028dcb1bb1fb3753d301f3dd864835d6886dd1d966363",
+        "02dffff1253fa412ada70f8529c08ae5cde1c6890dfb6a8781b0665379cd8638"),
+    "random-1000-5000-1": (
+        "524701632e799714067125eb6b0cf0dd2572b240b929016d094d25eb7cae7434",
+        "41978f5cdf409949277ce0f80e80b885880cdbbc01b25f006dccc3608359b2a4"),
+    "lollipop-300": (
+        "a1d625980db1e0daa94849f9ef43798aa1658f5266769ad8c45750dc994749be",
+        "df3f0aee6ed234f306e1d91ce7e9a8b879a6a838f9201b0763fd8f4c006a63c5"),
+    "lollipop-shuffled-300-1": (
+        "a1d625980db1e0daa94849f9ef43798aa1658f5266769ad8c45750dc994749be",
+        "fdbea47eb921376e8b2fa7e348deb010a709bd47fcdbc7974ca422fb28c83a04"),
+    "random-100-400-5-shuffled-1": (
+        "156d28eb2fa79f5cb8b43d0e3f65cd11d6470a203422aae4244b885307c3a476",
+        "74b2742a930796b60a52c1540af89a1e1b22b1262ccdfeb604cad757b9a58c2c"),
+    "triangle-chain-500-1": (
+        "639d780c2b4ef6d89626a3bd080312ddb64ce2b3f904c03c03f4d01df0194f39",
+        "0cccfe2e7df2998276e70852a8aff571f75354578aafbde72c112f296bda0beb"),
+}
+
 
 def digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("ascii")).hexdigest()
@@ -125,6 +157,22 @@ def digest(obj):
 def tour_digest(tour):
     text = "".join(f"{u} {v}\n" for u, v in tour)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def trace_digest(trace_dir):
+    """One digest of every file in ``trace_dir``: sorted names and bytes."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(trace_dir)):
+        with open(os.path.join(trace_dir, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name} {len(data)}\n".encode("ascii"))
+        h.update(data)
+    return h.hexdigest()
 
 
 # A chunk of 64 records makes every sort of every entry but the smallest
@@ -137,9 +185,16 @@ CHUNKS = [pytest.param(name, None, id=name) for name in sorted(GOLDEN)] + [
 def test_golden_corpus(name, sort_chunk, tmp_path):
     n, edges = GRAPHS[name]()
     m, passes, tour, core, records = GOLDEN[name]
+    stats_text, trace = GOLDEN_FILES[name]
     assert len(edges) == m
-    result = solve(n, edges, tmpdir=str(tmp_path), sort_chunk=sort_chunk)
+    trace_dir = str(tmp_path / "trace")
+    result = solve(n, edges, tmpdir=str(tmp_path), trace_dir=trace_dir,
+                   sort_chunk=sort_chunk)
     assert len(result.stats.passes) == passes
     assert tour_digest(result.tour) == tour
     assert digest(result.stats.core_dict()) == core
     assert digest([rec.as_dict() for rec in result.stats.passes]) == records
+    stats_path = str(tmp_path / "stats.json")
+    write_stats_file(stats_path, result)
+    assert file_digest(stats_path) == stats_text
+    assert trace_digest(trace_dir) == trace
