@@ -10,7 +10,6 @@ Run with:  python demos/nine_vertex_walkthrough.py
 
 from strtour import (
     AdjacencyGraph,
-    PassStats,
     StreamPipeline,
     encode_item,
     find_circuits,
@@ -33,12 +32,13 @@ EDGES = [
     (1, 3),
 ]
 
-stats = PassStats()
-pipeline = StreamPipeline(stats)
+pipeline = StreamPipeline()
+stats = pipeline.stats
 try:
     print("phase 1: single-pass circuit decomposition")
     source = pipeline.materialize(initial_stream(N, EDGES), "input")
-    stream, height, finder = find_circuits(pipeline, N, source)
+    stream, finder = find_circuits(pipeline, N, source)
+    height = stats.tree_height
     phase1 = stream.read_all()
     for item in phase1:
         print("  " + encode_item(item))
@@ -51,7 +51,7 @@ try:
 
     print("\nmerge rounds (each halves the tree height)")
     stream, reports = run_merges(pipeline, stream, height,
-                                 completer.info_out, finder.state.cir)
+                                 completer.info_out, stats.circuits_found)
     for report in reports:
         print(f"  round {report.index}: height {report.height_before} -> "
               f"{report.height_after}, circuits {report.circuits_before} -> "
@@ -65,8 +65,9 @@ try:
     # the in-memory merge spec replays prep and every round on phase 1's output
     rounds = [(r.circuits_after, r.height_after, r.info_edges_after) for r in reports]
     print(f"merge spec equals pipeline: {merge_spec(phase1) == (tour, rounds)}")
-    print(f"\npasses: {stats.streaming_passes} streaming + "
-          f"{stats.sorting_passes} sorting, peak stream {stats.peak_stream_items} "
+    counts = stats.core_dict()
+    print(f"\npasses: {counts['streaming_passes']} streaming + "
+          f"{counts['sorting_passes']} sorting, peak stream {counts['peak_stream_items']} "
           f"items (budget {2 * len(EDGES) + 4})")
 finally:
     pipeline.cleanup()

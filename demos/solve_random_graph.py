@@ -21,8 +21,9 @@ print(f"  got {m} edges (within 10% of the target)")
 
 print("\nsolving with the streaming pipeline ...")
 result = solve(gn, edges)
-print(f"  circuits found in phase 1: {result.circuits}")
-print(f"  circuit tree height:       {result.tree_height}")
+stats = result.stats
+print(f"  circuits found in phase 1: {stats.circuits_found}")
+print(f"  circuit tree height:       {stats.tree_height}")
 print(f"  merge iterations:          {len(result.iteration_reports)}")
 for report in result.iteration_reports:
     print(f"    round {report.index}: {report.circuits_before} -> "
@@ -33,12 +34,12 @@ g = AdjacencyGraph.from_edges(gn, edges)
 print(f"\ntour valid: {validate_tour(g, result.tour) is None}")
 print(f"tour starts: {result.tour[:5]} ...")
 
-stats = result.stats
+counts = stats.core_dict()
 print("\npass accounting:")
-print(f"  streaming passes: {stats.streaming_passes}")
-print(f"  sorting passes:   {stats.sorting_passes}")
-print(f"  peak live words (phase 1 budget 10n = {10 * gn}): {stats.peak_live_words}")
-print(f"  peak stream items (budget 2m+4 = {2 * m + 4}):    {stats.peak_stream_items}")
+print(f"  streaming passes: {counts['streaming_passes']}")
+print(f"  sorting passes:   {counts['sorting_passes']}")
+print(f"  peak live words (phase 1 budget 10n = {10 * gn}): {counts['peak_live_words']}")
+print(f"  peak stream items (budget 2m+4 = {2 * m + 4}):    {counts['peak_stream_items']}")
 print(f"  stream budget violation: {assert_stream_budget(stats, m)}")
 
 # the classical in-memory construction agrees that a tour exists

@@ -7,7 +7,7 @@ Everything is metered, so over- or under-budget behavior is visible.
 Run with:  python demos/streaming_passes_demo.py
 """
 
-from strtour import GraphEdge, PassStats, Processor, StreamPipeline, assert_stream_budget
+from strtour import GraphEdge, Processor, StreamPipeline, assert_stream_budget
 
 
 class DoubleEveryEdge(Processor):
@@ -44,8 +44,8 @@ class KeepLastThree(Processor):
 edges = [GraphEdge(i, i % 10 + 1, 1, i) for i in range(1, 11)]
 m = len(edges)
 
-stats = PassStats()
-pipeline = StreamPipeline(stats)
+pipeline = StreamPipeline()
+stats = pipeline.stats
 try:
     stream = pipeline.materialize(edges, "input")
     print(f"input stream: {stream.items} items")
@@ -69,7 +69,8 @@ try:
     print(f"stream budget (2m+4 = {2 * m + 4}): "
           + (f"exceeded at pass {violation.pass_index} with {violation.items} items"
              if violation else "held"))
-    print(f"totals: {stats.streaming_passes} streaming passes, "
-          f"{stats.sorting_passes} sorting passes")
+    counts = stats.core_dict()
+    print(f"totals: {counts['streaming_passes']} streaming passes, "
+          f"{counts['sorting_passes']} sorting passes")
 finally:
     pipeline.cleanup()

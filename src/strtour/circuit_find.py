@@ -358,8 +358,12 @@ class Phase1State:
     def live_words(self) -> int:
         # com + pre arrays, two words per buffered edge, one per tree vertex,
         # three per stored tree record, one per pending flag-1 parent, the
-        # label union table, and a handful of scalars.  The extraction
-        # walk's scratch (``buffer.walk``, O(buffered edges)) is not counted.
+        # label union table, and a handful of scalars.  Not counted: the
+        # extraction walk's scratch (``buffer.walk``, O(buffered edges)),
+        # ``tree_forest`` (the union-find that keeps the circuit tree
+        # acyclic, O(tree vertices)), and the depth map that
+        # ``root_and_flush`` builds at the end of the pass and
+        # ``CircuitFinder.depths`` keeps for the tree dump (O(tree vertices)).
         return (
             2 * self.n
             + 2 * self.buffer.edge_count
@@ -531,14 +535,15 @@ def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
 
 
 def find_circuits(pipeline: StreamPipeline, n: int,
-                  source: Stream) -> tuple[Stream, int, CircuitFinder]:
+                  source: Stream) -> tuple[Stream, CircuitFinder]:
     """Run the phase-1 pass over a materialized edge stream.
 
-    Returns the annotated stream, the rooted tree height, and the finished
+    Records the circuit count and the rooted tree height in
+    ``pipeline.stats`` and returns the annotated stream and the finished
     processor (which exposes the tree depths for tracing).
     """
     finder = CircuitFinder(n)
     out = pipeline.run_streaming_pass(finder, source, phase="phase1")
     pipeline.stats.circuits_found = finder.state.cir
     pipeline.stats.tree_height = finder.height
-    return out, finder.height, finder
+    return out, finder

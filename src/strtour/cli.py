@@ -57,7 +57,7 @@ def build_parser() -> _Parser:
     slv.add_argument("--out", dest="output", default=None, help="tour file to write")
     slv.add_argument("--stats", default=None, help="stats file (JSON) to write")
     slv.add_argument("--trace-dir", default=None,
-                     help="keep every inter-pass stream here")
+                     help="dump every inter-pass stream here as text")
 
     ver = sub.add_parser("verify", help="check a tour file against a graph file")
     ver.add_argument("--in", dest="input", required=True, help="graph file")
@@ -85,8 +85,9 @@ def cmd_solve(args) -> int:
         stats_path=args.stats,
         trace_dir=args.trace_dir,
     )
+    stats = result.stats
     print(f"tour of {len(result.tour)} edges, "
-          f"{result.circuits} circuits, tree height {result.tree_height}")
+          f"{stats.circuits_found} circuits, tree height {stats.tree_height}")
     return 0
 
 

@@ -24,8 +24,6 @@ from .tree_prep import prepare
 class SolveResult:
     tour: list[tuple[int, int]]
     stats: PassStats
-    tree_height: int
-    circuits: int
     iteration_reports: list[MergeIterationReport] = field(default_factory=list)
 
     def stats_dict(self) -> dict:
@@ -46,25 +44,24 @@ def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
     ``IntegrityFault`` if any internal invariant or budget breaks.
     """
     m = len(edges)
-    stats = PassStats()
     chunk = {} if sort_chunk is None else {"sort_chunk": sort_chunk}
-    pipeline = StreamPipeline(stats, tmpdir=tmpdir, trace_dir=trace_dir, **chunk)
+    pipeline = StreamPipeline(tmpdir=tmpdir, trace_dir=trace_dir, **chunk)
+    stats = pipeline.stats
     try:
         source = pipeline.materialize(initial_stream(n, edges), "input")
-        stream, height, finder = find_circuits(pipeline, n, source)
-        circuits = finder.state.cir
+        stream, finder = find_circuits(pipeline, n, source)
         if trace_dir:
             _dump_tree(trace_dir, finder)
         del finder  # phase-1 state is O(n); free it before phase 2
 
         stream, completer = prepare(pipeline, stream)
-        if completer.observed_height != height:
+        if completer.observed_height != stats.tree_height:
             raise IntegrityFault(
                 f"prepared stream encodes height {completer.observed_height}, "
-                f"phase 1 reported {height}")
+                f"phase 1 reported {stats.tree_height}")
 
-        stream, reports = run_merges(
-            pipeline, stream, height, completer.info_out, circuits)
+        stream, reports = run_merges(pipeline, stream, stats.tree_height,
+                                     completer.info_out, stats.circuits_found)
         tour = emit_tour(pipeline, stream, m)
 
         violation = assert_stream_budget(stats, m)
@@ -72,13 +69,7 @@ def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
             raise IntegrityFault(
                 f"stream budget exceeded at pass {violation.pass_index}: "
                 f"{violation.items} items > {violation.limit}")
-        return SolveResult(
-            tour=tour,
-            stats=stats,
-            tree_height=height,
-            circuits=circuits,
-            iteration_reports=reports,
-        )
+        return SolveResult(tour=tour, stats=stats, iteration_reports=reports)
     finally:
         pipeline.cleanup()
 

@@ -5,7 +5,7 @@ is materialized on disk between passes.  A streaming pass reads its input
 once, front to back, through a small processor and writes a new stream.  A
 sorting pass reorders the stream under a total order and is treated as a
 primitive: its internal working memory is not charged against the streaming
-meter.  Every pass and every inter-pass stream length is accounted in
+meter.  Every pass is logged as a ``PassRecord`` in the pipeline's
 ``PassStats`` so budget assertions can be checked after a run.
 
 Inter-pass streams and sort spill chunks hold fixed-width binary records
@@ -281,28 +281,23 @@ class PassRecord:
 
 @dataclass
 class PassStats:
-    """Global counters for one pipeline run; all are monotone during a run."""
+    """The log of one pipeline run: a record per pass, plus the three facts
+    that no pass record holds.  ``core_dict()`` computes the pass counters
+    from the records."""
 
-    streaming_passes: int = 0
-    sorting_passes: int = 0
-    peak_live_words: int = 0
-    peak_live_records: int = 0
-    peak_stream_items: int = 0
     merge_iterations: int = 0
     circuits_found: int = 0
     tree_height: int = 0
     passes: list[PassRecord] = field(default_factory=list)
 
-    def note_boundary(self, items: int) -> None:
-        self.peak_stream_items = max(self.peak_stream_items, items)
-
     def core_dict(self) -> dict:
+        passes = self.passes
         return {
-            "streaming_passes": self.streaming_passes,
-            "sorting_passes": self.sorting_passes,
-            "peak_live_words": self.peak_live_words,
-            "peak_live_records": self.peak_live_records,
-            "peak_stream_items": self.peak_stream_items,
+            "streaming_passes": sum(rec.kind == "stream" for rec in passes),
+            "sorting_passes": sum(rec.kind == "sort" for rec in passes),
+            "peak_live_words": max((rec.peak_live_words for rec in passes), default=0),
+            "peak_live_records": max((rec.peak_live_records for rec in passes), default=0),
+            "peak_stream_items": max((rec.items_out for rec in passes), default=0),
             "merge_iterations": self.merge_iterations,
             "circuits_found": self.circuits_found,
             "tree_height": self.tree_height,
@@ -361,24 +356,26 @@ class Processor:
 class StreamPipeline:
     """Executes metered passes, materializing every stream between passes.
 
-    Intermediate files live in a private working directory (honoring
-    ``STRTOUR_TMPDIR`` when set) and are deleted as soon as they are
-    consumed unless a trace directory is given, in which case every
-    inter-pass stream is kept there with its pass index in the name.
+    The pipeline owns the run's ``PassStats`` (``stats``) and appends one
+    ``PassRecord`` per pass.  Intermediate binary files live in a private
+    working directory (honoring ``STRTOUR_TMPDIR`` when set) and are
+    deleted as soon as they are consumed.  When a trace directory is
+    given, each pass's output is also dumped there as text, one record per
+    line, with its pass index in the file name.
     """
 
-    def __init__(self, stats: PassStats, tmpdir: Optional[str] = None,
+    def __init__(self, tmpdir: Optional[str] = None,
                  trace_dir: Optional[str] = None, sort_chunk: int = 1 << 16):
         if sort_chunk < 1:
             raise ValueError(f"sort_chunk must be at least 1, got {sort_chunk}")
+        if trace_dir:  # before the work directory, so a failure leaves nothing
+            os.makedirs(trace_dir, exist_ok=True)
         base = tmpdir or os.environ.get("STRTOUR_TMPDIR") or None
         self.workdir = tempfile.mkdtemp(prefix="strtour-", dir=base)
-        self.stats = stats
+        self.stats = PassStats()
         self.trace_dir = trace_dir
         self._sort_chunk = sort_chunk
         self._counter = 0
-        if trace_dir:
-            os.makedirs(trace_dir, exist_ok=True)
 
     @property
     def sort_chunk(self) -> int:
@@ -404,9 +401,6 @@ class StreamPipeline:
             peak_live_words=peak_words,
         )
         self.stats.passes.append(rec)
-        self.stats.note_boundary(stream.items)
-        self.stats.peak_live_records = max(self.stats.peak_live_records, peak_records)
-        self.stats.peak_live_words = max(self.stats.peak_live_words, peak_words)
         if self.trace_dir:
             dump = os.path.join(self.trace_dir, f"pass_{rec.index:03d}_{label}.txt")
             with open(dump, "w", encoding="ascii") as fh:
@@ -474,7 +468,6 @@ class StreamPipeline:
             peak_records = max(peak_records, records)
             peak_words = max(peak_words, scale * records + other_words())
 
-        self.stats.streaming_passes += 1
         out = self._finish("stream", label, phase, stream.items,
                            writer.stream, peak_records, peak_words)
         self._consume(stream)
@@ -511,7 +504,6 @@ class StreamPipeline:
         for path in chunk_paths:
             os.unlink(path)
 
-        self.stats.sorting_passes += 1
         out = self._finish("sort", label, phase, stream.items, writer.stream)
         self._consume(stream)
         return out

@@ -56,6 +56,19 @@ def regroup_key(item: StreamItem) -> tuple:
     return (1, item.f3, item.f4) + item
 
 
+def circuit_grouping_key(item: StreamItem) -> tuple:
+    """Graph edges by (circuit, position); each info edge just before the
+    circuit it points to, flag-0 parent edges first.
+
+    Preparation sorts by it to rotate circuits.  A merge round sorts by it
+    to put each instruction in front of its child: after the rewire every
+    info edge's ``succ`` is its child, and each child has one parent edge,
+    so ``f5`` (the slot there) never decides the order."""
+    if isinstance(item, InfoEdge):
+        return (item.succ, 0, item.f5) + item
+    return (item.f3, 1, item.f4) + item
+
+
 def slot_search_key(item: StreamItem) -> tuple:
     """Graph edges by (circuit, head, position); each even-depth info edge
     right after the host edges whose head equals its shared vertex; odd
@@ -65,13 +78,6 @@ def slot_search_key(item: StreamItem) -> tuple:
     if item.depth % 2 == 0:
         return (0, item.pred, item.cvertex, 1, item.succ) + item
     return (1, item.pred, item.succ) + item
-
-
-def instruction_key(item: StreamItem) -> tuple:
-    """Each info edge directly in front of its successor circuit's edges."""
-    if isinstance(item, InfoEdge):
-        return (item.succ, 0) + item
-    return (item.f3, 1, item.f4) + item
 
 
 def splice_key(item: StreamItem) -> tuple:
@@ -261,7 +267,7 @@ def merge_iteration(pipeline: StreamPipeline, stream: Stream, *,
     s = pipeline.run_streaming_pass(GrandparentRewire(), s, "merge")
     s = pipeline.run_sorting_pass(slot_search_key, s, "merge", "sort-slots")
     s = pipeline.run_streaming_pass(SlotRecorder(), s, "merge")
-    s = pipeline.run_sorting_pass(instruction_key, s, "merge", "sort-instructions")
+    s = pipeline.run_sorting_pass(circuit_grouping_key, s, "merge", "sort-instructions")
     s = pipeline.run_streaming_pass(ChildRewriter(), s, "merge")
     s = pipeline.run_sorting_pass(splice_key, s, "merge", "sort-splice")
     renumberer = SpliceRenumberer()

@@ -24,18 +24,9 @@ from .stream_core import (
     IntegrityFault,
     Processor,
     Stream,
-    StreamItem,
     StreamPipeline,
 )
-from .tree_merge import NormalFormWriter, regroup_key
-
-
-def circuit_grouping_key(item: StreamItem) -> tuple:
-    """Graph edges by (circuit, position); each info edge just before the
-    circuit it points to, flag-0 parent edges first."""
-    if isinstance(item, InfoEdge):
-        return (item.succ, 0, item.f5) + item
-    return (item.f3, 1, item.f4) + item
+from .tree_merge import NormalFormWriter, circuit_grouping_key, regroup_key
 
 
 class RotationAnnotator(Processor):

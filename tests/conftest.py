@@ -10,7 +10,7 @@ The edge order below forces exactly that discovery sequence.
 
 import pytest
 
-from strtour import PassStats, StreamPipeline, find_circuits, initial_stream
+from strtour import StreamPipeline, find_circuits, initial_stream
 
 
 NINE_VERTEX_N = 9
@@ -59,8 +59,7 @@ def nine_vertex():
 @pytest.fixture
 def pipeline(tmp_path):
     """A fresh pipeline whose intermediate files live under the test tmpdir."""
-    stats = PassStats()
-    pl = StreamPipeline(stats, tmpdir=str(tmp_path))
+    pl = StreamPipeline(tmpdir=str(tmp_path))
     yield pl
     pl.cleanup()
 
@@ -68,8 +67,8 @@ def pipeline(tmp_path):
 def make_pipeline(tmp_path, **kwargs):
     import os
     os.makedirs(str(tmp_path), exist_ok=True)
-    stats = PassStats()
-    return StreamPipeline(stats, tmpdir=str(tmp_path), **kwargs), stats
+    pl = StreamPipeline(tmpdir=str(tmp_path), **kwargs)
+    return pl, pl.stats
 
 
 def spec_rounds(reports):
@@ -83,7 +82,7 @@ def run_phase1(tmp_path, n, edges):
     pl, stats = make_pipeline(tmp_path)
     try:
         source = pl.materialize(initial_stream(n, edges), "input")
-        stream, height, finder = find_circuits(pl, n, source)
-        return stream.read_all(), height, finder, stats
+        stream, finder = find_circuits(pl, n, source)
+        return stream.read_all(), stats.tree_height, finder, stats
     finally:
         pl.cleanup()

@@ -14,7 +14,6 @@ from strtour import (
     GraphEdge,
     InfoEdge,
     NotEulerianError,
-    PassStats,
     StreamPipeline,
     assert_stream_budget,
     emit_tour,
@@ -113,8 +112,7 @@ def chain_gadget(levels):
 def test_criterion_03_height_halving(tmp_path):
     for height in range(1, 17):
         n, edges, items = chain_gadget(height)
-        stats = PassStats()
-        pipeline = StreamPipeline(stats, tmpdir=str(tmp_path))
+        pipeline = StreamPipeline(tmpdir=str(tmp_path))
         try:
             stream, completer = prepare(pipeline, pipeline.materialize(items))
             assert completer.observed_height == height
@@ -136,7 +134,7 @@ def test_criterion_03_height_halving(tmp_path):
 def test_criterion_04_pass_budget(sweep):
     for run in sweep["runs"]:
         stats = run["result"].stats
-        h = run["result"].tree_height
+        h = stats.tree_height
         iters = stats.merge_iterations
         phases = Counter(rec.phase for rec in stats.passes)
         prep, merge, emit = phases["prep"], phases["merge"], phases["emit"]
@@ -170,7 +168,7 @@ def test_criterion_06_stream_budget(sweep):
         m = len(run["edges"])
         violation = assert_stream_budget(run["result"].stats, m)
         assert violation is None, (run["n"], run["seed"], violation)
-        assert run["result"].stats.peak_stream_items <= 2 * m + 4
+        assert run["result"].stats.core_dict()["peak_stream_items"] <= 2 * m + 4
     note(6, "peak stream length within 2m + 4 at every pass boundary")
 
 
@@ -187,11 +185,11 @@ def test_criterion_07_nine_vertex_golden(tmp_path):
     assert tree == {frozenset((1, 2)), frozenset((4, 1)), frozenset((4, 3))}
     circuits = {it.f3 for it in items if isinstance(it, GraphEdge)}
     assert circuits == {1, 2, 3, 4, 5}
-    assert result.tree_height == NINE_VERTEX_HEIGHT
+    assert result.stats.tree_height == NINE_VERTEX_HEIGHT
     g = AdjacencyGraph.from_edges(NINE_VERTEX_N, NINE_VERTEX_EDGES)
     assert validate_tour(g, result.tour) is None
     # 16 graph edges plus 4 info edges, comfortably inside 2m + 4 = 36
-    assert result.stats.peak_stream_items == 20
+    assert result.stats.core_dict()["peak_stream_items"] == 20
     note(7, "forced discovery order reproduces the tree, the flagged edge, "
             "and a valid tour")
 

@@ -455,4 +455,4 @@ def test_nine_vertex_invariants(tmp_path, nine_vertex):
 
 def test_empty_graph_solves_to_empty_tour(tmp_path):
     result = solve(4, [], tmpdir=str(tmp_path))
-    assert result.tour == [] and result.circuits == 0
+    assert result.tour == [] and result.stats.circuits_found == 0

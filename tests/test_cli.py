@@ -176,3 +176,18 @@ def test_tmpdir_env_honored(tmp_path, monkeypatch):
     assert main(["solve", "--in", graph]) == 0
     # working directories are created beneath the override and cleaned up
     assert list(scratch.iterdir()) == []
+
+
+def test_uncreatable_trace_dir_leaves_no_work_directory(tmp_path, monkeypatch, capsys):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv("STRTOUR_TMPDIR", str(scratch))
+    graph = write_nine(tmp_path)
+    (tmp_path / "notadir").write_text("")
+    trace = tmp_path / "notadir" / "sub"
+    assert main(["solve", "--in", graph, "--trace-dir", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(scratch.iterdir()) == []

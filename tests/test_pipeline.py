@@ -29,7 +29,7 @@ def solve_and_check(n, edges, tmp_path, **kwargs):
     assert assert_stream_budget(result.stats, len(edges)) is None
     phase1 = next(rec for rec in result.stats.passes if rec.phase == "phase1")
     assert phase1.peak_live_words <= 10 * n
-    assert result.stats.merge_iterations <= iteration_bound(result.tree_height)
+    assert result.stats.merge_iterations <= iteration_bound(result.stats.tree_height)
     return result
 
 
@@ -50,7 +50,7 @@ def test_single_long_cycle_skips_merging(tmp_path):
     n = 500
     edges = [(i, i % n + 1) for i in range(1, n + 1)]
     result = solve_and_check(n, edges, tmp_path)
-    assert result.circuits == 1
+    assert result.stats.circuits_found == 1
     assert result.stats.merge_iterations == 0
 
 
@@ -61,7 +61,7 @@ def test_flower_of_triangles(tmp_path):
         a, b = 2 * i, 2 * i + 1
         edges += [(1, a), (a, b), (b, 1)]
     result = solve_and_check(61, edges, tmp_path)
-    assert result.tree_height == 1
+    assert result.stats.tree_height == 1
 
 
 def test_triangle_chain_builds_deep_tree(tmp_path):
@@ -71,8 +71,8 @@ def test_triangle_chain_builds_deep_tree(tmp_path):
         a, b, c = 2 * i + 1, 2 * i + 2, 2 * i + 3
         edges += [(a, b), (b, c), (c, a)]
     result = solve_and_check(121, edges, tmp_path)
-    assert result.circuits == 60
-    assert result.tree_height == 59
+    assert result.stats.circuits_found == 60
+    assert result.stats.tree_height == 59
     assert result.stats.merge_iterations == iteration_bound(59)
 
 
@@ -165,7 +165,7 @@ def test_phase1_finder_is_freed_before_prepare(tmp_path, monkeypatch):
 
     def recording_find(*args, **kwargs):
         out = find(*args, **kwargs)
-        refs.append(weakref.ref(out[2]))
+        refs.append(weakref.ref(out[1]))
         return out
 
     def checking_prepare(*args, **kwargs):
@@ -178,7 +178,7 @@ def test_phase1_finder_is_freed_before_prepare(tmp_path, monkeypatch):
     result = pipeline.solve(n, edges, tmpdir=str(tmp_path),
                             trace_dir=str(tmp_path / "trace"))
     assert alive_at_prepare == [False]
-    assert result.circuits == result.stats.circuits_found > 1
+    assert result.stats.circuits_found > 1
     assert (tmp_path / "trace" / "connectivity_tree.txt").exists()
 
 

@@ -220,7 +220,7 @@ def test_identity_pass(tmp_path):
     stream = pl.materialize(items)
     out = pl.run_streaming_pass(Identity(), stream, "test")
     assert out.read_all() == items
-    assert stats.streaming_passes == 1
+    assert stats.core_dict()["streaming_passes"] == 1
     pl.cleanup()
 
 
@@ -313,7 +313,8 @@ def test_meter_reads_start_each_item_in_flight_and_end(
     assert out.read_all() == items
     rec = stats.passes[-1]
     assert (rec.peak_live_records, rec.peak_live_words) == (peak_records, peak_words)
-    assert (stats.peak_live_records, stats.peak_live_words) == (peak_records, peak_words)
+    core = stats.core_dict()
+    assert (core["peak_live_records"], core["peak_live_words"]) == (peak_records, peak_words)
     pl.cleanup()
 
 
@@ -417,7 +418,7 @@ def test_sort_already_sorted_identity(tmp_path):
     items = [GraphEdge(1, h, 1, i) for i, h in enumerate([2, 3, 5, 8], start=1)]
     out = pl.run_sorting_pass(head_key, pl.materialize(items), "test", "sort")
     assert out.read_all() == items
-    assert stats.sorting_passes == 1
+    assert stats.core_dict()["sorting_passes"] == 1
     pl.cleanup()
 
 
@@ -508,8 +509,30 @@ def fabricated_stats(peaks):
     stats = PassStats()
     for i, items in enumerate(peaks):
         stats.passes.append(PassRecord(i, "stream", "x", "test", items, items, 0, 0))
-        stats.note_boundary(items)
     return stats
+
+
+def test_core_dict_reads_pass_counters_off_the_records():
+    stats = PassStats(merge_iterations=2, circuits_found=5, tree_height=3)
+    assert stats.core_dict() == {
+        "streaming_passes": 0, "sorting_passes": 0, "peak_live_words": 0,
+        "peak_live_records": 0, "peak_stream_items": 0, "merge_iterations": 2,
+        "circuits_found": 5, "tree_height": 3}
+    stats.passes += [
+        PassRecord(0, "source", "input", "source", 0, 7, 0, 0),
+        PassRecord(1, "stream", "a", "phase1", 7, 9, 4, 30),
+        PassRecord(2, "sort", "b", "prep", 9, 9, 0, 0),
+        PassRecord(3, "stream", "c", "prep", 9, 8, 6, 12),
+    ]
+    core = stats.core_dict()
+    assert list(core) == [
+        "streaming_passes", "sorting_passes", "peak_live_words",
+        "peak_live_records", "peak_stream_items", "merge_iterations",
+        "circuits_found", "tree_height"]
+    assert core == {
+        "streaming_passes": 2, "sorting_passes": 1, "peak_live_words": 30,
+        "peak_live_records": 6, "peak_stream_items": 9, "merge_iterations": 2,
+        "circuits_found": 5, "tree_height": 3}
 
 
 def test_budget_ok_at_180_of_200():
