@@ -10,6 +10,7 @@ Run with:  python demos/nine_vertex_walkthrough.py
 
 from strtour import (
     AdjacencyGraph,
+    InfoEdge,
     StreamPipeline,
     encode_item,
     find_circuits,
@@ -37,12 +38,16 @@ stats = pipeline.stats
 try:
     print("phase 1: single-pass circuit decomposition")
     source = pipeline.materialize(initial_stream(N, EDGES), "input")
-    stream, finder = find_circuits(pipeline, N, source)
+    stream = find_circuits(pipeline, N, source)
     height = stats.tree_height
     phase1 = stream.read_all()
     for item in phase1:
         print("  " + encode_item(item))
-    print(f"  tree height {height}, depths {finder.depths}")
+    # the flag-0 info edges are the rooted tree, each child one below its parent
+    depths = {1: 0}
+    depths.update((e.succ, e.depth + 1) for e in phase1
+                  if isinstance(e, InfoEdge) and e.f5 == 0)
+    print(f"  tree height {height}, depths {depths}")
 
     print("\npreparation: rotate parented circuits, complete missing depths")
     stream, completer = prepare(pipeline, stream)

@@ -9,7 +9,6 @@ stream length throughout.
 """
 
 from .circuit_find import (
-    Circuit,
     CircuitFinder,
     extract_circuit,
     find_circuits,

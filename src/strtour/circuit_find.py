@@ -13,8 +13,8 @@ stored tree edges are emitted as info edges carrying parent depths.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from .stream_core import (
     DISCONNECTED,
@@ -28,31 +28,6 @@ from .stream_core import (
     StreamItem,
     StreamPipeline,
 )
-
-
-@dataclass
-class Circuit:
-    """A closed trail stored as directed (tail, head) pairs."""
-
-    id: int
-    edges: list[tuple[int, int]]
-    _order: Optional[tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def vertices_in_order(self) -> tuple[int, ...]:
-        """Distinct vertices in first-visit order along the trail (computed once)."""
-        if self._order is None:
-            self._order = tuple(dict.fromkeys(tail for tail, _ in self.edges))
-        return self._order
-
-    def rotate_to(self, vertex: int) -> None:
-        """Cyclically shift the trail so it starts at ``vertex``."""
-        for i, (tail, _) in enumerate(self.edges):
-            if tail == vertex:
-                self.edges = self.edges[i:] + self.edges[:i]
-                self._order = None
-                return
-        raise IntegrityFault(f"vertex {vertex} not on circuit {self.id}")
 
 
 class EdgeBuffer:
@@ -203,8 +178,10 @@ class Walk:
             heapq.heapify(heap)
 
 
-def extract_circuit(buffer: EdgeBuffer) -> Optional[Circuit]:
-    """Remove and return one edge-simple cycle, or None if the buffer is acyclic.
+def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
+    """Remove one cycle and return its (tail, head) edges, or None if the
+    buffer is acyclic.  The cycle is simple: its tails are distinct, so
+    they are its vertices in visiting order.
 
     The walk rule is the spec: depth-first from the lowest-numbered vertex
     with positive degree, always stepping to the lowest-numbered neighbor
@@ -219,8 +196,8 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[Circuit]:
     when a new edge would change the order of the path walked so far, or
     when the path empties after a cut (a dead-end vertex may then be the
     lowest).  That keeps phase 1 close to linear in the edges streamed.
-    The walk's scratch is O(buffered edges), outside
-    ``Phase1State.live_words`` like the per-call scratch it replaces.
+    The walk's scratch is O(buffered edges), outside the phase-1 meter
+    like the per-call scratch it replaces.
     """
     walk = buffer.walk
     adj = buffer.adj
@@ -270,7 +247,7 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[Circuit]:
             walk.cut = True
             if not buffer.edge_count:
                 walk.reset()  # nothing left to resume; free the scratch
-            return Circuit(0, cycle)
+            return cycle
         walk.push(step, adj)
 
 
@@ -336,9 +313,6 @@ class Phase1State:
     def component(self, v: int) -> int:
         return self.labels.find(self.com[v])
 
-    def add_tree_vertex(self, cid: int) -> None:
-        self.tree_vertices.add(cid)
-
     def add_tree_edge(self, cid: int, other: int, cvertex: int) -> None:
         if other not in self.tree_vertices:
             raise IntegrityFault(f"tree edge to unknown circuit {other}")
@@ -355,18 +329,16 @@ class Phase1State:
         self.s_comp = {0}
         self.com_star = 0
 
-    def live_words(self) -> int:
-        # com + pre arrays, two words per buffered edge, one per tree vertex,
-        # three per stored tree record, one per pending flag-1 parent, the
-        # label union table, and a handful of scalars.  Not counted: the
-        # extraction walk's scratch (``buffer.walk``, O(buffered edges)),
-        # ``tree_forest`` (the union-find that keeps the circuit tree
-        # acyclic, O(tree vertices)), and the depth map that
-        # ``root_and_flush`` builds at the end of the pass and
-        # ``CircuitFinder.depths`` keeps for the tree dump (O(tree vertices)).
+    def scalar_words(self) -> int:
+        # com + pre arrays, one word per tree vertex, three per stored tree
+        # record, one per pending flag-1 parent, the label union table, and
+        # a handful of scalars; the buffered edges are the pass's records.
+        # Not counted: the extraction walk's scratch (``buffer.walk``,
+        # O(buffered edges)), ``tree_forest`` (the union-find that keeps the
+        # circuit tree acyclic, O(tree vertices)), and the depth map that
+        # ``root_and_flush`` builds at the end of the pass (O(tree vertices)).
         return (
             2 * self.n
-            + 2 * self.buffer.edge_count
             + len(self.tree_vertices)
             + 3 * len(self.tree_records)
             + len(self.flag1_parents)
@@ -376,13 +348,14 @@ class Phase1State:
         )
 
 
-def new_test(circuit: Circuit, state: Phase1State) -> None:
+def new_test(order: Sequence[int], state: Phase1State) -> None:
     """Record first-time vertices and, if any, give the circuit a tree vertex.
 
-    The first previously-seen vertex along the trail (if any) fixes the
-    candidate tree edge and the shared vertex for later emission.
+    ``order`` is the circuit's vertices in visiting order.  The first
+    previously-seen vertex (if any) fixes the candidate tree edge and the
+    shared vertex for later emission.
     """
-    for v in circuit.vertices_in_order():
+    for v in order:
         if state.pre[v] == 0:
             state.s = True
             state.pre[v] = state.cir
@@ -392,16 +365,16 @@ def new_test(circuit: Circuit, state: Phase1State) -> None:
             state.s_comp.add(state.component(v))
             state.com_star = state.component(v)
     if state.s:
-        state.add_tree_vertex(state.cir)
+        state.tree_vertices.add(state.cir)
         if state.s_edge != 0:
             state.add_tree_edge(state.cir, state.s_edge, state.s_vert)
         else:
             # circuit of entirely new vertices founds its own component
-            for v in circuit.vertices_in_order():
+            for v in order:
                 state.com[v] = state.cir
 
 
-def comp_test(circuit: Circuit, state: Phase1State) -> None:
+def comp_test(order: Sequence[int], state: Phase1State) -> None:
     """Join all previously-seen components the circuit touches.
 
     Each component other than the one of the first-seen vertex contributes
@@ -411,31 +384,31 @@ def comp_test(circuit: Circuit, state: Phase1State) -> None:
     """
     if state.com_star == 0:
         return
-    for v in circuit.vertices_in_order():
+    for v in order:
         cv = state.component(v)
         if cv != state.com_star:
             if not state.s:
                 state.s = True
-                state.add_tree_vertex(state.cir)
+                state.tree_vertices.add(state.cir)
                 state.add_tree_edge(state.cir, state.s_edge, state.s_vert)
             if cv not in state.s_comp:
                 state.add_tree_edge(state.cir, state.pre[v], v)
                 state.s_comp.add(cv)
     for label in state.s_comp - {0, state.com_star}:
         state.labels.union_into(label, state.com_star)
-    for v in circuit.vertices_in_order():
+    for v in order:
         state.com[v] = state.com_star
 
 
-def root_and_flush(state: Phase1State) -> tuple[list[InfoEdge], dict[int, int], int]:
+def root_and_flush(state: Phase1State) -> tuple[list[InfoEdge], int]:
     """Root the connectivity tree at circuit 1 and orient the stored records.
 
-    Returns the oriented info edges (in record creation order), the depth of
-    every tree vertex, and the overall tree height including circuits that
-    only appear as flag-1 leaves.
+    Returns the oriented info edges (in record creation order) and the
+    overall tree height including circuits that only appear as flag-1
+    leaves.
     """
     if not state.tree_vertices:
-        return [], {}, 0
+        return [], 0
     if 1 not in state.tree_vertices:
         raise IntegrityFault("first circuit missing from the connectivity tree")
     adj: dict[int, list[int]] = {v: [] for v in state.tree_vertices}
@@ -466,18 +439,18 @@ def root_and_flush(state: Phase1State) -> tuple[list[InfoEdge], dict[int, int], 
         if p not in depth:
             raise IntegrityFault(f"flag-1 parent {p} not in the connectivity tree")
         height = max(height, depth[p] + 1)
-    return edges, depth, height
+    return edges, height
 
 
 class CircuitFinder(Processor):
     """The phase-1 pass processor; consumes raw edges, emits annotated records."""
 
     label = "circuit-find"
+    record_words = 2  # a buffered edge is its two endpoints
 
     def __init__(self, n: int):
         self.state = Phase1State(n)
         self.height = 0
-        self.depths: dict[int, int] = {}
 
     def on_item(self, item: StreamItem, emit) -> None:
         if not isinstance(item, GraphEdge):
@@ -496,26 +469,29 @@ class CircuitFinder(Processor):
         labels = {state.component(v) for v in range(1, state.n + 1) if state.pre[v]}
         if len(labels) > 1:
             raise NotEulerianError(DISCONNECTED)
-        info_edges, self.depths, self.height = root_and_flush(state)
+        info_edges, self.height = root_and_flush(state)
         for edge in info_edges:
             emit(edge)
 
     def _emit_one(self, emit) -> bool:
         state = self.state
-        circuit = extract_circuit(state.buffer)
-        if circuit is None:
+        edges = extract_circuit(state.buffer)
+        if edges is None:
             return False
         state.cir += 1
-        circuit.id = state.cir
-        new_test(circuit, state)
-        comp_test(circuit, state)
+        order = [tail for tail, _ in edges]
+        new_test(order, state)
+        comp_test(order, state)
         if not state.s:
             # no tree vertex: record the leaf inline and pre-rotate the
             # circuit so its first edge leaves the shared vertex
             emit(InfoEdge(state.s_edge, state.cir, 0, state.s_vert, 1))
             state.flag1_parents.append(state.s_edge)
-            circuit.rotate_to(state.s_vert)
-        for pos, (tail, head) in enumerate(circuit.edges, start=1):
+            if state.s_vert not in order:
+                raise IntegrityFault(f"vertex {state.s_vert} not on circuit {state.cir}")
+            i = order.index(state.s_vert)
+            edges = edges[i:] + edges[:i]
+        for pos, (tail, head) in enumerate(edges, start=1):
             emit(GraphEdge(tail, head, state.cir, pos, 0, 0))
         state.reset_circuit_flags()
         return True
@@ -523,8 +499,8 @@ class CircuitFinder(Processor):
     def live_records(self) -> int:
         return self.state.buffer.edge_count
 
-    def live_words(self) -> int:
-        return self.state.live_words()
+    def scalar_words(self) -> int:
+        return self.state.scalar_words()
 
 
 def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
@@ -534,16 +510,15 @@ def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
         yield GraphEdge(u, v, 0, 0, 0, 0)
 
 
-def find_circuits(pipeline: StreamPipeline, n: int,
-                  source: Stream) -> tuple[Stream, CircuitFinder]:
+def find_circuits(pipeline: StreamPipeline, n: int, source: Stream) -> Stream:
     """Run the phase-1 pass over a materialized edge stream.
 
     Records the circuit count and the rooted tree height in
-    ``pipeline.stats`` and returns the annotated stream and the finished
-    processor (which exposes the tree depths for tracing).
+    ``pipeline.stats`` and returns the annotated stream.  The O(n) phase-1
+    state is freed on return.
     """
     finder = CircuitFinder(n)
     out = pipeline.run_streaming_pass(finder, source, phase="phase1")
     pipeline.stats.circuits_found = finder.state.cir
     pipeline.stats.tree_height = finder.height
-    return out, finder
+    return out

@@ -57,7 +57,8 @@ def build_parser() -> _Parser:
     slv.add_argument("--out", dest="output", default=None, help="tour file to write")
     slv.add_argument("--stats", default=None, help="stats file (JSON) to write")
     slv.add_argument("--trace-dir", default=None,
-                     help="dump every inter-pass stream here as text")
+                     help="dump every inter-pass stream here as text "
+                          "(the directory must be absent or empty)")
 
     ver = sub.add_parser("verify", help="check a tour file against a graph file")
     ver.add_argument("--in", dest="input", required=True, help="graph file")

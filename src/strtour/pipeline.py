@@ -9,8 +9,10 @@ from typing import Optional
 
 from .circuit_find import find_circuits, initial_stream
 from .stream_core import (
+    InfoEdge,
     IntegrityFault,
     PassStats,
+    Stream,
     StreamPipeline,
     _parse_graph_file as read_graph_file,  # solve's ingest checks the edges
     assert_stream_budget,
@@ -49,10 +51,9 @@ def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
     stats = pipeline.stats
     try:
         source = pipeline.materialize(initial_stream(n, edges), "input")
-        stream, finder = find_circuits(pipeline, n, source)
+        stream = find_circuits(pipeline, n, source)
         if trace_dir:
-            _dump_tree(trace_dir, finder)
-        del finder  # phase-1 state is O(n); free it before phase 2
+            _dump_tree(trace_dir, stream)
 
         stream, completer = prepare(pipeline, stream)
         if completer.observed_height != stats.tree_height:
@@ -74,14 +75,14 @@ def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
         pipeline.cleanup()
 
 
-def _dump_tree(trace_dir: str, finder) -> None:
-    depths = finder.depths
+def _dump_tree(trace_dir: str, stream: Stream) -> None:
+    """Write the rooted connectivity tree: its edges are the phase-1
+    stream's flag-0 info edges, already oriented parent to child."""
     path = os.path.join(trace_dir, "connectivity_tree.txt")
     with open(path, "w", encoding="ascii") as fh:
-        for rec in finder.state.tree_records:
-            parent, child = ((rec.a, rec.b) if depths[rec.a] < depths[rec.b]
-                             else (rec.b, rec.a))
-            fh.write(f"T {parent} {child} {rec.cvertex}\n")
+        for item in stream.iter_items():
+            if type(item) is InfoEdge and item.f5 == 0:
+                fh.write(f"T {item.pred} {item.succ} {item.cvertex}\n")
 
 
 def solve_file(graph_path: str, tour_path: Optional[str] = None,

@@ -327,12 +327,13 @@ class Processor:
     """Base class for streaming-pass processors.
 
     Subclasses override the three callbacks and report their retained state
-    through ``live_records`` and ``live_words`` so the harness can meter
-    peaks.  A processor reads each input item exactly once and must not
-    look ahead.
+    through ``live_records`` and ``scalar_words``; the harness meters
+    ``record_words * live_records() + scalar_words()`` live words.  A
+    processor reads each input item exactly once and must not look ahead.
     """
 
     label = "processor"
+    record_words = GRAPH_EDGE_WORDS  # words per held record
 
     def on_start(self, emit: Callable[[StreamItem], None]) -> None:
         pass
@@ -349,9 +350,6 @@ class Processor:
     def scalar_words(self) -> int:
         return 0
 
-    def live_words(self) -> int:
-        return GRAPH_EDGE_WORDS * self.live_records() + self.scalar_words()
-
 
 class StreamPipeline:
     """Executes metered passes, materializing every stream between passes.
@@ -360,8 +358,9 @@ class StreamPipeline:
     ``PassRecord`` per pass.  Intermediate binary files live in a private
     working directory (honoring ``STRTOUR_TMPDIR`` when set) and are
     deleted as soon as they are consumed.  When a trace directory is
-    given, each pass's output is also dumped there as text, one record per
-    line, with its pass index in the file name.
+    given, it must be absent or empty, and each pass's output is also
+    dumped there as text, one record per line, with its pass index in the
+    file name.
     """
 
     def __init__(self, tmpdir: Optional[str] = None,
@@ -370,12 +369,13 @@ class StreamPipeline:
             raise ValueError(f"sort_chunk must be at least 1, got {sort_chunk}")
         if trace_dir:  # before the work directory, so a failure leaves nothing
             os.makedirs(trace_dir, exist_ok=True)
+            if os.listdir(trace_dir):  # one run per directory
+                raise ValueError(f"trace directory {trace_dir} is not empty")
         base = tmpdir or os.environ.get("STRTOUR_TMPDIR") or None
         self.workdir = tempfile.mkdtemp(prefix="strtour-", dir=base)
         self.stats = PassStats()
         self.trace_dir = trace_dir
         self._sort_chunk = sort_chunk
-        self._counter = 0
 
     @property
     def sort_chunk(self) -> int:
@@ -385,8 +385,9 @@ class StreamPipeline:
     # -- bookkeeping -------------------------------------------------------
 
     def _new_path(self, label: str) -> str:
-        self._counter += 1
-        return os.path.join(self.workdir, f"pass_{self._counter:03d}_{label}.bin")
+        """The output file of the next pass, named by its record's index."""
+        index = len(self.stats.passes)
+        return os.path.join(self.workdir, f"pass_{index:03d}_{label}.bin")
 
     def _finish(self, kind: str, label: str, phase: str, items_in: int,
                 stream: Stream, peak_records: int = 0, peak_words: int = 0) -> Stream:
@@ -424,12 +425,12 @@ class StreamPipeline:
         """Run ``processor`` once over ``stream`` and write what it emits.
 
         The pass's peak live state is the largest of these meter readings:
-        the processor's ``live_records`` / ``live_words`` after ``on_start``;
-        after each ``on_item``, the same plus the item in flight (one record,
-        of 6 words for a graph edge and 5 for an info edge); and after
-        ``on_end``.  A processor that keeps the default ``live_words`` is read
-        as ``6 * live_records() + scalar_words()``, with one ``live_records``
-        call per reading.
+        the processor's live records and words after ``on_start``; after
+        each ``on_item``, the same plus the item in flight (one record, of 6
+        words for a graph edge and 5 for an info edge); and after
+        ``on_end``.  Every reading makes one ``live_records`` and one
+        ``scalar_words`` call and counts ``record_words * live_records() +
+        scalar_words()`` words.
 
         ``emit`` appends to the writer's pending block, which is written
         whenever an ``on_item`` leaves a full block pending.  Like the
@@ -439,24 +440,21 @@ class StreamPipeline:
         """
         label = label or processor.label
         on_item = processor.on_item
-        live_records = processor.live_records
-        if getattr(processor.live_words, "__func__", None) is Processor.live_words:
-            scale, other_words = GRAPH_EDGE_WORDS, processor.scalar_words
-        else:
-            scale, other_words = 0, processor.live_words
+        live_records, scalar_words = processor.live_records, processor.scalar_words
+        record_words = processor.record_words
 
         with StreamWriter(self._new_path(label)) as writer:
             pending = writer.pending
             emit = pending.append
             processor.on_start(emit)
             peak_records = live_records()
-            peak_words = scale * peak_records + other_words()
+            peak_words = record_words * peak_records + scalar_words()
             for item in stream.iter_items():
                 on_item(item, emit)
                 if len(pending) >= BLOCK_RECORDS:
                     writer.flush()
                 records = live_records()
-                words = scale * records + other_words() + (
+                words = record_words * records + scalar_words() + (
                     GRAPH_EDGE_WORDS if type(item) is GraphEdge else INFO_EDGE_WORDS)
                 records += 1
                 if records > peak_records:
@@ -466,7 +464,7 @@ class StreamPipeline:
             processor.on_end(emit)
             records = live_records()
             peak_records = max(peak_records, records)
-            peak_words = max(peak_words, scale * records + other_words())
+            peak_words = max(peak_words, record_words * records + scalar_words())
 
         out = self._finish("stream", label, phase, stream.items,
                            writer.stream, peak_records, peak_words)

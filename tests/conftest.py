@@ -77,12 +77,12 @@ def spec_rounds(reports):
 
 
 def run_phase1(tmp_path, n, edges):
-    """Phase 1 of a graph on a pipeline of its own: stream items, height,
-    finder and stats."""
+    """Phase 1 of a graph on a pipeline of its own: stream items, height
+    and stats."""
     pl, stats = make_pipeline(tmp_path)
     try:
         source = pl.materialize(initial_stream(n, edges), "input")
-        stream, finder = find_circuits(pl, n, source)
-        return stream.read_all(), stats.tree_height, finder, stats
+        stream = find_circuits(pl, n, source)
+        return stream.read_all(), stats.tree_height, stats
     finally:
         pl.cleanup()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strtour import (
-    Circuit,
+    CircuitFinder,
     GraphEdge,
     InfoEdge,
     IntegrityFault,
@@ -16,6 +16,7 @@ from strtour import (
     encode_item,
     extract_circuit,
     gen_eulerian,
+    initial_stream,
     solve,
 )
 from strtour.circuit_find import (
@@ -31,6 +32,7 @@ from strtour.stream_core import DISCONNECTED, ODD_DEGREE
 from conftest import (
     NINE_VERTEX_HEIGHT,
     NINE_VERTEX_PHASE1,
+    make_pipeline,
     run_phase1,
 )
 
@@ -47,7 +49,7 @@ def buffer_of(edges):
 def test_extract_triangle_deterministic():
     buf = buffer_of([(1, 2), (2, 3), (1, 3)])
     circ = extract_circuit(buf)
-    assert circ.edges == [(1, 2), (2, 3), (3, 1)]
+    assert circ == [(1, 2), (2, 3), (3, 1)]
     assert buf.edge_count == 0
 
 
@@ -61,7 +63,7 @@ def test_extract_skips_acyclic_component():
     # the walk from vertex 1 dead-ends; the cycle sits in a later component
     buf = buffer_of([(1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7), (4, 6)])
     circ = extract_circuit(buf)
-    assert circ.edges == [(4, 5), (5, 6), (6, 4)]
+    assert circ == [(4, 5), (5, 6), (6, 4)]
     assert buf.edge_count == 4
 
 
@@ -77,15 +79,15 @@ def test_extract_full_buffer_always_finds_cycle():
         buf = buffer_of([tuple(sorted(e)) for e in edges])
         circ = extract_circuit(buf)
         assert circ is not None
-        tails = [t for t, _ in circ.edges]
-        assert [h for _, h in circ.edges] == tails[1:] + tails[:1]  # chained
+        tails = [t for t, _ in circ]
+        assert [h for _, h in circ] == tails[1:] + tails[:1]  # chained
 
 
 def test_extract_removes_only_cycle_edges():
     edges = [(1, 2), (2, 3), (3, 1), (3, 4)]
     buf = buffer_of(edges)
     circ = extract_circuit(buf)
-    assert {frozenset(e) for e in circ.edges} == {frozenset((1, 2)), frozenset((2, 3)), frozenset((1, 3))}
+    assert {frozenset(e) for e in circ} == {frozenset((1, 2)), frozenset((2, 3)), frozenset((1, 3))}
     assert buf.edge_count == 1
 
 
@@ -162,7 +164,7 @@ def extract_both(spec, buf):
     """Extract from both buffers; assert equal circuits and equal leftovers."""
     want = spec_extract_circuit(spec)
     got = extract_circuit(buf)
-    assert (got.edges if got else None) == want
+    assert got == want
     assert buf.adj == spec.adj and buf.edge_count == spec.edge_count
     return want
 
@@ -250,7 +252,7 @@ def fresh_state(n=9):
 def test_new_test_all_new_founds_component():
     state = fresh_state()
     state.cir = 1
-    new_test(Circuit(1, [(5, 7), (7, 8), (8, 5)]), state)
+    new_test((5, 7, 8), state)
     assert [state.pre[v] for v in (5, 7, 8)] == [1, 1, 1]
     assert [state.com[v] for v in (5, 7, 8)] == [1, 1, 1]
     assert state.tree_vertices == {1}
@@ -260,12 +262,12 @@ def test_new_test_all_new_founds_component():
 def test_new_test_shared_vertex_adds_tree_edge():
     state = fresh_state()
     state.cir = 1
-    new_test(Circuit(1, [(5, 7), (7, 8), (8, 5)]), state)
+    new_test((5, 7, 8), state)
     state.reset_circuit_flags()
     state.cir = 2
-    circuit = Circuit(2, [(9, 6), (6, 7), (7, 9)])
-    new_test(circuit, state)
-    comp_test(circuit, state)
+    order = (9, 6, 7)
+    new_test(order, state)
+    comp_test(order, state)
     assert state.pre[6] == state.pre[9] == 2
     assert state.tree_vertices == {1, 2}
     rec = state.tree_records[0]
@@ -276,10 +278,10 @@ def test_new_test_shared_vertex_adds_tree_edge():
 def test_new_test_all_seen_leaves_s_false():
     state = fresh_state()
     state.cir = 1
-    new_test(Circuit(1, [(5, 7), (7, 8), (8, 5)]), state)
+    new_test((5, 7, 8), state)
     state.reset_circuit_flags()
     state.cir = 2
-    new_test(Circuit(2, [(5, 8), (8, 7), (7, 5)]), state)
+    new_test((5, 8, 7), state)
     assert state.s is False
     assert state.s_edge == 1 and state.s_vert == 5
 
@@ -289,15 +291,15 @@ def test_comp_test_joins_two_components():
     # first-seen vertex 5 so the surviving label is component 1
     state = fresh_state()
     state.cir = 1
-    new_test(Circuit(1, [(5, 7), (7, 8), (8, 5)]), state)
+    new_test((5, 7, 8), state)
     state.reset_circuit_flags()
     state.cir = 2
-    new_test(Circuit(2, [(1, 2), (2, 3), (3, 4), (4, 1)]), state)
+    new_test((1, 2, 3, 4), state)
     state.reset_circuit_flags()
     state.cir = 3
-    circuit = Circuit(3, [(5, 1), (1, 3), (3, 5)])
-    new_test(circuit, state)
-    comp_test(circuit, state)
+    order = (5, 1, 3)
+    new_test(order, state)
+    comp_test(order, state)
     assert state.s is True
     pairs = {(r.a, r.b, r.cvertex) for r in state.tree_records}
     assert pairs == {(3, 1, 5), (3, 2, 1)}
@@ -308,12 +310,12 @@ def test_comp_test_joins_two_components():
 def test_comp_test_single_component_noop():
     state = fresh_state()
     state.cir = 1
-    new_test(Circuit(1, [(5, 7), (7, 8), (8, 5)]), state)
+    new_test((5, 7, 8), state)
     state.reset_circuit_flags()
     state.cir = 2
-    circuit = Circuit(2, [(5, 8), (8, 7), (7, 5)])
-    new_test(circuit, state)
-    comp_test(circuit, state)
+    order = (5, 8, 7)
+    new_test(order, state)
+    comp_test(order, state)
     assert state.s is False
     assert state.tree_records == []
 
@@ -321,9 +323,9 @@ def test_comp_test_single_component_noop():
 def test_comp_test_all_new_guard():
     state = fresh_state()
     state.cir = 1
-    circuit = Circuit(1, [(5, 7), (7, 8), (8, 5)])
-    new_test(circuit, state)
-    comp_test(circuit, state)  # com_star stays 0, nothing happens
+    order = (5, 7, 8)
+    new_test(order, state)
+    comp_test(order, state)  # com_star stays 0, nothing happens
     assert state.tree_records == []
 
 
@@ -341,9 +343,9 @@ def test_tree_cycle_rejected():
 def test_root_single_circuit_emits_nothing():
     state = fresh_state()
     state.cir = 1
-    new_test(Circuit(1, [(1, 2), (2, 3), (3, 1)]), state)
-    edges, depths, height = root_and_flush(state)
-    assert edges == [] and height == 0 and depths == {1: 0}
+    new_test((1, 2, 3), state)
+    edges, height = root_and_flush(state)
+    assert edges == [] and height == 0
 
 
 def test_root_star_depths_zero():
@@ -352,7 +354,7 @@ def test_root_star_depths_zero():
     for child, cv in ((2, 5), (3, 6), (4, 7)):
         state.tree_forest.union_into(child, 1)
         state.tree_records.append(TreeRecord(child, 1, cv))
-    edges, depths, height = root_and_flush(state)
+    edges, height = root_and_flush(state)
     assert height == 1
     assert {(e.pred, e.succ, e.depth) for e in edges} == {(1, 2, 0), (1, 3, 0), (1, 4, 0)}
 
@@ -360,7 +362,7 @@ def test_root_star_depths_zero():
 # -- full pass ----------------------------------------------------------------
 
 def test_triangle_golden(tmp_path):
-    items, height, _, _ = run_phase1(tmp_path, 3, [(1, 2), (2, 3), (3, 1)])
+    items, height, _ = run_phase1(tmp_path, 3, [(1, 2), (2, 3), (3, 1)])
     assert [encode_item(it) for it in items] == [
         "G 1 2 1 1 0 0", "G 2 3 1 2 0 0", "G 3 1 1 3 0 0"]
     assert height == 0
@@ -381,17 +383,26 @@ def test_two_triangles_disconnected(tmp_path):
 
 def test_nine_vertex_golden_stream(tmp_path, nine_vertex):
     n, edges = nine_vertex
-    items, height, finder, _ = run_phase1(tmp_path, n, edges)
+    items, height, _ = run_phase1(tmp_path, n, edges)
     assert [encode_item(it) for it in items] == NINE_VERTEX_PHASE1
     assert height == NINE_VERTEX_HEIGHT
     # rooted connectivity tree: vertices {1,2,3,4}, three edges, known depths
+    pl, _ = make_pipeline(tmp_path / "own")
+    try:
+        finder = CircuitFinder(n)
+        pl.run_streaming_pass(finder, pl.materialize(initial_stream(n, edges)), "phase1")
+    finally:
+        pl.cleanup()
     assert finder.state.tree_vertices == {1, 2, 3, 4}
-    assert finder.depths == {1: 0, 2: 1, 4: 1, 3: 2}
+    depths = {1: 0}
+    depths.update((e.succ, e.depth + 1) for e in items
+                  if isinstance(e, InfoEdge) and e.f5 == 0)
+    assert depths == {1: 0, 2: 1, 4: 1, 3: 2}
 
 
 def test_isolated_vertices_ignored(tmp_path):
     # same triangle, declared over 5 vertices; 4 and 5 have degree zero
-    items, height, _, _ = run_phase1(tmp_path, 5, [(1, 2), (2, 3), (3, 1)])
+    items, height, _ = run_phase1(tmp_path, 5, [(1, 2), (2, 3), (3, 1)])
     assert height == 0 and len(items) == 3
 
 
@@ -441,14 +452,14 @@ def phase1_invariants(n, edges, items, words_peak):
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_phase1_invariants_random(tmp_path, seed):
     n, edges = gen_eulerian(30, 90, seed)
-    items, _, _, stats = run_phase1(tmp_path, n, edges)
+    items, _, stats = run_phase1(tmp_path, n, edges)
     words = phase1_record(stats).peak_live_words
     phase1_invariants(n, edges, items, words)
 
 
 def test_nine_vertex_invariants(tmp_path, nine_vertex):
     n, edges = nine_vertex
-    items, _, _, stats = run_phase1(tmp_path, n, edges)
+    items, _, stats = run_phase1(tmp_path, n, edges)
     words = phase1_record(stats).peak_live_words
     phase1_invariants(n, edges, items, words)
 

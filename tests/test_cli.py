@@ -99,7 +99,8 @@ def test_verify_truncated_tour_exits_2(tmp_path, capsys):
     graph = write_nine(tmp_path)
     tour = str(tmp_path / "t.txt")
     assert main(["solve", "--in", graph, "--out", tour]) == 0
-    lines = open(tour).read().splitlines()
+    with open(tour) as fh:
+        lines = fh.read().splitlines()
     with open(tour, "w") as fh:
         fh.write("\n".join(lines[:-1]) + "\n")
     assert main(["verify", "--in", graph, "--tour", tour]) == 2
@@ -190,4 +191,25 @@ def test_uncreatable_trace_dir_leaves_no_work_directory(tmp_path, monkeypatch, c
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(scratch.iterdir()) == []
+
+
+def test_reused_trace_dir_is_refused_and_left_as_it_was(tmp_path, monkeypatch, capsys):
+    trace = tmp_path / "trace"
+    trace.mkdir()  # an existing empty directory is fine
+    assert main(["solve", "--in", write_nine(tmp_path), "--trace-dir", str(trace)]) == 0
+    before = {path.name: path.read_bytes() for path in trace.iterdir()}
+    assert "connectivity_tree.txt" in before
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv("STRTOUR_TMPDIR", str(scratch))
+    triangle = str(tmp_path / "triangle.txt")
+    write_graph_file(triangle, 3, [(1, 2), (2, 3), (3, 1)])
+    capsys.readouterr()
+    assert main(["solve", "--in", triangle, "--trace-dir", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert {path.name: path.read_bytes() for path in trace.iterdir()} == before
     assert list(scratch.iterdir()) == []

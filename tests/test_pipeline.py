@@ -159,20 +159,20 @@ def test_solve_file_reports_first_offending_edge(tmp_path, edges, message):
 
 def test_phase1_finder_is_freed_before_prepare(tmp_path, monkeypatch):
     import weakref
-    from strtour import pipeline
+    from strtour import circuit_find, pipeline
     refs, alive_at_prepare = [], []
-    find, prep = pipeline.find_circuits, pipeline.prepare
+    finder_class, prep = circuit_find.CircuitFinder, pipeline.prepare
 
-    def recording_find(*args, **kwargs):
-        out = find(*args, **kwargs)
-        refs.append(weakref.ref(out[1]))
-        return out
+    def recording_finder(*args, **kwargs):
+        finder = finder_class(*args, **kwargs)
+        refs.append(weakref.ref(finder))
+        return finder
 
     def checking_prepare(*args, **kwargs):
         alive_at_prepare.append(refs[0]() is not None)
         return prep(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "find_circuits", recording_find)
+    monkeypatch.setattr(circuit_find, "CircuitFinder", recording_finder)
     monkeypatch.setattr(pipeline, "prepare", checking_prepare)
     n, edges = gen_eulerian(10, 20, 1)
     result = pipeline.solve(n, edges, tmpdir=str(tmp_path),

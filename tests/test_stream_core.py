@@ -272,7 +272,10 @@ def test_metering_reports_at_least_true_holdings(tmp_path):
 
 class Scripted(Processor):
     """Reports a scripted live state: the next (records, words) pair after
-    ``on_start``, after each item, and after ``on_end``."""
+    ``on_start``, after each item, and after ``on_end``.  Its records cost
+    no words, so the scripted words are the whole reading."""
+
+    record_words = 0
 
     def __init__(self, states):
         self.states = iter(states)
@@ -291,7 +294,7 @@ class Scripted(Processor):
     def live_records(self):
         return self.state[0]
 
-    def live_words(self):
+    def scalar_words(self):
         return self.state[1]
 
 
@@ -319,22 +322,30 @@ def test_meter_reads_start_each_item_in_flight_and_end(
 
 
 class CountedReads(Counting):
-    """Keeps the default ``live_words``; counts the meter's record reads."""
+    """Counts the meter's record and scalar-word reads."""
 
-    reads = 0
+    reads = scalar_reads = 0
 
     def live_records(self):
         self.reads += 1
         return 0
 
+    def scalar_words(self):
+        self.scalar_reads += 1
+        return super().scalar_words()
 
-def test_default_live_words_reads_live_records_once_per_reading(tmp_path):
+
+@pytest.mark.parametrize("record_words", [6, 2])
+def test_meter_reads_live_records_and_scalar_words_once_per_reading(
+        tmp_path, record_words):
     items = [GraphEdge(i, i + 1) for i in range(1, 8)]
     pl, stats = make_pipeline(tmp_path)
     processor = CountedReads()
+    processor.record_words = record_words
     pl.run_streaming_pass(processor, pl.materialize(items), "test")
     # after on_start, after each item, after on_end
     assert processor.reads == len(items) + 2
+    assert processor.scalar_reads == len(items) + 2
     # 1 scalar word plus the graph edge in flight
     assert (stats.passes[-1].peak_live_records, stats.passes[-1].peak_live_words) == (1, 7)
     pl.cleanup()

@@ -143,7 +143,7 @@ def prepared_nine_vertex(tmp_path, nine):
     pl, stats = make_pipeline(tmp_path)
     try:
         source = pl.materialize(initial_stream(n, edges), "input")
-        stream, _ = find_circuits(pl, n, source)
+        stream = find_circuits(pl, n, source)
         out, completer = prepare(pl, stream)
         return out.read_all(), completer, stats.tree_height, stats
     finally:
