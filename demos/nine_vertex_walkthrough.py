@@ -40,7 +40,7 @@ try:
     source = pipeline.materialize(initial_stream(N, EDGES), "input")
     stream = find_circuits(pipeline, N, source)
     height = stats.tree_height
-    phase1 = stream.read_all()
+    phase1 = list(stream.iter_items())
     for item in phase1:
         print("  " + encode_item(item))
     # the flag-0 info edges are the rooted tree, each child one below its parent
@@ -51,7 +51,7 @@ try:
 
     print("\npreparation: rotate parented circuits, complete missing depths")
     stream, completer = prepare(pipeline, stream)
-    for item in stream.read_all():
+    for item in stream.iter_items():
         print("  " + encode_item(item))
 
     print("\nmerge rounds (each halves the tree height)")

@@ -57,7 +57,7 @@ try:
     stream = pipeline.run_sorting_pass(
         lambda it: (it.head,) + it, stream, "demo", "sort-by-head")
     print(f"after sort by head: first heads = "
-          f"{[it.head for it in stream.read_all()][:5]}")
+          f"{[it.head for it in stream.iter_items()][:5]}")
 
     print(f"\nbudget so far: {assert_stream_budget(stats, m)}")
 

@@ -285,23 +285,28 @@ class TreeRecord:
     cvertex: int
 
 
-class Phase1State:
-    """All in-memory state of the phase-1 pass.
+class CircuitFinder(Processor):
+    """The phase-1 pass processor, which is also all of phase 1's state.
 
-    ``com`` holds a component label for each vertex in the graph formed by
-    the circuits emitted so far (0 means unseen), and ``labels`` merges
-    labels when a circuit joins components, so a vertex's component is
-    ``labels.find(com[v])``.  ``pre`` records the first circuit that used a
-    vertex.  The connectivity tree keeps one vertex per circuit that either
-    introduced a new graph vertex or joined existing components, and one
-    ``TreeRecord`` per tree edge.
+    ``com`` maps each vertex of the circuits emitted so far to a component
+    label, and ``labels`` merges labels when a circuit joins components, so
+    a vertex's component is ``labels.find(com.get(v, 0))``.  ``pre`` maps
+    each such vertex to the first circuit that used it.  Neither map holds
+    an unseen vertex, so ``n`` only sizes the buffer and the meter.  The
+    connectivity tree keeps one vertex per circuit that either introduced a
+    new graph vertex or joined existing components, and one ``TreeRecord``
+    per tree edge.
     """
 
-    def __init__(self, n: int) -> None:
+    label = "circuit-find"
+    record_words = 2  # a buffered edge is its two endpoints
+
+    def __init__(self, n: int):
         self.n = n
-        self.com = [0] * (n + 1)
-        self.pre = [0] * (n + 1)
+        self.com: dict[int, int] = {}
+        self.pre: dict[int, int] = {}
         self.cir = 0
+        self.height = 0
         self.buffer = EdgeBuffer()
         self.labels = LabelUnion()
         self.tree_vertices: set[int] = set()
@@ -311,7 +316,7 @@ class Phase1State:
         self.reset_circuit_flags()  # per-circuit flags, reset after each emission
 
     def component(self, v: int) -> int:
-        return self.labels.find(self.com[v])
+        return self.labels.find(self.com.get(v, 0))
 
     def add_tree_edge(self, cid: int, other: int, cvertex: int) -> None:
         if other not in self.tree_vertices:
@@ -329,14 +334,59 @@ class Phase1State:
         self.s_comp = {0}
         self.com_star = 0
 
+    def on_item(self, item: StreamItem, emit) -> None:
+        if not isinstance(item, GraphEdge):
+            raise IntegrityFault("phase 1 expects a stream of raw graph edges")
+        self.buffer.add(item.tail, item.head)
+        if self.buffer.edge_count >= self.n:
+            if not self._emit_one(emit):
+                # a full buffer on <= n vertices always holds a cycle
+                raise IntegrityFault("no circuit found in a full edge buffer")
+
+    def on_end(self, emit) -> None:
+        while self.buffer.edge_count:
+            if not self._emit_one(emit):
+                raise NotEulerianError(ODD_DEGREE)
+        if len({self.component(v) for v in self.pre}) > 1:
+            raise NotEulerianError(DISCONNECTED)
+        info_edges, self.height = root_and_flush(self)
+        for edge in info_edges:
+            emit(edge)
+
+    def _emit_one(self, emit) -> bool:
+        edges = extract_circuit(self.buffer)
+        if edges is None:
+            return False
+        self.cir += 1
+        order = [tail for tail, _ in edges]
+        new_test(order, self)
+        comp_test(order, self)
+        if not self.s:
+            # no tree vertex: record the leaf inline and pre-rotate the
+            # circuit so its first edge leaves the shared vertex
+            emit(InfoEdge(self.s_edge, self.cir, 0, self.s_vert, 1))
+            self.flag1_parents.append(self.s_edge)
+            if self.s_vert not in order:
+                raise IntegrityFault(f"vertex {self.s_vert} not on circuit {self.cir}")
+            i = order.index(self.s_vert)
+            edges = edges[i:] + edges[:i]
+        for pos, (tail, head) in enumerate(edges, start=1):
+            emit(GraphEdge(tail, head, self.cir, pos, 0, 0))
+        self.reset_circuit_flags()
+        return True
+
+    def live_records(self) -> int:
+        return self.buffer.edge_count
+
     def scalar_words(self) -> int:
-        # com + pre arrays, one word per tree vertex, three per stored tree
-        # record, one per pending flag-1 parent, the label union table, and
-        # a handful of scalars; the buffered edges are the pass's records.
-        # Not counted: the extraction walk's scratch (``buffer.walk``,
+        # 2 * n for the com and pre maps, which never hold more than n
+        # entries each (the golden peak_live_words pins this), one per tree
+        # vertex, three per tree record, one per pending flag-1 parent, the
+        # label union table, and a few scalars; the buffered edges are the
+        # pass's records.  Not counted: the walk's scratch (``buffer.walk``,
         # O(buffered edges)), ``tree_forest`` (the union-find that keeps the
-        # circuit tree acyclic, O(tree vertices)), and the depth map that
-        # ``root_and_flush`` builds at the end of the pass (O(tree vertices)).
+        # circuit tree acyclic) and ``root_and_flush``'s depth map, both
+        # O(tree vertices).
         return (
             2 * self.n
             + len(self.tree_vertices)
@@ -348,7 +398,7 @@ class Phase1State:
         )
 
 
-def new_test(order: Sequence[int], state: Phase1State) -> None:
+def new_test(order: Sequence[int], state: CircuitFinder) -> None:
     """Record first-time vertices and, if any, give the circuit a tree vertex.
 
     ``order`` is the circuit's vertices in visiting order.  The first
@@ -356,7 +406,7 @@ def new_test(order: Sequence[int], state: Phase1State) -> None:
     shared vertex for later emission.
     """
     for v in order:
-        if state.pre[v] == 0:
+        if v not in state.pre:
             state.s = True
             state.pre[v] = state.cir
         elif state.s_edge == 0:
@@ -374,7 +424,7 @@ def new_test(order: Sequence[int], state: Phase1State) -> None:
                 state.com[v] = state.cir
 
 
-def comp_test(order: Sequence[int], state: Phase1State) -> None:
+def comp_test(order: Sequence[int], state: CircuitFinder) -> None:
     """Join all previously-seen components the circuit touches.
 
     Each component other than the one of the first-seen vertex contributes
@@ -400,7 +450,7 @@ def comp_test(order: Sequence[int], state: Phase1State) -> None:
         state.com[v] = state.com_star
 
 
-def root_and_flush(state: Phase1State) -> tuple[list[InfoEdge], int]:
+def root_and_flush(state: CircuitFinder) -> tuple[list[InfoEdge], int]:
     """Root the connectivity tree at circuit 1 and orient the stored records.
 
     Returns the oriented info edges (in record creation order) and the
@@ -442,67 +492,6 @@ def root_and_flush(state: Phase1State) -> tuple[list[InfoEdge], int]:
     return edges, height
 
 
-class CircuitFinder(Processor):
-    """The phase-1 pass processor; consumes raw edges, emits annotated records."""
-
-    label = "circuit-find"
-    record_words = 2  # a buffered edge is its two endpoints
-
-    def __init__(self, n: int):
-        self.state = Phase1State(n)
-        self.height = 0
-
-    def on_item(self, item: StreamItem, emit) -> None:
-        if not isinstance(item, GraphEdge):
-            raise IntegrityFault("phase 1 expects a stream of raw graph edges")
-        self.state.buffer.add(item.tail, item.head)
-        if self.state.buffer.edge_count >= self.state.n:
-            if not self._emit_one(emit):
-                # a full buffer on <= n vertices always holds a cycle
-                raise IntegrityFault("no circuit found in a full edge buffer")
-
-    def on_end(self, emit) -> None:
-        state = self.state
-        while state.buffer.edge_count:
-            if not self._emit_one(emit):
-                raise NotEulerianError(ODD_DEGREE)
-        labels = {state.component(v) for v in range(1, state.n + 1) if state.pre[v]}
-        if len(labels) > 1:
-            raise NotEulerianError(DISCONNECTED)
-        info_edges, self.height = root_and_flush(state)
-        for edge in info_edges:
-            emit(edge)
-
-    def _emit_one(self, emit) -> bool:
-        state = self.state
-        edges = extract_circuit(state.buffer)
-        if edges is None:
-            return False
-        state.cir += 1
-        order = [tail for tail, _ in edges]
-        new_test(order, state)
-        comp_test(order, state)
-        if not state.s:
-            # no tree vertex: record the leaf inline and pre-rotate the
-            # circuit so its first edge leaves the shared vertex
-            emit(InfoEdge(state.s_edge, state.cir, 0, state.s_vert, 1))
-            state.flag1_parents.append(state.s_edge)
-            if state.s_vert not in order:
-                raise IntegrityFault(f"vertex {state.s_vert} not on circuit {state.cir}")
-            i = order.index(state.s_vert)
-            edges = edges[i:] + edges[:i]
-        for pos, (tail, head) in enumerate(edges, start=1):
-            emit(GraphEdge(tail, head, state.cir, pos, 0, 0))
-        state.reset_circuit_flags()
-        return True
-
-    def live_records(self) -> int:
-        return self.state.buffer.edge_count
-
-    def scalar_words(self) -> int:
-        return self.state.scalar_words()
-
-
 def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
     """Raw input items: one unannotated graph edge per validated input edge."""
     from .stream_core import validate_edges
@@ -519,6 +508,6 @@ def find_circuits(pipeline: StreamPipeline, n: int, source: Stream) -> Stream:
     """
     finder = CircuitFinder(n)
     out = pipeline.run_streaming_pass(finder, source, phase="phase1")
-    pipeline.stats.circuits_found = finder.state.cir
+    pipeline.stats.circuits_found = finder.cir
     pipeline.stats.tree_height = finder.height
     return out

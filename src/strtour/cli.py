@@ -143,6 +143,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except IntegrityFault as exc:
         print(f"integrity fault: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .circuit_find import find_circuits, initial_stream
 from .stream_core import (
@@ -35,22 +36,23 @@ class SolveResult:
         return out
 
 
-def solve(n: int, edges: list[tuple[int, int]], *, tmpdir: Optional[str] = None,
+def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = None,
           trace_dir: Optional[str] = None,
           sort_chunk: Optional[int] = None) -> SolveResult:
-    """Run the full streaming pipeline over an in-memory edge list.
+    """Run the full streaming pipeline over any iterable of edge pairs.
 
-    ``sort_chunk`` overrides the sorter's in-memory chunk size; ``None``
-    keeps the pipeline's default.  Raises ``NotEulerianError`` for graphs
-    without a tour, ``ParseError`` for malformed input, and
-    ``IntegrityFault`` if any internal invariant or budget breaks.
+    The source pass reads ``edges`` once and counts them.  ``sort_chunk``
+    overrides the sorter's in-memory chunk size; ``None`` keeps the
+    pipeline's default.  Raises ``NotEulerianError`` for graphs without a
+    tour, ``ParseError`` for malformed input, and ``IntegrityFault`` if any
+    internal invariant or budget breaks.
     """
-    m = len(edges)
     chunk = {} if sort_chunk is None else {"sort_chunk": sort_chunk}
     pipeline = StreamPipeline(tmpdir=tmpdir, trace_dir=trace_dir, **chunk)
     stats = pipeline.stats
     try:
         source = pipeline.materialize(initial_stream(n, edges), "input")
+        m = source.items
         stream = find_circuits(pipeline, n, source)
         if trace_dir:
             _dump_tree(trace_dir, stream)
@@ -88,7 +90,8 @@ def _dump_tree(trace_dir: str, stream: Stream) -> None:
 def solve_file(graph_path: str, tour_path: Optional[str] = None,
                stats_path: Optional[str] = None, **kwargs) -> SolveResult:
     n, edges = read_graph_file(graph_path)
-    result = solve(n, edges, **kwargs)
+    with closing(edges):  # a failed solve may leave the file half read
+        result = solve(n, edges, **kwargs)
     if tour_path:
         write_tour_file(tour_path, result.tour)
     if stats_path:

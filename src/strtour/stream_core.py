@@ -22,6 +22,7 @@ import os
 import shutil
 import struct
 import tempfile
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -212,9 +213,6 @@ class Stream:
                 items = decode_block(block, index)
                 index += len(items)
                 yield items
-
-    def read_all(self) -> list[StreamItem]:
-        return list(self.iter_items())
 
 
 class StreamWriter:
@@ -543,49 +541,53 @@ def validate_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[i
 def read_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse a graph file and check its edges with ``validate_edges``."""
     n, raw = _parse_graph_file(path)
-    return n, list(validate_edges(n, raw))
+    with closing(raw):
+        return n, list(validate_edges(n, raw))
 
 
-def _parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
-    """Parse a graph file (``n m``, then m lines ``u v``); edges unchecked."""
+def _parse_graph_file(path: str) -> tuple[int, Iterator[tuple[int, int]]]:
+    """Read a graph file's header now; ``edges`` reads its ``u v`` lines lazily.
+
+    Faults are raised in file order, the edge count after the last line.
+    The file closes when ``edges`` ends or is closed, or on a header fault.
+    """
+    lines = _graph_lines(path)
+    return next(lines), lines
+
+
+def _graph_lines(path: str) -> Iterator:
+    """Yield a graph file's ``n``, then its edges (see ``_parse_graph_file``)."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
-    at = next((i for i, ln in enumerate(lines) if ln), None)
-    if at is None:
-        raise ParseError("empty graph file")
-    lineno, header = at + 1, lines[at].split()
-    if len(header) != 2:
-        raise ParseError(f"line {lineno}: expected 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected integers 'n m'") from None
-    if n < 1 or m < 0 or n + 1 >= 1 << 63:  # n + 1 must fit an int64 field
-        raise ParseError(f"line {lineno}: bad sizes n={n} m={m}")
-    found = len(lines) - lines.count("") - 1
+        numbered = enumerate(fh, start=1)
+        for lineno, line in numbered:
+            if header := _int_pair(line, lineno, "n m"):
+                break
+        else:
+            raise ParseError("empty graph file")
+        n, m = header
+        if n < 1 or m < 0 or n + 1 >= 1 << 63:  # n + 1 must fit an int64 field
+            raise ParseError(f"line {lineno}: bad sizes n={n} m={m}")
+        yield n
+        found = 0
+        for lineno, line in numbered:
+            if pair := _int_pair(line, lineno, "u v"):
+                found += 1
+                yield pair
     if found != m:
         raise ParseError(f"expected {m} edge lines, found {found}")
-    return n, _pair_lines(islice(lines, at + 1, None), first=lineno + 1)
 
 
-def _pair_lines(lines: Iterable[str], first: int = 1) -> list[tuple[int, int]]:
-    """Parse ``u v`` lines, skipping blank ones.
-
-    Errors name the physical line: ``first`` is the number of the first
-    line given, and blank lines are counted.
-    """
-    pairs = []
-    for lineno, ln in enumerate(lines, start=first):
-        parts = ln.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v'")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected integers 'u v'") from None
-    return pairs
+def _int_pair(line: str, lineno: int, names: str) -> Optional[tuple[int, int]]:
+    """Parse a line of two integers named ``names``; None if it is blank."""
+    parts = line.split()
+    if not parts:
+        return None
+    if len(parts) != 2:
+        raise ParseError(f"line {lineno}: expected '{names}'")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected integers '{names}'") from None
 
 
 def write_graph_file(path: str, n: int, edges: list[tuple[int, int]]) -> None:
@@ -603,4 +605,5 @@ def write_tour_file(path: str, tour: list[tuple[int, int]]) -> None:
 
 def read_tour_file(path: str) -> list[tuple[int, int]]:
     with open(path, "r", encoding="ascii") as fh:
-        return _pair_lines(fh)
+        return [pair for lineno, line in enumerate(fh, start=1)
+                if (pair := _int_pair(line, lineno, "u v"))]

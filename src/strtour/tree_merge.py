@@ -325,7 +325,8 @@ def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int) -> list[tuple[in
     """Final sort by position, then read the tour off the stream.
 
     The read validates that exactly one circuit with positions 1..m remains
-    and that consecutive edges chain into a closed trail.
+    and that consecutive edges chain into a closed trail.  The returned
+    list holds all m edges: an O(m) structure outside the meter.
     """
     s = pipeline.run_sorting_pass(tour_position_key, stream, "emit", "sort-tour")
     tour: list[tuple[int, int]] = []

@@ -83,6 +83,6 @@ def run_phase1(tmp_path, n, edges):
     try:
         source = pl.materialize(initial_stream(n, edges), "input")
         stream = find_circuits(pl, n, source)
-        return stream.read_all(), stats.tree_height, stats
+        return list(stream.iter_items()), stats.tree_height, stats
     finally:
         pl.cleanup()

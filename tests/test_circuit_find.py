@@ -21,7 +21,6 @@ from strtour import (
 )
 from strtour.circuit_find import (
     EdgeBuffer,
-    Phase1State,
     TreeRecord,
     comp_test,
     new_test,
@@ -246,7 +245,7 @@ def test_resumed_walk_matches_restarting_walk_seeded():
 # -- new_test / comp_test -----------------------------------------------------
 
 def fresh_state(n=9):
-    return Phase1State(n)
+    return CircuitFinder(n)
 
 
 def test_new_test_all_new_founds_component():
@@ -393,7 +392,7 @@ def test_nine_vertex_golden_stream(tmp_path, nine_vertex):
         pl.run_streaming_pass(finder, pl.materialize(initial_stream(n, edges)), "phase1")
     finally:
         pl.cleanup()
-    assert finder.state.tree_vertices == {1, 2, 3, 4}
+    assert finder.tree_vertices == {1, 2, 3, 4}
     depths = {1: 0}
     depths.update((e.succ, e.depth + 1) for e in items
                   if isinstance(e, InfoEdge) and e.f5 == 0)

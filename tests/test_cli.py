@@ -122,15 +122,30 @@ def test_oracle_reports_reason(tmp_path, capsys):
     assert "eulerian: no (odd degree)" in capsys.readouterr().out
 
 
-def test_oracle_time_does_not_follow_the_header_n(tmp_path, capsys):
-    # the largest n whose n + 1 fits an int64 field; a scan of 1..n never ends
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+def test_oracle_time_does_not_follow_the_header_n(tmp_path, capsys, command):
+    # the largest n whose n + 1 fits an int64 field; a scan of 1..n never
+    # ends, and an array of n + 1 entries cannot be allocated
     tours = []
     for n in (9223372036854775806, 3):
         graph = str(tmp_path / f"g{n}.txt")
         write_graph_file(graph, n, [(1, 2), (2, 3), (3, 1)])
-        assert main(["oracle", "--in", graph]) == 0
+        assert main([command, "--in", graph]) == 0
         tours.append(capsys.readouterr().out)
     assert tours[0] == tours[1]
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    from strtour import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve_file", exhausted)
+    assert main(["solve", "--in", write_nine(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory"]
 
 
 def test_oracle_writes_tour_file(tmp_path):
@@ -213,3 +228,50 @@ def test_reused_trace_dir_is_refused_and_left_as_it_was(tmp_path, monkeypatch, c
     assert len(err) == 1 and err[0].startswith("error: ")
     assert {path.name: path.read_bytes() for path in trace.iterdir()} == before
     assert list(scratch.iterdir()) == []
+
+
+def test_each_failed_block_write_exits_1_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    # every block write of a small solve fails in turn with ENOSPC, while
+    # the source pass is still reading the graph file for the first ones
+    import errno
+    from strtour.stream_core import StreamWriter
+
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv("STRTOUR_TMPDIR", str(scratch))
+    graph = write_nine(tmp_path)
+    writes, fail_at = [0], [0]
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            writes[0] += 1
+            if writes[0] == fail_at[0]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(data)
+
+        def close(self):
+            self.fh.close()
+
+    real_init = StreamWriter.__init__
+
+    def failing_init(self, path):
+        real_init(self, path)
+        self._fh = FullDisk(self._fh)
+
+    monkeypatch.setattr(StreamWriter, "__init__", failing_init)
+    stats = tmp_path / "stats.json"
+    assert main(["solve", "--in", graph, "--stats", str(stats)]) == 0
+    total = writes[0]
+    assert total >= len(json.loads(stats.read_text())["passes"])  # every pass writes
+    capsys.readouterr()
+    for k in range(1, total + 1):
+        writes[0], fail_at[0] = 0, k
+        assert main(["solve", "--in", graph]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert list(scratch.iterdir()) == []

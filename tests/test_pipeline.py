@@ -123,6 +123,15 @@ def test_sort_chunk_below_one_is_rejected(tmp_path, sort_chunk):
     assert list(tmp_path.glob("strtour-*")) == []
 
 
+def test_solve_takes_any_iterable_of_pairs(tmp_path):
+    # the source pass counts m, so a one-shot iterator is read once, never sized
+    n, edges = gen_eulerian(30, 90, 2)
+    from_list = solve(n, edges, tmpdir=str(tmp_path))
+    from_iterator = solve(n, iter(edges), tmpdir=str(tmp_path))
+    assert from_iterator.tour == from_list.tour
+    assert from_iterator.stats_dict() == from_list.stats_dict()
+
+
 def test_solve_file_validates_each_edge_once(tmp_path, monkeypatch):
     from strtour import pipeline, stream_core
     calls = []

@@ -101,7 +101,7 @@ def test_binary_stream_round_trip(tmp_path, count):
     stream = pl.materialize(items)
     assert stream.items == len(items)
     assert os.path.getsize(stream.path) == len(items) * RECORD.size
-    got = stream.read_all()
+    got = list(stream.iter_items())
     assert got == items
     assert [type(it) for it in got] == [type(it) for it in items]
     pl.cleanup()
@@ -126,7 +126,7 @@ def corrupt_stream(tmp_path, record):
 def test_binary_stream_rejects(tmp_path, record, reason):
     pl, stream = corrupt_stream(tmp_path, record)
     with pytest.raises(ParseError, match=f"record 3: .*{reason}"):
-        stream.read_all()
+        list(stream.iter_items())
     pl.cleanup()
 
 
@@ -137,7 +137,7 @@ def test_binary_error_names_record_in_a_later_block(tmp_path):
         fh.seek((BLOCK_RECORDS + 4) * RECORD.size)
         fh.write(b"Q")
     with pytest.raises(ParseError, match=f"record {BLOCK_RECORDS + 5}: unknown record tag"):
-        stream.read_all()
+        list(stream.iter_items())
     pl.cleanup()
 
 
@@ -219,7 +219,7 @@ def test_identity_pass(tmp_path):
     items = [GraphEdge(i, i + 1, 1, i) for i in range(1, 6)]
     stream = pl.materialize(items)
     out = pl.run_streaming_pass(Identity(), stream, "test")
-    assert out.read_all() == items
+    assert list(out.iter_items()) == items
     assert stats.core_dict()["streaming_passes"] == 1
     pl.cleanup()
 
@@ -227,7 +227,7 @@ def test_identity_pass(tmp_path):
 def test_empty_stream_emits_end_only(tmp_path):
     pl, _ = make_pipeline(tmp_path)
     out = pl.run_streaming_pass(EndOnly(), pl.materialize([]), "test")
-    assert out.read_all() == [InfoEdge(1, 2, 0, 3, 0), InfoEdge(1, 4, 0, 5, 0)]
+    assert list(out.iter_items()) == [InfoEdge(1, 2, 0, 3, 0), InfoEdge(1, 4, 0, 5, 0)]
     pl.cleanup()
 
 
@@ -235,7 +235,7 @@ def test_counting_processor_meter(tmp_path):
     pl, stats = make_pipeline(tmp_path)
     stream = pl.materialize([GraphEdge(1, 2), GraphEdge(2, 3), GraphEdge(3, 1)])
     out = pl.run_streaming_pass(Counting(), stream, "test")
-    assert [it.f4 for it in out.read_all()] == [1, 2, 3]
+    assert [it.f4 for it in out.iter_items()] == [1, 2, 3]
     # the processor retains nothing, so the only live record is the one in flight
     assert stats.passes[-1].peak_live_records == 1
     pl.cleanup()
@@ -313,7 +313,7 @@ def test_meter_reads_start_each_item_in_flight_and_end(
     items = [GraphEdge(1, 2), InfoEdge(1, 2, 0, 3, 0), GraphEdge(2, 3)]
     pl, stats = make_pipeline(tmp_path)
     out = pl.run_streaming_pass(Scripted(states), pl.materialize(items), "test")
-    assert out.read_all() == items
+    assert list(out.iter_items()) == items
     rec = stats.passes[-1]
     assert (rec.peak_live_records, rec.peak_live_words) == (peak_records, peak_words)
     core = stats.core_dict()
@@ -376,7 +376,7 @@ def test_writer_encodes_whole_blocks_but_the_last(tmp_path, monkeypatch, process
     out = pl.run_streaming_pass(processor, stream, "test")
     whole, tail = divmod(copies * len(items), BLOCK_RECORDS)
     assert sizes == [BLOCK_RECORDS] * whole + [tail]
-    assert out.read_all() == [item for item in items for _ in range(copies)]
+    assert list(out.iter_items()) == [item for item in items for _ in range(copies)]
     pl.cleanup()
 
 
@@ -386,7 +386,7 @@ def test_pass_composition_matches_record_replay(tmp_path):
 
     pl, _ = make_pipeline(tmp_path)
     out = pl.run_streaming_pass(Counting(), pl.materialize(items), "test")
-    via_files = pl.run_streaming_pass(Holder(3), out, "test").read_all()
+    via_files = list(pl.run_streaming_pass(Holder(3), out, "test").iter_items())
     pl.cleanup()
 
     emitted = []
@@ -428,7 +428,7 @@ def test_sort_already_sorted_identity(tmp_path):
     pl, stats = make_pipeline(tmp_path)
     items = [GraphEdge(1, h, 1, i) for i, h in enumerate([2, 3, 5, 8], start=1)]
     out = pl.run_sorting_pass(head_key, pl.materialize(items), "test", "sort")
-    assert out.read_all() == items
+    assert list(out.iter_items()) == items
     assert stats.core_dict()["sorting_passes"] == 1
     pl.cleanup()
 
@@ -437,7 +437,7 @@ def test_sort_reversed(tmp_path):
     pl, _ = make_pipeline(tmp_path)
     items = [GraphEdge(1, h, 1, i) for i, h in enumerate([9, 7, 4, 2], start=1)]
     out = pl.run_sorting_pass(head_key, pl.materialize(items), "test", "sort")
-    assert [it.head for it in out.read_all()] == [2, 4, 7, 9]
+    assert [it.head for it in out.iter_items()] == [2, 4, 7, 9]
     pl.cleanup()
 
 
@@ -450,7 +450,7 @@ def test_sort_stability_against_indexed_reference(tmp_path):
         enumerate(items), key=lambda pair: (head_key(pair[1]), pair[0]))]
     pl, _ = make_pipeline(tmp_path)
     out = pl.run_sorting_pass(head_key, pl.materialize(items), "test", "sort")
-    assert out.read_all() == expected
+    assert list(out.iter_items()) == expected
     pl.cleanup()
 
 
@@ -461,8 +461,8 @@ def test_sort_multi_chunk_matches_single_chunk(tmp_path):
     small, _ = make_pipeline(tmp_path / "a", sort_chunk=7)  # force the external merge path
     big, _ = make_pipeline(tmp_path / "b")
     key = lambda it: (it.f3, it.head)
-    got_small = small.run_sorting_pass(key, small.materialize(items), "t", "s").read_all()
-    got_big = big.run_sorting_pass(key, big.materialize(items), "t", "s").read_all()
+    got_small = list(small.run_sorting_pass(key, small.materialize(items), "t", "s").iter_items())
+    got_big = list(big.run_sorting_pass(key, big.materialize(items), "t", "s").iter_items())
     assert got_small == got_big
     small.cleanup()
     big.cleanup()
@@ -493,12 +493,14 @@ def test_sort_spills_one_chunk_per_full_or_partial_chunk(tmp_path, monkeypatch, 
         items = [GraphEdge(rng.randrange(1, 4), rng.randrange(1, 4), 1, i)
                  for i in range(1, length + 1)]
         big, _ = make_pipeline(tmp_path / f"big{length}")
-        expected = big.run_sorting_pass(head_key, big.materialize(items), "t", "s").read_all()
+        expected = list(big.run_sorting_pass(
+            head_key, big.materialize(items), "t", "s").iter_items())
         big.cleanup()
         assert spills == []
 
         small, _ = make_pipeline(tmp_path / f"small{length}", sort_chunk=chunk)
-        got = small.run_sorting_pass(head_key, small.materialize(items), "t", "s").read_all()
+        got = list(small.run_sorting_pass(
+            head_key, small.materialize(items), "t", "s").iter_items())
         small.cleanup()
         assert got == expected
         assert len(spills) == (0 if length < chunk else -(-length // chunk))
@@ -510,7 +512,7 @@ def test_sort_is_permutation(tmp_path):
     items = [GraphEdge(rng.randrange(1, 50), rng.randrange(1, 50)) for _ in range(80)]
     pl, _ = make_pipeline(tmp_path)
     out = pl.run_sorting_pass(head_key, pl.materialize(items), "test", "sort")
-    assert sorted(tuple(it) for it in out.read_all()) == sorted(tuple(it) for it in items)
+    assert sorted(tuple(it) for it in out.iter_items()) == sorted(tuple(it) for it in items)
     pl.cleanup()
 
 
@@ -589,12 +591,13 @@ def test_graph_file_largest_vertex_count(tmp_path):
 
 @pytest.mark.parametrize("reader, content, message", [
     (read_graph_file, "3 3\n\n1 2\n2 x\n3 1\n", "line 4: expected integers 'u v'"),
+    (read_graph_file, "3 3\n1 2\n2 x\n", "line 3: expected integers 'u v'"),
     (read_graph_file, "3 3\n1 2\n\n\n2 3 1\n3 1\n", "line 5: expected 'u v'"),
     (read_graph_file, "\n3\n1 2\n", "line 2: expected 'n m'"),
     (read_graph_file, "\n\nx 1\n1 2\n", "line 3: expected integers 'n m'"),
     (read_tour_file, "1 2\n\n2 x\n", "line 3: expected integers 'u v'"),
-], ids=["graph-edge", "graph-edge-fields", "graph-header", "graph-header-integers",
-        "tour-edge"])
+], ids=["graph-edge", "graph-edge-before-count", "graph-edge-fields", "graph-header",
+        "graph-header-integers", "tour-edge"])
 def test_parse_errors_name_the_physical_line(tmp_path, reader, content, message):
     # blank lines are skipped but still counted
     path = tmp_path / "bad.txt"

@@ -38,7 +38,7 @@ def merged_once(tmp_path, items, height):
     try:
         stream = normalize(pl, items)
         out, report = merge_iteration(pl, stream, index=1, height_before=height)
-        return out.read_all(), report, stats
+        return list(out.iter_items()), report, stats
     finally:
         pl.cleanup()
 
@@ -98,7 +98,7 @@ def test_single_circuit_needs_no_iterations(tmp_path):
         out, reports = run_merges(pl, stream, height=0, info_edges=0, circuits=1)
         assert reports == []
         assert stats.merge_iterations == 0
-        assert [tuple(it)[:4] for it in out.read_all()] == [
+        assert [tuple(it)[:4] for it in out.iter_items()] == [
             (1, 2, 1, 1), (2, 3, 1, 2), (3, 1, 1, 3)]
     finally:
         pl.cleanup()
@@ -135,7 +135,7 @@ def test_iteration_invariants_on_gadget(tmp_path):
         height, info_count, circuits = 5, 5, 6
         while info_count:
             stream, report = merge_iteration(pl, stream, height_before=height)
-            data = stream.read_all()
+            data = list(stream.iter_items())
             graph = [it for it in data if isinstance(it, GraphEdge)]
             info = [it for it in data if isinstance(it, InfoEdge)]
             # edge count and undirected multiset are preserved

@@ -32,7 +32,7 @@ def run_rotate(tmp_path, items):
     pl, stats = make_pipeline(tmp_path)
     try:
         out = rotate_member_circuits(pl, pl.materialize(items))
-        return out.read_all(), stats
+        return list(out.iter_items()), stats
     finally:
         pl.cleanup()
 
@@ -105,7 +105,7 @@ def run_depths(tmp_path, items):
     pl, stats = make_pipeline(tmp_path)
     try:
         out, completer = complete_depths(pl, pl.materialize(items))
-        return out.read_all(), completer, stats
+        return list(out.iter_items()), completer, stats
     finally:
         pl.cleanup()
 
@@ -145,7 +145,7 @@ def prepared_nine_vertex(tmp_path, nine):
         source = pl.materialize(initial_stream(n, edges), "input")
         stream = find_circuits(pl, n, source)
         out, completer = prepare(pl, stream)
-        return out.read_all(), completer, stats.tree_height, stats
+        return list(out.iter_items()), completer, stats.tree_height, stats
     finally:
         pl.cleanup()
 
