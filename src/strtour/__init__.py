@@ -31,6 +31,7 @@ from .pipeline import SolveResult, solve, solve_file, write_stats_file
 from .stream_core import (
     BudgetViolation,
     DISCONNECTED,
+    EdgeTally,
     GraphEdge,
     InfoEdge,
     IntegrityFault,

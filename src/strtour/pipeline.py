@@ -10,6 +10,7 @@ from typing import Iterable, Optional
 
 from .circuit_find import find_circuits, initial_stream
 from .stream_core import (
+    EdgeTally,
     InfoEdge,
     IntegrityFault,
     PassStats,
@@ -45,13 +46,15 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
     overrides the sorter's in-memory chunk size; ``None`` keeps the
     pipeline's default.  Raises ``NotEulerianError`` for graphs without a
     tour, ``ParseError`` for malformed input, and ``IntegrityFault`` if any
-    internal invariant or budget breaks.
+    internal invariant or budget breaks, or if the tour's edges are not
+    the input's (``EdgeTally``).
     """
     chunk = {} if sort_chunk is None else {"sort_chunk": sort_chunk}
     pipeline = StreamPipeline(tmpdir=tmpdir, trace_dir=trace_dir, **chunk)
     stats = pipeline.stats
     try:
-        source = pipeline.materialize(initial_stream(n, edges), "input")
+        ingested = EdgeTally()
+        source = pipeline.materialize(initial_stream(n, edges, ingested), "input")
         m = source.items
         stream = find_circuits(pipeline, n, source)
         if trace_dir:
@@ -65,7 +68,7 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
 
         stream, reports = run_merges(pipeline, stream, stats.tree_height,
                                      completer.info_out, stats.circuits_found)
-        tour = emit_tour(pipeline, stream, m)
+        tour = emit_tour(pipeline, stream, m, ingested)
 
         violation = assert_stream_budget(stats, m)
         if violation is not None:

@@ -13,16 +13,24 @@ Inter-pass streams and sort spill chunks hold fixed-width binary records
 packed in one call, and read a block at a time.  The text form ``G tail head
 f3 f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
 ``decode_item``) appears only in the stream dumps of a trace directory.
+
+Passes create no reference cycles, so every pass runs with CPython's cyclic
+collector paused, and each sorting pass ends with one cheap full
+collection, which hands CPython's free lists back (see ``StreamPipeline``).
+``EdgeTally`` fingerprints an undirected edge multiset in two words, so
+``solve`` can check that its tour uses exactly the input's edges without
+another pass.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import os
 import shutil
 import struct
 import tempfile
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -349,6 +357,31 @@ class Processor:
         return 0
 
 
+@contextmanager
+def _collector_paused(collect: bool = False) -> Iterator[None]:
+    """Run the block with the cyclic collector off, then restore the caller's state.
+
+    The collector is enabled again on exit only if it was enabled on entry.
+    With ``collect``, the objects alive on entry are frozen and the block
+    ends with one full collection, which scans only what the block made.  A
+    caller that holds frozen objects of its own gets no collection, since
+    ``gc.unfreeze`` would thaw them too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    collect = collect and gc.get_freeze_count() == 0
+    if collect:
+        gc.freeze()
+    try:
+        yield
+    finally:
+        if collect:
+            gc.collect()
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 class StreamPipeline:
     """Executes metered passes, materializing every stream between passes.
 
@@ -359,6 +392,17 @@ class StreamPipeline:
     given, it must be absent or empty, and each pass's output is also
     dumped there as text, one record per line, with its pass index in the
     file name.
+
+    Passes create no reference cycles: everything a pass allocates is freed
+    by reference counting.  So every pass runs with the cyclic collector
+    paused, which would otherwise scan the records of every block, chunk and
+    merge buffer again and again (records are ``NamedTuple`` instances, which
+    CPython never untracks), and the caller's collector state is restored
+    after it, also when the pass raises.  Each sorting pass ends with one
+    full collection, with the objects alive at its start frozen, so that it
+    scans only what the sort made.  Only a full collection empties CPython's
+    object free lists, which otherwise pin the memory pools that a sort's
+    chunk and keys used, and raise the peak RSS.
     """
 
     def __init__(self, tmpdir: Optional[str] = None,
@@ -413,11 +457,13 @@ class StreamPipeline:
 
     # -- passes ------------------------------------------------------------
 
+    @_collector_paused()
     def materialize(self, items: Iterable[StreamItem], label: str = "source") -> Stream:
         with StreamWriter(self._new_path(label)) as writer:
             writer.write_all(items)
         return self._finish("source", label, "source", 0, writer.stream)
 
+    @_collector_paused()
     def run_streaming_pass(self, processor: Processor, stream: Stream,
                            phase: str, label: Optional[str] = None) -> Stream:
         """Run ``processor`` once over ``stream`` and write what it emits.
@@ -469,6 +515,7 @@ class StreamPipeline:
         self._consume(stream)
         return out
 
+    @_collector_paused(collect=True)
     def run_sorting_pass(self, key: Callable[[StreamItem], tuple], stream: Stream,
                          phase: str, label: str) -> Stream:
         """Stable sort of the stream under ``key``.
@@ -536,6 +583,36 @@ def validate_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[i
             raise ParseError(f"edge {idx}: duplicate edge ({u}, {v})")
         seen.add(key)
         yield u, v
+
+
+@dataclass
+class EdgeTally:
+    """An order-independent fingerprint of an undirected edge multiset.
+
+    ``count`` edges, and ``total``, the sum mod 2**64 of ``hash((min(u, v),
+    max(u, v)))`` over them, after the multiset hashes of Blum, Evans,
+    Gemmell, Kannan and Naor.  Two words, however many edges are added.
+    """
+
+    count: int = 0
+    total: int = 0
+
+    def passing(self, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+        """Yield ``pairs`` unchanged; they are added when they run out."""
+        count = total = 0
+        for u, v in pairs:
+            count += 1
+            total += hash((u, v) if u < v else (v, u))
+            yield u, v
+        self.count += count
+        self.total = (self.total + total) & 0xFFFF_FFFF_FFFF_FFFF
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[int, int]]) -> "EdgeTally":
+        tally = cls()
+        for _ in tally.passing(pairs):
+            pass
+        return tally
 
 
 def read_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:

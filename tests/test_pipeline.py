@@ -233,3 +233,37 @@ def test_small_graphs_match_spec_within_budgets(tmp_path, data):
     assert (phases["prep"], phases["merge"], phases["emit"]) == (6, 8 * len(rounds), 1)
     assert max(rec.peak_live_records for rec in result.stats.passes
                if rec.phase in ("prep", "merge", "emit") and rec.kind == "stream") <= 4
+
+
+def relabelling(monkeypatch, old, new):
+    """Make every merge's renumbering pass write vertex ``old`` as ``new``."""
+    from strtour import GraphEdge
+    from strtour.tree_merge import SpliceRenumberer
+    real = SpliceRenumberer.on_item
+
+    def on_item(self, item, emit):
+        def relabel(out):
+            if type(out) is GraphEdge:
+                out = out._replace(tail=new if out.tail == old else out.tail,
+                                   head=new if out.head == old else out.head)
+            emit(out)
+        real(self, item, relabel)
+
+    monkeypatch.setattr(SpliceRenumberer, "on_item", on_item)
+
+
+def test_solve_rejects_a_tour_of_relabelled_edges(tmp_path, monkeypatch, nine_vertex):
+    # the relabelled tour still chains and closes; only its edges betray it
+    from strtour import IntegrityFault
+    n, edges = nine_vertex
+    relabelling(monkeypatch, 7, 10 ** 6)
+    with pytest.raises(IntegrityFault, match="not the input's edges"):
+        solve(n, edges, tmpdir=str(tmp_path))
+
+
+def test_solve_rejects_a_relabelling_at_the_spill_chunk(tmp_path, monkeypatch):
+    from strtour import IntegrityFault
+    n, edges = gen_eulerian(40, 120, 2)
+    relabelling(monkeypatch, 1, n)
+    with pytest.raises(IntegrityFault, match="not the input's edges"):
+        solve(n, edges, tmpdir=str(tmp_path), sort_chunk=7)

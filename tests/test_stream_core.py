@@ -23,7 +23,7 @@ from strtour import (
     write_graph_file,
 )
 from strtour.stream_core import (
-    BLOCK_RECORDS, RECORD, PassRecord, encode_block, validate_edges)
+    BLOCK_RECORDS, RECORD, EdgeTally, PassRecord, encode_block, validate_edges)
 
 from conftest import make_pipeline
 
@@ -613,3 +613,21 @@ def test_validate_edges_names_first_offending_edge():
         list(validate_edges(3, edges))
     with pytest.raises(ParseError, match=r"^edge 2: self-loop at vertex 3$"):
         list(validate_edges(3, [(1, 2), (3, 3), (1, 2)]))
+
+
+def test_edge_tally_ignores_order_and_orientation():
+    tally = EdgeTally.of([(1, 2), (3, 2), (4, 1)])
+    assert tally == EdgeTally.of([(1, 4), (2, 3), (2, 1)])
+    assert tally.count == 3 and 0 <= tally.total < 1 << 64
+    assert tally != EdgeTally.of([(1, 2), (3, 2), (4, 2)])  # one endpoint moved
+    assert tally != EdgeTally.of([(1, 2), (3, 2)])
+    assert tally != EdgeTally.of([(1, 2), (3, 2), (4, 1), (4, 1)])
+
+
+def test_edge_tally_passing_yields_then_adds():
+    tally = EdgeTally.of([(5, 6)])
+    passing = tally.passing([(2, 1), (3, 4)])
+    assert next(passing) == (2, 1)
+    assert tally == EdgeTally.of([(6, 5)])  # nothing added before the end
+    assert list(passing) == [(3, 4)]
+    assert tally == EdgeTally.of([(1, 2), (4, 3), (5, 6)])
