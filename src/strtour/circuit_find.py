@@ -18,7 +18,6 @@ from typing import Iterable, Optional, Sequence
 
 from .stream_core import (
     DISCONNECTED,
-    EdgeTally,
     GraphEdge,
     InfoEdge,
     IntegrityFault,
@@ -493,17 +492,10 @@ def root_and_flush(state: CircuitFinder) -> tuple[list[InfoEdge], int]:
     return edges, height
 
 
-def initial_stream(n: int, edges: Iterable[tuple[int, int]],
-                   ingested: Optional[EdgeTally] = None):
-    """Raw input items: one unannotated graph edge per validated input edge.
-
-    ``ingested``, when given, tallies the validated edges for ``emit_tour``.
-    """
+def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
+    """Raw input items: one unannotated graph edge per validated input edge."""
     from .stream_core import validate_edges
-    edges = validate_edges(n, edges)
-    if ingested is not None:
-        edges = ingested.passing(edges)
-    for u, v in edges:
+    for u, v in validate_edges(n, edges):
         yield GraphEdge(u, v, 0, 0, 0, 0)
 
 

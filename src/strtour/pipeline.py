@@ -54,7 +54,7 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
     stats = pipeline.stats
     try:
         ingested = EdgeTally()
-        source = pipeline.materialize(initial_stream(n, edges, ingested), "input")
+        source = pipeline.materialize(initial_stream(n, ingested.passing(edges)), "input")
         m = source.items
         stream = find_circuits(pipeline, n, source)
         if trace_dir:
@@ -68,7 +68,9 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
 
         stream, reports = run_merges(pipeline, stream, stats.tree_height,
                                      completer.info_out, stats.circuits_found)
-        tour = emit_tour(pipeline, stream, m, ingested)
+        tour = emit_tour(pipeline, stream, m)
+        if EdgeTally.of(tour) != ingested:
+            raise IntegrityFault("tour's edges are not the input's edges")
 
         violation = assert_stream_budget(stats, m)
         if violation is not None:

@@ -15,11 +15,11 @@ f3 f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
 ``decode_item``) appears only in the stream dumps of a trace directory.
 
 Passes create no reference cycles, so every pass runs with CPython's cyclic
-collector paused, and each sorting pass ends with one cheap full
-collection, which hands CPython's free lists back (see ``StreamPipeline``).
-``EdgeTally`` fingerprints an undirected edge multiset in two words, so
-``solve`` can check that its tour uses exactly the input's edges without
-another pass.
+collector paused, and each sorting pass ends with one full collection of
+the objects it made, which hands CPython's free lists back (see
+``StreamPipeline``).  ``EdgeTally`` fingerprints an undirected edge
+multiset in two words, so ``solve`` can check that its tour uses exactly
+the input's edges without another pass.
 """
 
 from __future__ import annotations
@@ -359,12 +359,15 @@ class Processor:
 
 @contextmanager
 def _collector_paused(collect: bool = False) -> Iterator[None]:
-    """Run the block with the cyclic collector off, then restore the caller's state.
+    """Run the block with the cyclic collector off.
 
     The collector is enabled again on exit only if it was enabled on entry.
     With ``collect``, the objects alive on entry are frozen and the block
-    ends with one full collection, which scans only what the block made.  A
-    caller that holds frozen objects of its own gets no collection, since
+    ends with one full collection, which scans only what the block made;
+    ``gc.unfreeze`` then moves the objects frozen on entry into the oldest
+    generation.  So ``gc.isenabled()`` and ``gc.get_freeze_count()`` come
+    back as they were, but generation membership does not.  A caller that
+    holds frozen objects of its own gets no collection, since
     ``gc.unfreeze`` would thaw them too.
     """
     enabled = gc.isenabled()
@@ -397,12 +400,16 @@ class StreamPipeline:
     by reference counting.  So every pass runs with the cyclic collector
     paused, which would otherwise scan the records of every block, chunk and
     merge buffer again and again (records are ``NamedTuple`` instances, which
-    CPython never untracks), and the caller's collector state is restored
-    after it, also when the pass raises.  Each sorting pass ends with one
-    full collection, with the objects alive at its start frozen, so that it
-    scans only what the sort made.  Only a full collection empties CPython's
-    object free lists, which otherwise pin the memory pools that a sort's
-    chunk and keys used, and raise the peak RSS.
+    CPython never untracks).  After the pass, also when it raises, the
+    collector is enabled again if it was enabled before.  Each sorting pass
+    ends with one full collection, with the objects alive at its start
+    frozen, so that it scans only what the sort made (a plain full
+    collection scans the whole process, and on a small solve costs more
+    than the pause saves).
+    Only a full collection empties CPython's object free lists, which
+    otherwise pin the memory pools that a sort's chunk and keys used, and
+    raise the peak RSS.  A caller holding frozen objects gets the pause
+    without the collection.
     """
 
     def __init__(self, tmpdir: Optional[str] = None,
@@ -589,9 +596,13 @@ def validate_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[i
 class EdgeTally:
     """An order-independent fingerprint of an undirected edge multiset.
 
-    ``count`` edges, and ``total``, the sum mod 2**64 of ``hash((min(u, v),
-    max(u, v)))`` over them, after the multiset hashes of Blum, Evans,
-    Gemmell, Kannan and Naor.  Two words, however many edges are added.
+    ``count`` edges, and ``total``, the sum mod 2**64 of ``hash((a, b, a >>
+    60, b >> 60))`` over them, where ``a, b = min(u, v), max(u, v)``, after
+    the multiset hashes of Blum, Evans, Gemmell, Kannan and Naor.  Two
+    words, however many edges are added.  CPython hashes an int to its value
+    mod 2**61 - 1, so the tuple also holds each id's high bits: without them
+    ids that differ by that modulus would hash alike.  With them, any two
+    ids a record can hold (below 2**63) hash apart before the tuple mixes.
     """
 
     count: int = 0
@@ -602,7 +613,8 @@ class EdgeTally:
         count = total = 0
         for u, v in pairs:
             count += 1
-            total += hash((u, v) if u < v else (v, u))
+            total += hash((u, v, u >> 60, v >> 60) if u < v
+                          else (v, u, v >> 60, u >> 60))
             yield u, v
         self.count += count
         self.total = (self.total + total) & 0xFFFF_FFFF_FFFF_FFFF

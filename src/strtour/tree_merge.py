@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .stream_core import (
-    EdgeTally,
     GraphEdge,
     InfoEdge,
     IntegrityFault,
@@ -322,15 +321,11 @@ def tour_position_key(item: StreamItem) -> tuple:
     return (1,) + item
 
 
-def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int,
-              ingested: Optional[EdgeTally] = None) -> list[tuple[int, int]]:
+def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int) -> list[tuple[int, int]]:
     """Final sort by position, then read the tour off the stream.
 
     The read validates that exactly one circuit with positions 1..m remains
-    and that consecutive edges chain into a closed trail.  Given the
-    ``ingested`` tally of the input's edges, it also checks that the tour's
-    undirected edge multiset has the same fingerprint, so a tour in which a
-    pass relabelled, dropped or duplicated an edge fails.  The returned
+    and that consecutive edges chain into a closed trail.  The returned
     list holds all m edges: an O(m) structure outside the meter.
     """
     s = pipeline.run_sorting_pass(tour_position_key, stream, "emit", "sort-tour")
@@ -354,6 +349,4 @@ def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int,
         raise IntegrityFault(f"tour has {len(tour)} edges, expected {m}")
     if tour and tour[-1][1] != tour[0][0]:
         raise IntegrityFault("tour does not close")
-    if ingested is not None and EdgeTally.of(tour) != ingested:
-        raise IntegrityFault("tour's edges are not the input's edges")
     return tour

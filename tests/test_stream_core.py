@@ -624,6 +624,16 @@ def test_edge_tally_ignores_order_and_orientation():
     assert tally != EdgeTally.of([(1, 2), (3, 2), (4, 1), (4, 1)])
 
 
+def test_edge_tally_tells_apart_ids_a_hash_modulus_apart():
+    # CPython hashes an int to its value mod 2**61 - 1
+    p = (1 << 61) - 1
+    assert hash(2) == hash(2 + p)
+    assert EdgeTally.of([(1, 2)]) != EdgeTally.of([(1, 2 + p)])
+    assert EdgeTally.of([(1, 2)]) != EdgeTally.of([(1 + 2 * p, 2 + 3 * p)])
+    big = (1 << 63) - 1
+    assert EdgeTally.of([(big - p, big)]) == EdgeTally.of([(big, big - p)])
+
+
 def test_edge_tally_passing_yields_then_adds():
     tally = EdgeTally.of([(5, 6)])
     passing = tally.passing([(2, 1), (3, 4)])
