@@ -3,17 +3,18 @@
 The pass buffers at most ``n`` undirected edges.  Whenever the buffer is
 full a circuit is extracted (a full buffer always contains one, because any
 subgraph on at most ``n`` vertices with ``n`` edges has a cycle), annotated
-graph edges are emitted, and an in-memory connectivity tree over circuit
-ids is maintained.  At end of stream the leftover buffer is drained the
-same way; if it is non-empty and acyclic some vertex has odd degree and the
-graph is rejected.  Finally the tree is rooted at the first circuit and the
-stored tree edges are emitted as info edges carrying parent depths.
+graph edges are emitted, and the circuit is attached to an in-memory
+connectivity tree over circuit ids, whose components are the graph's.  At
+end of stream the leftover buffer is drained the same way.  A non-empty,
+acyclic residue means some vertex has odd degree, and more than one tree
+component means the graph is disconnected; either rejects the graph.
+Finally the tree is rooted at the first circuit and the stored tree edges
+are emitted as info edges carrying parent depths.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .stream_core import (
@@ -27,6 +28,7 @@ from .stream_core import (
     Stream,
     StreamItem,
     StreamPipeline,
+    validate_edges,
 )
 
 
@@ -252,19 +254,18 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
 
 
 class LabelUnion:
-    """Union-find over sparse integer labels with directed merges."""
+    """Union-find over sparse integer ids with directed merges."""
 
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
 
     def find(self, label: int) -> int:
-        if label == 0:
-            return 0
+        parent = self.parent  # a root has no entry
         root = label
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(label, label) != label:
-            self.parent[label], label = root, self.parent[label]
+        while root in parent:
+            root = parent[root]
+        while label != root:
+            parent[label], label = root, parent[label]
         return root
 
     def union_into(self, label: int, target: int) -> None:
@@ -272,30 +273,20 @@ class LabelUnion:
         if a != b:
             self.parent[a] = b
 
-    def __len__(self) -> int:
-        return len(self.parent)
-
-
-@dataclass
-class TreeRecord:
-    """A connectivity-tree edge held until rooting decides its orientation."""
-
-    a: int  # circuit that created the edge
-    b: int  # previously existing circuit
-    cvertex: int
-
 
 class CircuitFinder(Processor):
     """The phase-1 pass processor, which is also all of phase 1's state.
 
-    ``com`` maps each vertex of the circuits emitted so far to a component
-    label, and ``labels`` merges labels when a circuit joins components, so
-    a vertex's component is ``labels.find(com.get(v, 0))``.  ``pre`` maps
-    each such vertex to the first circuit that used it.  Neither map holds
-    an unseen vertex, so ``n`` only sizes the buffer and the meter.  The
-    connectivity tree keeps one vertex per circuit that either introduced a
-    new graph vertex or joined existing components, and one ``TreeRecord``
-    per tree edge.
+    ``pre`` maps each vertex of the circuits emitted so far to the first
+    circuit that used it; it holds no unseen vertex, so ``n`` only sizes
+    the buffer and the meter.  The connectivity tree keeps one vertex per
+    circuit that either introduced a new graph vertex or joined existing
+    components, and one ``(a, b, cvertex)`` record per tree edge: circuit
+    ``a`` created it to the earlier circuit ``b`` through their shared
+    vertex ``cvertex``.  ``forest`` unites the circuits along the tree
+    edges, so it is also the vertex components: two seen vertices ``u``,
+    ``w`` are connected exactly when ``forest.find(pre[u]) ==
+    forest.find(pre[w])``.
     """
 
     label = "circuit-find"
@@ -303,36 +294,16 @@ class CircuitFinder(Processor):
 
     def __init__(self, n: int):
         self.n = n
-        self.com: dict[int, int] = {}
         self.pre: dict[int, int] = {}
         self.cir = 0
         self.height = 0
         self.buffer = EdgeBuffer()
-        self.labels = LabelUnion()
+        self.forest = LabelUnion()
+        self.components = 0  # circuits that founded a component
+        self.joins = 0  # tree edges that joined two components
         self.tree_vertices: set[int] = set()
-        self.tree_records: list[TreeRecord] = []
-        self.tree_forest = LabelUnion()
+        self.tree_records: list[tuple[int, int, int]] = []
         self.flag1_parents: list[int] = []
-        self.reset_circuit_flags()  # per-circuit flags, reset after each emission
-
-    def component(self, v: int) -> int:
-        return self.labels.find(self.com.get(v, 0))
-
-    def add_tree_edge(self, cid: int, other: int, cvertex: int) -> None:
-        if other not in self.tree_vertices:
-            raise IntegrityFault(f"tree edge to unknown circuit {other}")
-        if self.tree_forest.find(cid) == self.tree_forest.find(other):
-            raise IntegrityFault(
-                f"circuit tree would close a cycle between {cid} and {other}")
-        self.tree_forest.union_into(cid, other)
-        self.tree_records.append(TreeRecord(cid, other, cvertex))
-
-    def reset_circuit_flags(self) -> None:
-        self.s = False
-        self.s_edge = 0
-        self.s_vert = 0
-        self.s_comp = {0}
-        self.com_star = 0
 
     def on_item(self, item: StreamItem, emit) -> None:
         if not isinstance(item, GraphEdge):
@@ -347,9 +318,9 @@ class CircuitFinder(Processor):
         while self.buffer.edge_count:
             if not self._emit_one(emit):
                 raise NotEulerianError(ODD_DEGREE)
-        if len({self.component(v) for v in self.pre}) > 1:
+        if self.components - self.joins > 1:
             raise NotEulerianError(DISCONNECTED)
-        info_edges, self.height = root_and_flush(self)
+        info_edges, self.height = self.root()
         for edge in info_edges:
             emit(edge)
 
@@ -359,142 +330,128 @@ class CircuitFinder(Processor):
             return False
         self.cir += 1
         order = [tail for tail, _ in edges]
-        new_test(order, self)
-        comp_test(order, self)
-        if not self.s:
+        leaf = self.attach(self.cir, order)
+        if leaf is not None:
             # no tree vertex: record the leaf inline and pre-rotate the
             # circuit so its first edge leaves the shared vertex
-            emit(InfoEdge(self.s_edge, self.cir, 0, self.s_vert, 1))
-            self.flag1_parents.append(self.s_edge)
-            if self.s_vert not in order:
-                raise IntegrityFault(f"vertex {self.s_vert} not on circuit {self.cir}")
-            i = order.index(self.s_vert)
+            parent, shared = leaf
+            emit(InfoEdge(parent, self.cir, 0, shared, 1))
+            self.flag1_parents.append(parent)
+            if shared not in order:
+                raise IntegrityFault(f"vertex {shared} not on circuit {self.cir}")
+            i = order.index(shared)
             edges = edges[i:] + edges[:i]
         for pos, (tail, head) in enumerate(edges, start=1):
             emit(GraphEdge(tail, head, self.cir, pos, 0, 0))
-        self.reset_circuit_flags()
         return True
+
+    def attach(self, cid: int, order: Sequence[int]) -> Optional[tuple[int, int]]:
+        """Place circuit ``cid``, whose vertices in visiting order are
+        ``order``, in the connectivity tree.
+
+        The new test: record the vertices seen for the first time; the
+        first vertex seen before (the shared vertex) and the circuit that
+        introduced it (the parent) fix the candidate tree edge.  The comp
+        test: every other component the circuit touches is joined by one
+        tree edge, to the circuit that introduced the first of its vertices
+        met in ``order``.  The circuit is a tree vertex (flag s) when it
+        introduced a vertex or joined a component; a circuit of new
+        vertices only founds a component, with no tree edge.  Returns
+        ``None`` for a tree vertex, else ``(parent, shared vertex)`` for a
+        flag-1 leaf.
+        """
+        pre = self.pre
+        parent = shared = 0
+        new = False
+        for v in order:
+            if v not in pre:
+                new = True
+                pre[v] = cid
+            elif not parent:
+                parent, shared = pre[v], v
+        if not parent:
+            self.tree_vertices.add(cid)
+            self.components += 1
+            return None
+        find, union = self.forest.find, self.forest.union_into
+        root = find(parent)
+        joins = []
+        for v in order:
+            if pre[v] != cid and find(pre[v]) != root:
+                union(pre[v], parent)  # into parent's set: root stays its root
+                joins.append((cid, pre[v], v))
+        if not (new or joins):
+            return parent, shared
+        self.tree_vertices.add(cid)
+        union(cid, parent)
+        self.tree_records.append((cid, parent, shared))
+        self.tree_records += joins
+        self.joins += len(joins)
+        return None
+
+    def root(self) -> tuple[list[InfoEdge], int]:
+        """Root the connectivity tree at circuit 1 and orient its records.
+
+        Returns the oriented info edges (in record creation order) and the
+        overall tree height including circuits that only appear as flag-1
+        leaves.  One record fewer than tree vertices, with every vertex
+        reached from circuit 1, proves the records form a tree.
+        """
+        vertices, records = self.tree_vertices, self.tree_records
+        if not vertices:
+            return [], 0
+        if 1 not in vertices:
+            raise IntegrityFault("first circuit missing from the connectivity tree")
+        if len(records) != len(vertices) - 1:
+            raise IntegrityFault(
+                f"connectivity tree has {len(records)} records for {len(vertices)} circuits")
+        adj: dict[int, list[int]] = {v: [] for v in vertices}
+        for a, b, _ in records:
+            if b not in adj:
+                raise IntegrityFault(f"tree edge to unknown circuit {b}")
+            adj[a].append(b)
+            adj[b].append(a)
+        depth = {1: 0}
+        queue = [1]
+        for v in queue:  # breadth first: the loop walks what it appends
+            for w in adj[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+        if len(depth) != len(vertices):
+            raise IntegrityFault("connectivity tree is not connected after rooting")
+        edges = []
+        for a, b, cvertex in records:
+            da, db = depth[a], depth[b]
+            if abs(da - db) != 1:
+                raise IntegrityFault("connectivity tree record skips a level")
+            parent, child = (a, b) if da < db else (b, a)
+            edges.append(InfoEdge(parent, child, depth[parent], cvertex, 0))
+        height = max(depth.values())
+        for p in self.flag1_parents:
+            if p not in depth:
+                raise IntegrityFault(f"flag-1 parent {p} not in the connectivity tree")
+            height = max(height, depth[p] + 1)
+        return edges, height
 
     def live_records(self) -> int:
         return self.buffer.edge_count
 
     def scalar_words(self) -> int:
-        # 2 * n for the com and pre maps, which never hold more than n
-        # entries each (the golden peak_live_words pins this), one per tree
-        # vertex, three per tree record, one per pending flag-1 parent, the
-        # label union table, and a few scalars; the buffered edges are the
-        # pass's records.  Not counted: the walk's scratch (``buffer.walk``,
-        # O(buffered edges)), ``tree_forest`` (the union-find that keeps the
-        # circuit tree acyclic) and ``root_and_flush``'s depth map, both
-        # O(tree vertices).
-        return (
-            2 * self.n
-            + len(self.tree_vertices)
-            + 3 * len(self.tree_records)
-            + len(self.flag1_parents)
-            + len(self.labels)
-            + len(self.s_comp)
-            + 8
-        )
-
-
-def new_test(order: Sequence[int], state: CircuitFinder) -> None:
-    """Record first-time vertices and, if any, give the circuit a tree vertex.
-
-    ``order`` is the circuit's vertices in visiting order.  The first
-    previously-seen vertex (if any) fixes the candidate tree edge and the
-    shared vertex for later emission.
-    """
-    for v in order:
-        if v not in state.pre:
-            state.s = True
-            state.pre[v] = state.cir
-        elif state.s_edge == 0:
-            state.s_edge = state.pre[v]
-            state.s_vert = v
-            state.s_comp.add(state.component(v))
-            state.com_star = state.component(v)
-    if state.s:
-        state.tree_vertices.add(state.cir)
-        if state.s_edge != 0:
-            state.add_tree_edge(state.cir, state.s_edge, state.s_vert)
-        else:
-            # circuit of entirely new vertices founds its own component
-            for v in order:
-                state.com[v] = state.cir
-
-
-def comp_test(order: Sequence[int], state: CircuitFinder) -> None:
-    """Join all previously-seen components the circuit touches.
-
-    Each component other than the one of the first-seen vertex contributes
-    one tree edge to its founding circuit.  Afterwards every touched label
-    collapses to ``com_star`` and the circuit's own vertices adopt it; label
-    0 (unseen) never triggers a merge.
-    """
-    if state.com_star == 0:
-        return
-    for v in order:
-        cv = state.component(v)
-        if cv != state.com_star:
-            if not state.s:
-                state.s = True
-                state.tree_vertices.add(state.cir)
-                state.add_tree_edge(state.cir, state.s_edge, state.s_vert)
-            if cv not in state.s_comp:
-                state.add_tree_edge(state.cir, state.pre[v], v)
-                state.s_comp.add(cv)
-    for label in state.s_comp - {0, state.com_star}:
-        state.labels.union_into(label, state.com_star)
-    for v in order:
-        state.com[v] = state.com_star
-
-
-def root_and_flush(state: CircuitFinder) -> tuple[list[InfoEdge], int]:
-    """Root the connectivity tree at circuit 1 and orient the stored records.
-
-    Returns the oriented info edges (in record creation order) and the
-    overall tree height including circuits that only appear as flag-1
-    leaves.
-    """
-    if not state.tree_vertices:
-        return [], 0
-    if 1 not in state.tree_vertices:
-        raise IntegrityFault("first circuit missing from the connectivity tree")
-    adj: dict[int, list[int]] = {v: [] for v in state.tree_vertices}
-    for rec in state.tree_records:
-        adj[rec.a].append(rec.b)
-        adj[rec.b].append(rec.a)
-    depth = {1: 0}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    if len(depth) != len(state.tree_vertices):
-        raise IntegrityFault("connectivity tree is not connected after rooting")
-    edges = []
-    for rec in state.tree_records:
-        da, db = depth[rec.a], depth[rec.b]
-        if abs(da - db) != 1:
-            raise IntegrityFault("connectivity tree record skips a level")
-        parent, child = (rec.a, rec.b) if da < db else (rec.b, rec.a)
-        edges.append(InfoEdge(parent, child, depth[parent], rec.cvertex, 0))
-    height = max(depth.values())
-    for p in state.flag1_parents:
-        if p not in depth:
-            raise IntegrityFault(f"flag-1 parent {p} not in the connectivity tree")
-        height = max(height, depth[p] + 1)
-    return edges, height
+        # The golden peak_live_words pins this sum.  2 * n for ``pre`` (at
+        # most n entries) and the forest's parent table (one entry per tree
+        # record, fewer than n); one per tree vertex; three per tree record;
+        # one per pending flag-1 parent; one per join, a margin the golden
+        # sum was recorded with; 9 for the scalars.  The buffered edges are
+        # the pass's records.  Not counted: the walk's scratch
+        # (``buffer.walk``, O(buffered edges)) and ``root``'s adjacency and
+        # depth maps, O(tree vertices).
+        return (2 * self.n + len(self.tree_vertices) + 3 * len(self.tree_records)
+                + len(self.flag1_parents) + self.joins + 9)
 
 
 def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
     """Raw input items: one unannotated graph edge per validated input edge."""
-    from .stream_core import validate_edges
     for u, v in validate_edges(n, edges):
         yield GraphEdge(u, v, 0, 0, 0, 0)
 

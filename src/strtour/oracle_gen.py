@@ -217,12 +217,12 @@ def gen_eulerian(n: int, target_m: int, seed: int) -> tuple[int, list[tuple[int,
         rng = random.Random(seed * 1_000_003 + attempt)
         edges: set[frozenset[int]] = set()
         order: list[tuple[int, int]] = []
-        labels = {}
+        parent = {}
 
         def find(v):
-            while labels.get(v, v) != v:
-                labels[v] = labels.get(labels[v], labels[v])
-                v = labels[v]
+            while parent.get(v, v) != v:
+                parent[v] = parent.get(parent[v], parent[v])
+                v = parent[v]
             return v
 
         stall = 0
@@ -242,7 +242,7 @@ def gen_eulerian(n: int, target_m: int, seed: int) -> tuple[int, list[tuple[int,
                 order.append((u, v))
                 ru, rv = find(u), find(v)
                 if ru != rv:
-                    labels[ru] = rv
+                    parent[ru] = rv
         if not (lo <= len(order) <= hi):
             continue
         active = {v for e in order for v in e}

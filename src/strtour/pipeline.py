@@ -16,7 +16,8 @@ from .stream_core import (
     PassStats,
     Stream,
     StreamPipeline,
-    _parse_graph_file as read_graph_file,  # solve's ingest checks the edges
+    # solve's ingest checks the edges; perfbench/spans.py wraps this name
+    _parse_graph_file as read_graph_file,
     assert_stream_budget,
     write_tour_file,
 )
@@ -49,6 +50,8 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
     internal invariant or budget breaks, or if the tour's edges are not
     the input's (``EdgeTally``).
     """
+    # No default of our own: perfbench/scaled_cli.py divides the default of
+    # StreamPipeline.__init__, which must stay the only one.
     chunk = {} if sort_chunk is None else {"sort_chunk": sort_chunk}
     pipeline = StreamPipeline(tmpdir=tmpdir, trace_dir=trace_dir, **chunk)
     stats = pipeline.stats

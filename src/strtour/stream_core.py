@@ -385,6 +385,16 @@ def _collector_paused(collect: bool = False) -> Iterator[None]:
             gc.enable()
 
 
+# The most chunk files one merge reads at once, so that a sort holds at most
+# this many files open, plus its output, however many chunks it spills.
+MERGE_FAN_IN = 64
+
+
+def _merged(paths: list[str], key: Callable[[StreamItem], tuple]) -> Iterator[StreamItem]:
+    """The records of sorted chunk files in key order; ties go to the earlier file."""
+    return heapq.merge(*(Stream(path).iter_items() for path in paths), key=key)
+
+
 class StreamPipeline:
     """Executes metered passes, materializing every stream between passes.
 
@@ -529,8 +539,9 @@ class StreamPipeline:
 
         The sorter is a primitive of the model, so it carries no live-state
         meter.  Internally it spills fixed-size sorted chunks, in the stream
-        format, and merges them, which keeps memory bounded for streams
-        larger than one chunk.
+        format, and merges them, at most ``MERGE_FAN_IN`` at a time, which
+        keeps memory and open files bounded for streams larger than one
+        chunk.
         """
         items = stream.iter_items()
         size = self.sort_chunk
@@ -539,18 +550,22 @@ class StreamPipeline:
         while len(chunk) >= size:
             chunk_paths.append(self._spill(chunk, key))
             chunk = list(islice(items, size))
+        if chunk_paths and chunk:
+            chunk_paths.append(self._spill(chunk, key))
+            chunk = []
+        # A merge breaks key ties by chunk order, and a merge of too many
+        # chunks first merges runs of consecutive ones, earliest run first,
+        # so the sort stays stable.
+        while len(chunk_paths) > MERGE_FAN_IN:
+            chunk_paths = [self._merge_run(chunk_paths[i:i + MERGE_FAN_IN], key)
+                           for i in range(0, len(chunk_paths), MERGE_FAN_IN)]
 
         with StreamWriter(self._new_path(label)) as writer:
-            if not chunk_paths:
+            if chunk_paths:
+                writer.write_all(_merged(chunk_paths, key))
+            else:
                 chunk.sort(key=key)
                 writer.write_all(chunk)
-            else:
-                if chunk:
-                    chunk_paths.append(self._spill(chunk, key))
-                    chunk = []
-                # merge breaks key ties by chunk order, so the sort stays stable
-                writer.write_all(heapq.merge(
-                    *(Stream(path).iter_items() for path in chunk_paths), key=key))
         for path in chunk_paths:
             os.unlink(path)
 
@@ -561,10 +576,22 @@ class StreamPipeline:
     def _spill(self, chunk: list[StreamItem], key: Callable[[StreamItem], tuple]) -> str:
         """Sort one chunk in memory and write it to its own file."""
         chunk.sort(key=key)
+        return self._chunk_file(chunk)
+
+    def _merge_run(self, paths: list[str], key: Callable[[StreamItem], tuple]) -> str:
+        """Merge a run of chunk files into one new chunk file."""
+        if len(paths) == 1:
+            return paths[0]
+        path = self._chunk_file(_merged(paths, key))
+        for used in paths:
+            os.unlink(used)
+        return path
+
+    def _chunk_file(self, items: Iterable[StreamItem]) -> str:
         fd, path = tempfile.mkstemp(prefix="chunk-", dir=self.workdir)
         os.close(fd)
         with StreamWriter(path) as writer:
-            writer.write_all(chunk)
+            writer.write_all(items)
         return path
 
     def cleanup(self) -> None:

@@ -1,4 +1,4 @@
-"""Phase-1 tests: extraction, the two circuit tests, rooting, invariants."""
+"""Phase-1 tests: extraction, attaching circuits to the tree, rooting, invariants."""
 
 import random
 from collections import Counter
@@ -19,13 +19,7 @@ from strtour import (
     initial_stream,
     solve,
 )
-from strtour.circuit_find import (
-    EdgeBuffer,
-    TreeRecord,
-    comp_test,
-    new_test,
-    root_and_flush,
-)
+from strtour.circuit_find import EdgeBuffer
 from strtour.stream_core import DISCONNECTED, ODD_DEGREE
 
 from conftest import (
@@ -242,118 +236,93 @@ def test_resumed_walk_matches_restarting_walk_seeded():
         lockstep(pending, rng.randrange(1, n + 2), rng.random() < 0.3, rng.choice)
 
 
-# -- new_test / comp_test -----------------------------------------------------
+# -- attach: the new test and the comp test ------------------------------------
 
 def fresh_state(n=9):
     return CircuitFinder(n)
 
 
-def test_new_test_all_new_founds_component():
+def root_of(state, v):
+    """The forest root of the circuit that introduced ``v``: its component."""
+    return state.forest.find(state.pre[v])
+
+
+def test_attach_all_new_founds_component():
     state = fresh_state()
-    state.cir = 1
-    new_test((5, 7, 8), state)
+    assert state.attach(1, (5, 7, 8)) is None
     assert [state.pre[v] for v in (5, 7, 8)] == [1, 1, 1]
-    assert [state.com[v] for v in (5, 7, 8)] == [1, 1, 1]
+    assert [root_of(state, v) for v in (5, 7, 8)] == [1, 1, 1]
     assert state.tree_vertices == {1}
     assert state.tree_records == []
 
 
-def test_new_test_shared_vertex_adds_tree_edge():
+def test_attach_shared_vertex_adds_tree_edge():
     state = fresh_state()
-    state.cir = 1
-    new_test((5, 7, 8), state)
-    state.reset_circuit_flags()
-    state.cir = 2
-    order = (9, 6, 7)
-    new_test(order, state)
-    comp_test(order, state)
+    state.attach(1, (5, 7, 8))
+    assert state.attach(2, (9, 6, 7)) is None
     assert state.pre[6] == state.pre[9] == 2
     assert state.tree_vertices == {1, 2}
-    rec = state.tree_records[0]
-    assert (rec.a, rec.b, rec.cvertex) == (2, 1, 7)
-    assert state.com[6] == state.com[9] == 1  # joined the first component
+    assert state.tree_records[0] == (2, 1, 7)
+    assert root_of(state, 6) == root_of(state, 9) == 1  # joined the first component
 
 
-def test_new_test_all_seen_leaves_s_false():
+def test_attach_all_seen_is_flag1_leaf():
     state = fresh_state()
-    state.cir = 1
-    new_test((5, 7, 8), state)
-    state.reset_circuit_flags()
-    state.cir = 2
-    new_test((5, 8, 7), state)
-    assert state.s is False
-    assert state.s_edge == 1 and state.s_vert == 5
+    state.attach(1, (5, 7, 8))
+    assert state.attach(2, (5, 8, 7)) == (1, 5)  # flag s stays false
+    assert state.tree_vertices == {1}
 
 
-def test_comp_test_joins_two_components():
+def test_attach_joins_two_components():
     # circuits on {5,7,8} then {1,2,3,4}; a triangle through 5 and 1 joins them,
-    # first-seen vertex 5 so the surviving label is component 1
+    # first-seen vertex 5 so the surviving root is circuit 1
     state = fresh_state()
-    state.cir = 1
-    new_test((5, 7, 8), state)
-    state.reset_circuit_flags()
-    state.cir = 2
-    new_test((1, 2, 3, 4), state)
-    state.reset_circuit_flags()
-    state.cir = 3
-    order = (5, 1, 3)
-    new_test(order, state)
-    comp_test(order, state)
-    assert state.s is True
-    pairs = {(r.a, r.b, r.cvertex) for r in state.tree_records}
-    assert pairs == {(3, 1, 5), (3, 2, 1)}
-    labels = {state.component(v) for v in (1, 2, 3, 4, 5, 7, 8)}
-    assert labels == {1}
+    state.attach(1, (5, 7, 8))
+    state.attach(2, (1, 2, 3, 4))
+    assert state.attach(3, (5, 1, 3)) is None  # flag s set by the comp test
+    assert set(state.tree_records) == {(3, 1, 5), (3, 2, 1)}
+    assert {root_of(state, v) for v in (1, 2, 3, 4, 5, 7, 8)} == {1}
+    assert (state.components, state.joins) == (2, 1)
 
 
-def test_comp_test_single_component_noop():
+def test_attach_single_component_noop():
     state = fresh_state()
-    state.cir = 1
-    new_test((5, 7, 8), state)
-    state.reset_circuit_flags()
-    state.cir = 2
-    order = (5, 8, 7)
-    new_test(order, state)
-    comp_test(order, state)
-    assert state.s is False
+    state.attach(1, (5, 7, 8))
+    assert state.attach(2, (5, 8, 7)) is not None
     assert state.tree_records == []
+    assert state.joins == 0
 
 
-def test_comp_test_all_new_guard():
+def test_attach_all_new_guard():
     state = fresh_state()
-    state.cir = 1
-    order = (5, 7, 8)
-    new_test(order, state)
-    comp_test(order, state)  # com_star stays 0, nothing happens
+    state.attach(1, (5, 7, 8))  # nothing seen before: no tree edge, no join
     assert state.tree_records == []
+    assert state.joins == 0
 
 
 def test_tree_cycle_rejected():
+    # three circuits, three records: a cycle, which the record count exposes
     state = fresh_state()
-    state.tree_vertices = {1, 2}
-    state.tree_forest.union_into(2, 1)
-    state.tree_records = []
-    with pytest.raises(IntegrityFault):
-        state.add_tree_edge(2, 1, 5)
+    state.tree_vertices = {1, 2, 3}
+    state.tree_records = [(2, 1, 5), (3, 2, 6), (3, 1, 7)]
+    with pytest.raises(IntegrityFault, match="3 records for 3 circuits"):
+        state.root()
 
 
-# -- root_and_flush -----------------------------------------------------------
+# -- root -----------------------------------------------------------------------
 
 def test_root_single_circuit_emits_nothing():
     state = fresh_state()
-    state.cir = 1
-    new_test((1, 2, 3), state)
-    edges, height = root_and_flush(state)
+    state.attach(1, (1, 2, 3))
+    edges, height = state.root()
     assert edges == [] and height == 0
 
 
 def test_root_star_depths_zero():
     state = fresh_state(n=12)
     state.tree_vertices = {1, 2, 3, 4}
-    for child, cv in ((2, 5), (3, 6), (4, 7)):
-        state.tree_forest.union_into(child, 1)
-        state.tree_records.append(TreeRecord(child, 1, cv))
-    edges, height = root_and_flush(state)
+    state.tree_records = [(2, 1, 5), (3, 1, 6), (4, 1, 7)]
+    edges, height = state.root()
     assert height == 1
     assert {(e.pred, e.succ, e.depth) for e in edges} == {(1, 2, 0), (1, 3, 0), (1, 4, 0)}
 

@@ -1,6 +1,9 @@
 """Whole-pipeline checks on structured graph families."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -133,7 +136,7 @@ def test_solve_takes_any_iterable_of_pairs(tmp_path):
 
 
 def test_solve_file_validates_each_edge_once(tmp_path, monkeypatch):
-    from strtour import pipeline, stream_core
+    from strtour import circuit_find, pipeline, stream_core
     calls = []
     real = stream_core.validate_edges
 
@@ -141,7 +144,9 @@ def test_solve_file_validates_each_edge_once(tmp_path, monkeypatch):
         calls.append(n)
         return real(n, edges)
 
-    monkeypatch.setattr(stream_core, "validate_edges", counting_validate)
+    # the source pass's initial_stream imports the name into circuit_find
+    for module in (stream_core, circuit_find):
+        monkeypatch.setattr(module, "validate_edges", counting_validate)
     n, edges = gen_eulerian(10, 20, 1)
     path = str(tmp_path / "g.txt")
     stream_core.write_graph_file(path, n, edges)
@@ -267,3 +272,63 @@ def test_solve_rejects_a_relabelling_at_the_spill_chunk(tmp_path, monkeypatch):
     relabelling(monkeypatch, 1, n)
     with pytest.raises(IntegrityFault, match="not the input's edges"):
         solve(n, edges, tmpdir=str(tmp_path), sort_chunk=7)
+
+
+def test_many_spill_chunks_solve_under_a_low_open_file_limit(tmp_path):
+    """The golden lollipop at sort_chunk 2 spills 752 chunks per sort.  The
+    merge holds at most ``MERGE_FAN_IN`` of them open, so it solves under a
+    limit of 256 open files and leaves ``STRTOUR_TMPDIR`` empty."""
+    resource = pytest.importorskip("resource")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    paths = [os.path.join(os.path.dirname(tests), "src"), tests,
+             os.environ.get("PYTHONPATH", "")]
+    script = (
+        "from test_golden import GOLDEN, GRAPHS, tour_digest\n"
+        "from strtour import solve\n"
+        "n, edges = GRAPHS['lollipop-300']()\n"
+        "tour = solve(n, edges, sort_chunk=2).tour\n"
+        "print(tour_digest(tour) == GOLDEN['lollipop-300'][2])\n")
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    soft = 256 if hard == resource.RLIM_INFINITY else min(256, hard)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, STRTOUR_TMPDIR=str(tmp_path),
+                 PYTHONPATH=os.pathsep.join(p for p in paths if p)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+    assert os.listdir(tmp_path) == []
+
+
+BENCHMARK_PATCH_POINTS = [
+    ("circuit_find", "extract_circuit"),
+    ("pipeline", "read_graph_file"),
+    ("pipeline", "find_circuits"),
+    ("pipeline", "prepare"),
+    ("pipeline", "emit_tour"),
+    ("pipeline", "write_tour_file"),
+    ("tree_merge", "merge_iteration"),
+]
+
+
+def test_benchmark_patch_points_are_looked_up_at_call_time(tmp_path, monkeypatch, nine_vertex):
+    """perfbench/spans.py swaps these module globals by name to time the
+    layers; a name bound before the swap would leave its layer reading 0."""
+    import importlib
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, name in BENCHMARK_PATCH_POINTS:
+        module = importlib.import_module(f"strtour.{module_name}")
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    n, edges = nine_vertex
+    graph = str(tmp_path / "g.txt")
+    write_graph_file(graph, n, edges)
+    from strtour.pipeline import solve_file
+    solve_file(graph, str(tmp_path / "tour.txt"), tmpdir=str(tmp_path))
+    assert set(calls) == {name for _, name in BENCHMARK_PATCH_POINTS}

@@ -23,7 +23,8 @@ from strtour import (
     write_graph_file,
 )
 from strtour.stream_core import (
-    BLOCK_RECORDS, RECORD, EdgeTally, PassRecord, encode_block, validate_edges)
+    BLOCK_RECORDS, MERGE_FAN_IN, RECORD, EdgeTally, PassRecord, encode_block,
+    validate_edges)
 
 from conftest import make_pipeline
 
@@ -505,6 +506,36 @@ def test_sort_spills_one_chunk_per_full_or_partial_chunk(tmp_path, monkeypatch, 
         assert got == expected
         assert len(spills) == (0 if length < chunk else -(-length // chunk))
         spills.clear()
+
+
+@pytest.mark.parametrize("fan_in", [2, 3, MERGE_FAN_IN])
+def test_sort_merge_holds_at_most_fan_in_files_open(tmp_path, monkeypatch, fan_in):
+    # one record per chunk: 197 chunks merge in runs, and runs of runs at a
+    # small fan-in, each run of consecutive chunks, so ties keep input order
+    opened = []
+    peak = [0]
+
+    def tracking_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        peak[0] = max(peak[0], sum(not f.closed for f in opened))
+        return fh
+
+    rng = random.Random(fan_in)
+    items = [GraphEdge(rng.randrange(1, 4), rng.randrange(1, 4), 1, i)
+             for i in range(1, 3 * MERGE_FAN_IN + 6)]
+    expected = [it for _, it in sorted(
+        enumerate(items), key=lambda pair: (head_key(pair[1]), pair[0]))]
+    pl, _ = make_pipeline(tmp_path, sort_chunk=1)
+    source = pl.materialize(items)
+    monkeypatch.setattr(stream_core, "MERGE_FAN_IN", fan_in)
+    monkeypatch.setattr(stream_core, "open", tracking_open, raising=False)
+    out = pl.run_sorting_pass(head_key, source, "test", "sort")
+    monkeypatch.undo()
+    assert list(out.iter_items()) == expected
+    assert peak[0] == fan_in + 1  # a full run of chunks and the file it merges into
+    assert os.listdir(pl.workdir) == [os.path.basename(out.path)]
+    pl.cleanup()
 
 
 def test_sort_is_permutation(tmp_path):
