@@ -36,8 +36,8 @@ class EdgeBuffer:
     """Adjacency view over the undirected edges currently held in memory.
 
     The buffer also carries the walk of ``extract_circuit`` from one
-    extraction to the next: ``add`` tells the walk about the new edge, and
-    the walk's own cut is the only removal.
+    extraction to the next: ``add`` tells a started walk about the new
+    edge, and the walk's own cut is the only removal.
     """
 
     def __init__(self) -> None:
@@ -46,12 +46,22 @@ class EdgeBuffer:
         self.walk = Walk()
 
     def add(self, u: int, v: int) -> None:
-        if v in self.adj.get(u, ()):  # ingestion already rejects duplicates
+        adj = self.adj
+        nbrs = adj.get(u)
+        if nbrs is None:
+            adj[u] = {v}
+        elif v in nbrs:  # ingestion already rejects duplicates
             raise IntegrityFault(f"edge ({u}, {v}) buffered twice")
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
+        else:
+            nbrs.add(v)
+        nbrs = adj.get(v)
+        if nbrs is None:
+            adj[v] = {u}
+        else:
+            nbrs.add(u)
         self.edge_count += 1
-        self.walk.edge_added(self.adj, u, v)
+        if self.walk.started:
+            self.walk.edge_added(adj, u, v)
 
     def unlink(self, u: int, v: int) -> None:
         """Remove an edge of a cut cycle; the walk already knows it is gone."""
@@ -78,6 +88,12 @@ class Walk:
     buffered is skipped.  ``starts`` is a min-heap of start candidates,
     used when a walk with no cut so far exhausts the component of
     ``start``.  All of it is O(buffered edges).
+
+    When a new edge changes the order of the path walked so far, the walk
+    is rolled back (``rollback``) rather than started over.  Vertices cut
+    off the path leave it unfinished, but the dead-end subtrees below them
+    stay finished: a finished subtree hangs off its parent by a single
+    edge, so a walk that reaches it again still finds it a dead end.
     """
 
     def __init__(self) -> None:
@@ -99,61 +115,62 @@ class Walk:
         self.starts = list(adj)
         heapq.heapify(self.starts)
 
-    def push(self, v: int, adj: dict[int, set[int]]) -> None:
-        self.on_path[v] = len(self.path)
-        self.path.append(v)
-        heap = list(adj[v])
-        heapq.heapify(heap)
-        self.heaps.append(heap)
-
     def edge_added(self, adj: dict[int, set[int]], u: int, v: int) -> None:
-        """Fold a new edge into the suspended walk, or reset it.
+        """Fold a new edge into the started walk, rolling it back or
+        resetting it where the edge changes the walk's order.
 
         The walk stays valid when a fresh walk over the grown buffer would
-        reach the same path with the same candidates left to try: the new
-        edge may only add a candidate that the fresh walk tries later than
-        the current path.
+        reach the same path with the same candidates left to try: a new
+        candidate that the fresh walk tries later than the current path is
+        only offered.  An edge from ``path[i]`` to a vertex the fresh walk
+        tries before ``path[i + 1]`` rolls the walk back to ``path[i]``
+        first.  An edge below ``start`` resets it.
         """
-        if not self.started:
-            return
-        if min(u, v) < self.start:
+        if u < self.start or v < self.start:
             self.reset()
             return
-        for x in (u, v):
-            if x in self.finished and not self.reopen(x, adj):
-                self.reset()
-                return
-        top = len(self.path) - 1
-        for x, y in ((u, v), (v, u)):
-            i = self.on_path.get(x)
-            if i is None:
-                continue
-            if i < top and y < self.path[i + 1]:
-                self.reset()
-                return
-            self.offer(i, y, adj)
+        finished = self.finished
+        if u in finished or v in finished:
+            for x in (u, v):
+                if x in finished and not self.reopen(x, adj):
+                    self.reset()
+                    return
+        path, on_path = self.path, self.on_path
+        if u in on_path or v in on_path:
+            for x, y in ((u, v), (v, u)):
+                i = on_path.get(x)
+                if i is None:
+                    continue
+                if i < len(path) - 1 and y < path[i + 1]:
+                    self.rollback(i, adj)
+                self.offer(i, y, adj)
+        starts = self.starts
         for x in (u, v):
             if len(adj[x]) == 1:  # x just entered the buffer
-                heapq.heappush(self.starts, x)
-        if len(self.starts) > 2 * len(adj):
-            self.starts = [x for x in adj
-                           if x not in self.finished and x not in self.on_path]
+                heapq.heappush(starts, x)
+        if len(starts) > 2 * len(adj):
+            self.starts = [x for x in adj if x not in finished and x not in on_path]
             heapq.heapify(self.starts)
 
     def reopen(self, x: int, adj: dict[int, set[int]]) -> bool:
         """Unmark the dead-end subtree holding ``x``; False if that needs a reset.
 
-        Only a subtree hanging off the top of the path, or off a vertex that
-        has left the path, can reopen: the fresh walk would try its root
-        no earlier than the walk does from there.
+        A subtree under an exhausted earlier start needs a reset.  One that
+        hangs off a path vertex below the top rolls the walk back to that
+        vertex first, so that it hangs off the top: the fresh walk tries its
+        root no earlier than the walk does from there.  One that hangs off a
+        vertex that has left the path is only unmarked: the walk pushes that
+        vertex again with all its neighbours.
         """
         root = x
         parent = self.finished[root]
         while parent in self.finished:
             root, parent = parent, self.finished[parent]
-        i = self.on_path.get(parent)
-        if parent == 0 or (i is not None and i != len(self.path) - 1):
+        if parent == 0:
             return False
+        i = self.on_path.get(parent)
+        if i is not None and i < len(self.path) - 1:
+            self.rollback(i, adj)
         del self.finished[root]
         stack = [root]
         while stack:
@@ -165,6 +182,20 @@ class Walk:
         if i is not None:
             self.offer(i, root, adj)
         return True
+
+    def rollback(self, i: int, adj: dict[int, set[int]]) -> None:
+        """Cut the path back to ``path[i]``, which will try ``path[i + 1]`` again.
+
+        No edge is removed, so every finished vertex keeps its edges and
+        stays a dead end.
+        """
+        path, on_path = self.path, self.on_path
+        nxt = path[i + 1]
+        for x in path[i + 1:]:
+            del on_path[x]
+        del path[i + 1:]
+        del self.heaps[i + 1:]
+        self.offer(i, nxt, adj)
 
     def offer(self, i: int, w: int, adj: dict[int, set[int]]) -> None:
         """Add candidate ``w`` to the heap of ``path[i]``.
@@ -194,19 +225,22 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
 
     The walk is not run afresh: its state (``buffer.walk``) survives the
     cut and resumes at the cut vertex on the next call, and ``add`` folds
-    new edges into it or reopens dead ends they touch.  It starts over only
-    when a new edge would change the order of the path walked so far, or
-    when the path empties after a cut (a dead-end vertex may then be the
-    lowest).  That keeps phase 1 close to linear in the edges streamed.
-    The walk's scratch is O(buffered edges), outside the phase-1 meter
-    like the per-call scratch it replaces.
+    new edges into it.  A new edge from ``path[i]`` that the fresh walk
+    would try before ``path[i + 1]``, or one that reopens a dead end
+    hanging off ``path[i]``, rolls the path back to ``path[i]`` and offers
+    ``path[i + 1]`` to its heap again; the dead ends found above it stay
+    finished.  The walk starts over only for a new edge below ``start``, a
+    dead end under an exhausted earlier start, or a path that empties after
+    a cut (a dead-end vertex may then be the lowest).  That keeps phase 1
+    close to linear in the edges streamed.  The walk's scratch is
+    O(buffered edges), outside the phase-1 meter.
     """
     walk = buffer.walk
     adj = buffer.adj
     if not walk.started:
         walk.begin(adj)
     path, heaps, on_path, finished = walk.path, walk.heaps, walk.on_path, walk.finished
-    heappop = heapq.heappop
+    heappop, heapify = heapq.heappop, heapq.heapify
     while True:
         if not path:
             if walk.cut:
@@ -217,40 +251,49 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
                 heappop(starts)
             if not starts:
                 return None
-            walk.start = heappop(starts)
-            walk.push(walk.start, adj)
+            v = walk.start = heappop(starts)
+            on_path[v] = 0
+            path.append(v)
+            heap = list(adj[v])
+            heapify(heap)
+            heaps.append(heap)
         v = path[-1]
         parent = path[-2] if len(path) > 1 else 0
         heap = heaps[-1]
         nbrs = adj.get(v, ())
-        step = None
-        while heap:
-            w = heappop(heap)
-            # a finished neighbour hangs off v by a used tree edge
-            if w in nbrs and w != parent and w not in finished:
-                step = w
+        while True:  # step down from v until it dead-ends or closes a cycle
+            while heap:
+                w = heappop(heap)
+                # a finished neighbour hangs off v by a used tree edge
+                if w in nbrs and w != parent and w not in finished:
+                    break
+            else:
                 break
-        if step is None:
-            path.pop()
-            heaps.pop()
-            del on_path[v]
-            finished[v] = parent
-            continue
-        if step in on_path:
-            cut = on_path[step]
-            cycle = [(path[k], path[k + 1]) for k in range(cut, len(path) - 1)]
-            cycle.append((v, step))
-            for a, b in cycle:
-                buffer.unlink(a, b)
-            for x in path[cut + 1:]:
-                del on_path[x]
-            del path[cut + 1:]
-            del heaps[cut + 1:]
-            walk.cut = True
-            if not buffer.edge_count:
-                walk.reset()  # nothing left to resume; free the scratch
-            return cycle
-        walk.push(step, adj)
+            if w in on_path:
+                cut = on_path[w]
+                cycle = [(path[k], path[k + 1]) for k in range(cut, len(path) - 1)]
+                cycle.append((v, w))
+                for a, b in cycle:
+                    buffer.unlink(a, b)
+                for x in path[cut + 1:]:
+                    del on_path[x]
+                del path[cut + 1:]
+                del heaps[cut + 1:]
+                walk.cut = True
+                if not buffer.edge_count:
+                    walk.reset()  # nothing left to resume; free the scratch
+                return cycle
+            on_path[w] = len(path)
+            path.append(w)
+            nbrs = adj[w]
+            heap = list(nbrs)
+            heapify(heap)
+            heaps.append(heap)
+            parent, v = v, w
+        path.pop()
+        heaps.pop()
+        del on_path[v]
+        finished[v] = parent
 
 
 class LabelUnion:
@@ -306,10 +349,11 @@ class CircuitFinder(Processor):
         self.flag1_parents: list[int] = []
 
     def on_item(self, item: StreamItem, emit) -> None:
-        if not isinstance(item, GraphEdge):
+        if type(item) is not GraphEdge:
             raise IntegrityFault("phase 1 expects a stream of raw graph edges")
-        self.buffer.add(item.tail, item.head)
-        if self.buffer.edge_count >= self.n:
+        buffer = self.buffer
+        buffer.add(item.tail, item.head)
+        if buffer.edge_count >= self.n:
             if not self._emit_one(emit):
                 # a full buffer on <= n vertices always holds a cycle
                 raise IntegrityFault("no circuit found in a full edge buffer")
@@ -341,8 +385,9 @@ class CircuitFinder(Processor):
                 raise IntegrityFault(f"vertex {shared} not on circuit {self.cir}")
             i = order.index(shared)
             edges = edges[i:] + edges[:i]
+        new, cir = tuple.__new__, self.cir
         for pos, (tail, head) in enumerate(edges, start=1):
-            emit(GraphEdge(tail, head, self.cir, pos, 0, 0))
+            emit(new(GraphEdge, (tail, head, cir, pos, 0, 0)))
         return True
 
     def attach(self, cid: int, order: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -444,8 +489,12 @@ class CircuitFinder(Processor):
         # one per pending flag-1 parent; one per join, a margin the golden
         # sum was recorded with; 9 for the scalars.  The buffered edges are
         # the pass's records.  Not counted: the walk's scratch
-        # (``buffer.walk``, O(buffered edges)) and ``root``'s adjacency and
-        # depth maps, O(tree vertices).
+        # (``buffer.walk``) and ``root``'s adjacency and depth maps, O(tree
+        # vertices).  The walk's scratch lives from one reset to the next,
+        # across many extractions, and stays O(buffered edges): path
+        # vertices are joined by buffered edges, a finished vertex keeps its
+        # buffered edges (cuts remove only path edges, rollbacks none), and
+        # ``offer`` and ``edge_added`` trim the heaps and ``starts``.
         return (2 * self.n + len(self.tree_vertices) + 3 * len(self.tree_records)
                 + len(self.flag1_parents) + self.joins + 9)
 

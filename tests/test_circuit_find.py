@@ -17,6 +17,7 @@ from strtour import (
     extract_circuit,
     gen_eulerian,
     initial_stream,
+    perturb,
     solve,
 )
 from strtour.circuit_find import EdgeBuffer
@@ -234,6 +235,128 @@ def test_resumed_walk_matches_restarting_walk_seeded():
                    if rng.random() < density]
         rng.shuffle(pending)
         lockstep(pending, rng.randrange(1, n + 2), rng.random() < 0.3, rng.choice)
+
+
+def test_resumed_walk_matches_restarting_walk_sparse(monkeypatch):
+    """Lock-step in phase 1's shape: sparse graphs, capacity near ``n``.
+
+    The long paths such graphs give are what reach both rollback cases: a
+    new edge tried before the next path vertex, and a reopened dead end
+    below the top of the path.  The test checks that it reaches both.
+    """
+    from strtour.circuit_find import Walk
+    rollbacks = Counter()
+    reopening = []
+    rollback, reopen = Walk.rollback, Walk.reopen
+
+    def counting_rollback(self, i, adj):
+        rollbacks["reopen" if reopening else "edge"] += 1
+        rollback(self, i, adj)
+
+    def marking_reopen(self, x, adj):
+        reopening.append(x)
+        try:
+            return reopen(self, x, adj)
+        finally:
+            reopening.pop()
+
+    monkeypatch.setattr(Walk, "rollback", counting_rollback)
+    monkeypatch.setattr(Walk, "reopen", marking_reopen)
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randrange(10, 41)
+        pairs = {}
+        for _ in range(rng.randrange(n, 3 * n)):
+            a, b = rng.sample(range(1, n + 1), 2)
+            pairs.setdefault(frozenset((a, b)), (a, b))
+        pending = list(pairs.values())
+        lockstep(pending, rng.randrange(n - 2, n + 3), rng.random() < 0.3, rng.choice)
+    assert rollbacks["edge"] >= 100 and rollbacks["reopen"] >= 100, rollbacks
+
+
+@pytest.fixture
+def resets(monkeypatch):
+    """Count ``Walk.reset`` calls from the moment the fixture is used."""
+    from strtour.circuit_find import Walk
+    calls = []
+    reset = Walk.reset
+
+    def counting(self):
+        calls.append(1)
+        reset(self)
+
+    def start_counting():
+        monkeypatch.setattr(Walk, "reset", counting)
+        return calls
+    return start_counting
+
+
+def suspended_walk(edges):
+    """Spec and walk buffers over ``edges``, after their first extraction."""
+    spec, buf = SpecBuffer(), buffer_of(edges)
+    for u, v in edges:
+        spec.add(u, v)
+    extract_both(spec, buf)
+    return spec, buf
+
+
+def test_edge_before_next_path_vertex_rolls_back(resets):
+    # the first cut leaves the path 1-4-6; the new edge 1-2 is tried before
+    # 4, so the walk rolls back to 1 and must still try 4 before 9
+    edges = [(1, 4), (4, 6), (6, 7), (7, 8), (8, 6), (6, 13), (13, 4),
+             (1, 9), (9, 12), (12, 1)]
+    spec, buf = suspended_walk(edges)
+    assert buf.walk.path == [1, 4, 6]
+    calls = resets()
+    spec.add(1, 2)
+    buf.add(1, 2)
+    assert buf.walk.path == [1]
+    assert extract_both(spec, buf) == [(4, 6), (6, 13), (13, 4)]
+    assert calls == []
+    assert extract_both(spec, buf) == [(1, 9), (9, 12), (12, 1)]
+    assert extract_both(spec, buf) is None
+
+
+def test_reopened_dead_end_below_top_rolls_back(resets):
+    # the walk leaves 5 as a dead end under 4 and cuts 6-7-8, keeping the
+    # path 1-4-6; the new edge 5-20 reopens 5, so the walk rolls back to 4
+    # and must still try 6 before 13
+    edges = [(1, 4), (4, 5), (4, 6), (6, 7), (7, 8), (8, 6), (6, 13), (13, 4),
+             (1, 9), (9, 12), (12, 1)]
+    spec, buf = suspended_walk(edges)
+    assert buf.walk.path == [1, 4, 6] and buf.walk.finished == {5: 4}
+    calls = resets()
+    spec.add(5, 20)
+    buf.add(5, 20)
+    assert buf.walk.path == [1, 4] and buf.walk.finished == {}
+    assert extract_both(spec, buf) == [(4, 6), (6, 13), (13, 4)]
+    assert calls == []
+    assert extract_both(spec, buf) == [(1, 9), (9, 12), (12, 1)]
+    assert extract_both(spec, buf) is None
+
+
+def test_walk_restarts_are_few(tmp_path, monkeypatch):
+    """A work guard independent of timing: the walk on a random graph of
+    m about 2700 starts over a few dozen times at most, not once per few
+    circuits."""
+    from strtour.circuit_find import Walk
+    begins = []
+    begin = Walk.begin
+
+    def counting(self, adj):
+        begins.append(1)
+        begin(self, adj)
+
+    monkeypatch.setattr(Walk, "begin", counting)
+    for seed in (1, 2, 3):
+        n, edges = gen_eulerian(300, 3000, seed)
+        begins.clear()
+        solve(n, edges, tmpdir=str(tmp_path))
+        assert len(begins) <= 30, seed
+        begins.clear()
+        with pytest.raises(NotEulerianError):
+            solve(*perturb(n, edges, "odd"), tmpdir=str(tmp_path))
+        assert len(begins) <= 30, seed
 
 
 # -- attach: the new test and the comp test ------------------------------------
