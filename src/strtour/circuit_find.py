@@ -5,11 +5,13 @@ full a circuit is extracted (a full buffer always contains one, because any
 subgraph on at most ``n`` vertices with ``n`` edges has a cycle), annotated
 graph edges are emitted, and the circuit is attached to an in-memory
 connectivity tree over circuit ids, whose components are the graph's.  At
-end of stream the leftover buffer is drained the same way.  A non-empty,
-acyclic residue means some vertex has odd degree, and more than one tree
-component means the graph is disconnected; either rejects the graph.
-Finally the tree is rooted at the first circuit and the stored tree edges
-are emitted as info edges carrying parent depths.
+end of stream the leftover buffer is drained the same way.  More than one
+tree component means the graph is disconnected, which rejects it.  A
+non-empty, acyclic residue means some vertex has odd degree; ``solve``
+rejects such a graph after its source pass, before this pass runs, but the
+pass still checks the residue itself.  Finally the tree is rooted at the
+first circuit and the stored tree edges are emitted as info edges carrying
+parent depths.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from .stream_core import (
     EdgeTally,
     InfoEdge,
     IntegrityFault,
+    NotEulerianError,
+    ODD_DEGREE,
     PassStats,
     Stream,
     StreamPipeline,
@@ -43,12 +45,16 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
           sort_chunk: Optional[int] = None) -> SolveResult:
     """Run the full streaming pipeline over any iterable of edge pairs.
 
-    The source pass reads ``edges`` once and counts them.  ``sort_chunk``
-    overrides the sorter's in-memory chunk size; ``None`` keeps the
-    pipeline's default.  Raises ``NotEulerianError`` for graphs without a
-    tour, ``ParseError`` for malformed input, and ``IntegrityFault`` if any
-    internal invariant or budget breaks, or if the tour's edges are not
-    the input's (``EdgeTally``).
+    The source pass reads ``edges`` once, counts them, and keeps the set of
+    vertices whose degree is odd so far (``EdgeTally.odd``): ingest state
+    outside the meter, of at most one entry per vertex seen.  A graph with
+    an odd-degree vertex is rejected as soon as the source pass ends, before
+    phase 1 builds any state; phase 1 finds a disconnected graph.
+    ``sort_chunk`` overrides the sorter's in-memory chunk size; ``None``
+    keeps the pipeline's default.  Raises ``ParseError`` for malformed
+    input, found first, ``NotEulerianError`` for graphs without a tour, and
+    ``IntegrityFault`` if any internal invariant or budget breaks, or if
+    the tour's edges are not the input's (``EdgeTally``).
     """
     # No default of our own: perfbench/scaled_cli.py divides the default of
     # StreamPipeline.__init__, which must stay the only one.
@@ -58,6 +64,8 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
     try:
         ingested = EdgeTally()
         source = pipeline.materialize(initial_stream(n, ingested.passing(edges)), "input")
+        if ingested.odd:
+            raise NotEulerianError(ODD_DEGREE)
         m = source.items
         stream = find_circuits(pipeline, n, source)
         if trace_dir:

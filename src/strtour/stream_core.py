@@ -19,7 +19,9 @@ collector paused, and each sorting pass ends with one full collection of
 the objects it made, which hands CPython's free lists back (see
 ``StreamPipeline``).  ``EdgeTally`` fingerprints an undirected edge
 multiset in two words, so ``solve`` can check that its tour uses exactly
-the input's edges without another pass.
+the input's edges without another pass.  It also keeps the set of
+odd-degree vertices, so that ``solve`` rejects a graph by Euler's
+criterion before phase 1.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import struct
 import tempfile
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 ODD_DEGREE = "odd degree"
@@ -140,7 +141,6 @@ _BLOCK_BODY = struct.Struct("<" + "x6q" * BLOCK_RECORDS)
 _TAG_OF_LENGTH = bytes.maketrans(bytes([GRAPH_EDGE_WORDS, INFO_EDGE_WORDS]), b"GI")
 _SIGN_BYTES = range(8, RECORD.size, 8)  # the high byte of each int64 field
 _NON_NEGATIVE = bytes(range(128))
-_graph_edge = partial(tuple.__new__, GraphEdge)
 
 
 def encode_block(items: list[StreamItem]) -> bytearray:
@@ -181,7 +181,7 @@ def decode_block(block: bytes, first: int) -> list[StreamItem]:
     signs = b"".join([block[k::size] for k in _SIGN_BYTES])
     if tags.translate(None, b"GI") or signs.translate(None, _NON_NEGATIVE):
         _raise_first_fault(block, first)
-    items = list(map(_graph_edge, _GRAPH_BODY.iter_unpack(block)))
+    items = list(map(tuple.__new__, repeat(GraphEdge), _GRAPH_BODY.iter_unpack(block)))
     at = tags.find(b"I")
     while at >= 0:
         record = items[at]
@@ -630,21 +630,38 @@ class EdgeTally:
     mod 2**61 - 1, so the tuple also holds each id's high bits: without them
     ids that differ by that modulus would hash alike.  With them, any two
     ids a record can hold (below 2**63) hash apart before the tuple mixes.
+
+    ``odd`` is not part of the fingerprint, and equality ignores it: it is
+    the set of vertices that end an odd number of the edges added.  It
+    holds only vertices seen, and is empty exactly when every degree is
+    even (Euler's criterion).
     """
 
     count: int = 0
     total: int = 0
+    odd: set[int] = field(default_factory=set, compare=False)
 
     def passing(self, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
         """Yield ``pairs`` unchanged; they are added when they run out."""
         count = total = 0
+        odd: set[int] = set()
+        add, discard = odd.add, odd.discard
         for u, v in pairs:
             count += 1
             total += hash((u, v, u >> 60, v >> 60) if u < v
                           else (v, u, v >> 60, u >> 60))
+            if u in odd:
+                discard(u)
+            else:
+                add(u)
+            if v in odd:
+                discard(v)
+            else:
+                add(v)
             yield u, v
         self.count += count
         self.total = (self.total + total) & 0xFFFF_FFFF_FFFF_FFFF
+        self.odd ^= odd
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]]) -> "EdgeTally":

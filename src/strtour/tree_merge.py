@@ -48,12 +48,16 @@ def iteration_bound(height: int) -> int:
     return height.bit_length()
 
 
+# Every sort key ends with the record itself, as one element.  In each key
+# the two record types differ at a fixed earlier position, so a record is
+# only ever compared with a record of its own type, field by field.
+
 def regroup_key(item: StreamItem) -> tuple:
     """Info edges first, grouped by second field; within a group the flag-0
     parent edge precedes the reversed edges that need its first field."""
     if isinstance(item, InfoEdge):
-        return (0, item.succ, item.f5) + item
-    return (1, item.f3, item.f4) + item
+        return (0, item.succ, item.f5, item)
+    return (1, item.f3, item.f4, item)
 
 
 def circuit_grouping_key(item: StreamItem) -> tuple:
@@ -65,8 +69,8 @@ def circuit_grouping_key(item: StreamItem) -> tuple:
     info edge's ``succ`` is its child, and each child has one parent edge,
     so ``f5`` (the slot there) never decides the order."""
     if isinstance(item, InfoEdge):
-        return (item.succ, 0, item.f5) + item
-    return (item.f3, 1, item.f4) + item
+        return (item.succ, 0, item.f5, item)
+    return (item.f3, 1, item.f4, item)
 
 
 def slot_search_key(item: StreamItem) -> tuple:
@@ -74,18 +78,18 @@ def slot_search_key(item: StreamItem) -> tuple:
     right after the host edges whose head equals its shared vertex; odd
     (rewired) info edges parked at the end."""
     if isinstance(item, GraphEdge):
-        return (0, item.f3, item.head, 0, item.f4) + item
+        return (0, item.f3, item.head, 0, item.f4, item)
     if item.depth % 2 == 0:
-        return (0, item.pred, item.cvertex, 1, item.succ) + item
-    return (1, item.pred, item.succ) + item
+        return (0, item.pred, item.cvertex, 1, item.succ, item)
+    return (1, item.pred, item.succ, item)
 
 
 def splice_key(item: StreamItem) -> tuple:
     """Info edges in front; graph edges by their four trailing labels, which
     places every child block right after its splice edge."""
     if isinstance(item, InfoEdge):
-        return (0,) + item
-    return (1, item.f3, item.f4, item.f5, item.f6) + item
+        return (0, item)
+    return (1, item.f3, item.f4, item.f5, item.f6, item)
 
 
 class NormalFormWriter(Processor):
@@ -317,8 +321,8 @@ def run_merges(pipeline: StreamPipeline, stream: Stream, height: int,
 
 def tour_position_key(item: StreamItem) -> tuple:
     if isinstance(item, GraphEdge):
-        return (0, item.f4) + item
-    return (1,) + item
+        return (0, item.f4, item)
+    return (1, item)
 
 
 def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int) -> list[tuple[int, int]]:

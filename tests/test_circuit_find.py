@@ -338,7 +338,8 @@ def test_reopened_dead_end_below_top_rolls_back(resets):
 def test_walk_restarts_are_few(tmp_path, monkeypatch):
     """A work guard independent of timing: the walk on a random graph of
     m about 2700 starts over a few dozen times at most, not once per few
-    circuits."""
+    circuits.  ``solve`` rejects an odd graph before phase 1, so the odd
+    graphs run phase 1 alone, which must find the odd residue itself."""
     from strtour.circuit_find import Walk
     begins = []
     begin = Walk.begin
@@ -354,8 +355,9 @@ def test_walk_restarts_are_few(tmp_path, monkeypatch):
         solve(n, edges, tmpdir=str(tmp_path))
         assert len(begins) <= 30, seed
         begins.clear()
-        with pytest.raises(NotEulerianError):
-            solve(*perturb(n, edges, "odd"), tmpdir=str(tmp_path))
+        with pytest.raises(NotEulerianError) as err:
+            run_phase1(tmp_path, *perturb(n, edges, "odd"))
+        assert err.value.reason == ODD_DEGREE
         assert len(begins) <= 30, seed
 
 

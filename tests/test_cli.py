@@ -48,6 +48,16 @@ def test_solve_rejects_odd_degree(tmp_path, capsys):
     assert "not eulerian: odd degree" in capsys.readouterr().out
 
 
+def test_solve_rejects_odd_degree_whatever_the_header_n(tmp_path, capsys):
+    # the odd set holds the vertices seen, never an entry per header vertex
+    graph = str(tmp_path / "g.txt")
+    write_graph_file(graph, 2 ** 62, [(1, 2), (2, 3), (3, 1), (1, 2 ** 62)])
+    assert main(["solve", "--in", graph]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "not eulerian: odd degree\n"
+    assert captured.err == ""
+
+
 def test_solve_rejects_disconnected(tmp_path, capsys):
     graph = str(tmp_path / "g.txt")
     assert main(["gen", "--out", graph, "--n", "12", "--m", "24",
@@ -232,14 +242,20 @@ def test_reused_trace_dir_is_refused_and_left_as_it_was(tmp_path, monkeypatch, c
 
 def test_each_failed_block_write_exits_1_and_leaves_nothing(tmp_path, monkeypatch, capsys):
     # every block write of a small solve fails in turn with ENOSPC, while
-    # the source pass is still reading the graph file for the first ones
+    # the source pass is still reading the graph file for the first ones;
+    # an odd graph is rejected after its source pass, so every write it
+    # makes is one of that pass's blocks
     import errno
-    from strtour.stream_core import StreamWriter
+    from strtour import gen_eulerian, perturb
+    from strtour.stream_core import BLOCK_RECORDS, StreamWriter
 
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     monkeypatch.setenv("STRTOUR_TMPDIR", str(scratch))
-    graph = write_nine(tmp_path)
+    nine = write_nine(tmp_path)
+    odd = str(tmp_path / "odd.txt")
+    odd_n, odd_edges = perturb(*gen_eulerian(100, 2500, 1), "odd")
+    write_graph_file(odd, odd_n, odd_edges)
     writes, fail_at = [0], [0]
 
     class FullDisk:
@@ -263,15 +279,21 @@ def test_each_failed_block_write_exits_1_and_leaves_nothing(tmp_path, monkeypatc
 
     monkeypatch.setattr(StreamWriter, "__init__", failing_init)
     stats = tmp_path / "stats.json"
-    assert main(["solve", "--in", graph, "--stats", str(stats)]) == 0
-    total = writes[0]
-    assert total >= len(json.loads(stats.read_text())["passes"])  # every pass writes
-    capsys.readouterr()
-    for k in range(1, total + 1):
-        writes[0], fail_at[0] = 0, k
-        assert main(["solve", "--in", graph]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
-        assert list(scratch.iterdir()) == []
+    assert main(["solve", "--in", nine, "--stats", str(stats)]) == 0
+    nine_writes = writes[0]
+    assert nine_writes >= len(json.loads(stats.read_text())["passes"])  # every pass writes
+    writes[0] = 0
+    assert main(["solve", "--in", odd]) == 2
+    odd_writes = writes[0]
+    assert odd_writes == -(-len(odd_edges) // BLOCK_RECORDS) > 1
+    assert capsys.readouterr().out.splitlines()[-1] == "not eulerian: odd degree"
+    assert list(scratch.iterdir()) == []
+    for graph, total in ((nine, nine_writes), (odd, odd_writes)):
+        for k in range(1, total + 1):
+            writes[0], fail_at[0] = 0, k
+            assert main(["solve", "--in", graph]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+            assert list(scratch.iterdir()) == []

@@ -12,15 +12,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from strtour import (
     AdjacencyGraph,
     NotEulerianError,
+    ParseError,
     assert_stream_budget,
     eulerian_reason,
     gen_eulerian,
     iteration_bound,
     merge_spec,
+    perturb,
     solve,
     validate_tour,
     write_graph_file,
 )
+from strtour.stream_core import ODD_DEGREE
 
 from conftest import run_phase1, spec_rounds
 
@@ -194,6 +197,52 @@ def test_phase1_finder_is_freed_before_prepare(tmp_path, monkeypatch):
     assert alive_at_prepare == [False]
     assert result.stats.circuits_found > 1
     assert (tmp_path / "trace" / "connectivity_tree.txt").exists()
+
+
+def test_odd_graph_is_rejected_before_any_streaming_pass(tmp_path, monkeypatch):
+    from strtour import StreamPipeline, circuit_find
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv("STRTOUR_TMPDIR", str(scratch))
+    finders, streamed = [], []
+    finder_class, streaming = circuit_find.CircuitFinder, StreamPipeline.run_streaming_pass
+
+    def recording_finder(*args, **kwargs):
+        finders.append(args)
+        return finder_class(*args, **kwargs)
+
+    def recording_pass(self, processor, *args, **kwargs):
+        streamed.append(processor.label)
+        return streaming(self, processor, *args, **kwargs)
+
+    monkeypatch.setattr(circuit_find, "CircuitFinder", recording_finder)
+    monkeypatch.setattr(StreamPipeline, "run_streaming_pass", recording_pass)
+    n, edges = gen_eulerian(100, 2500, 1)
+    solve(n, edges)  # the spies see an Eulerian solve
+    assert len(finders) == 1 and "circuit-find" in streamed
+    finders.clear()
+    streamed.clear()
+    with pytest.raises(NotEulerianError) as err:
+        solve(*perturb(n, edges, "odd"))
+    assert err.value.reason == ODD_DEGREE
+    assert finders == [] and streamed == []
+    assert list(scratch.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("4 5\n1 2\n2 3\n3 1\n1 4\n2 1\n", ParseError, "edge 5: duplicate edge (2, 1)"),
+    ("4 5\n1 2\n2 3\n3 1\n1 4\n", ParseError, "expected 5 edge lines, found 4"),
+    ("7 7\n1 2\n2 3\n3 1\n1 4\n5 6\n6 7\n7 5\n", NotEulerianError, "not eulerian: odd degree"),
+], ids=["duplicate", "short-count", "disconnected"])
+def test_odd_degree_ranks_after_parse_errors_and_before_disconnection(
+        tmp_path, text, error, message):
+    # every graph has a vertex of odd degree as well as its other fault
+    from strtour.pipeline import solve_file
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        solve_file(str(path), tmpdir=str(tmp_path))
+    assert str(err.value) == message
 
 
 def draw_graph(data):
