@@ -37,7 +37,9 @@ pipeline = StreamPipeline()
 stats = pipeline.stats
 try:
     print("phase 1: single-pass circuit decomposition")
-    source = pipeline.materialize(initial_stream(N, EDGES), "input")
+    odd = set()  # the source pass flips each edge's ends in it
+    source = pipeline.materialize(initial_stream(N, EDGES, odd), "input")
+    print(f"  source pass: {source.items} edges, odd-degree vertices {sorted(odd)}")
     stream = find_circuits(pipeline, N, source)
     height = stats.tree_height
     phase1 = list(stream.iter_items())

@@ -501,9 +501,23 @@ class CircuitFinder(Processor):
                 + len(self.flag1_parents) + self.joins + 9)
 
 
-def initial_stream(n: int, edges: Iterable[tuple[int, int]]):
-    """Raw input items: one unannotated graph edge per validated input edge."""
+def initial_stream(n: int, edges: Iterable[tuple[int, int]], odd: set[int]):
+    """Raw input items: one unannotated graph edge per validated input edge.
+
+    Each edge flips both its ends in ``odd``, which starts empty and so ends
+    as the odd-degree vertices: ingest state of the source pass, outside the
+    meter, with one entry per vertex seen.
+    """
+    add, discard = odd.add, odd.discard
     for u, v in validate_edges(n, edges):
+        if u in odd:
+            discard(u)
+        else:
+            add(u)
+        if v in odd:
+            discard(v)
+        else:
+            add(v)
         yield GraphEdge(u, v, 0, 0, 0, 0)
 
 

@@ -2,14 +2,18 @@
 
 Exit codes: 0 success (tour found, verification passed, graph generated),
 2 the graph is not Eulerian or a tour failed verification, 1 anything
-broken (usage, unreadable or unwritable file, parse error, internal fault).
+broken (usage, unreadable or unwritable file, parse error, internal fault)
+or interrupted (SIGINT or SIGTERM), after the run's files are cleaned up.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
-from typing import Optional
+import threading
+from contextlib import closing, contextmanager
+from typing import Iterator, Optional
 
 from .oracle_gen import (
     AdjacencyGraph,
@@ -26,6 +30,7 @@ from .stream_core import (
     ParseError,
     read_graph_file,
     read_tour_file,
+    validate_edges,
     write_graph_file,
     write_tour_file,
 )
@@ -33,6 +38,31 @@ from .stream_core import (
 
 class UsageError(Exception):
     pass
+
+
+class Terminated(BaseException):
+    """SIGTERM arrived.  Like ``KeyboardInterrupt``, ``except Exception`` misses it."""
+
+
+def _raise_terminated(signum, frame):
+    raise Terminated
+
+
+@contextmanager
+def _sigterm_raises() -> Iterator[None]:
+    """Turn SIGTERM into ``Terminated`` for the block, so cleanups run.
+
+    Only the main thread can set a handler; the previous one comes back on
+    exit, since tests call ``main`` in-process.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,10 +122,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def load_graph(path: str) -> AdjacencyGraph:
+    """The graph of a graph file, its edges checked as ``solve`` checks them."""
+    n, edges = read_graph_file(path)
+    with closing(edges):
+        return AdjacencyGraph.from_edges(n, validate_edges(n, edges))
+
+
 def cmd_verify(args) -> int:
-    n, edges = read_graph_file(args.input)
-    tour = read_tour_file(args.tour)
-    violation = validate_tour(AdjacencyGraph.from_edges(n, edges), tour)
+    g = load_graph(args.input)
+    violation = validate_tour(g, read_tour_file(args.tour))
     if violation is not None:
         print(f"invalid tour: {violation}")
         return 2
@@ -104,8 +140,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    n, edges = read_graph_file(args.input)
-    g = AdjacencyGraph.from_edges(n, edges)
+    g = load_graph(args.input)
     reason = eulerian_reason(g)
     if reason is not None:
         print(f"eulerian: no ({reason})")
@@ -130,7 +165,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             "verify": cmd_verify,
             "oracle": cmd_oracle,
         }[args.command]
-        return handler(args)
+        with _sigterm_raises():
+            return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -145,6 +181,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except (KeyboardInterrupt, Terminated) as exc:
+        name = "SIGTERM" if isinstance(exc, Terminated) else "SIGINT"
+        print(f"error: interrupted by {name}", file=sys.stderr)
         return 1
 
 

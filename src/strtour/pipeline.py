@@ -18,9 +18,9 @@ from .stream_core import (
     PassStats,
     Stream,
     StreamPipeline,
-    # solve's ingest checks the edges; perfbench/spans.py wraps this name
-    _parse_graph_file as read_graph_file,
     assert_stream_budget,
+    read_graph_file,
+    replacing,
     write_tour_file,
 )
 from .tree_merge import MergeIterationReport, emit_tour, run_merges
@@ -46,10 +46,10 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
     """Run the full streaming pipeline over any iterable of edge pairs.
 
     The source pass reads ``edges`` once, counts them, and keeps the set of
-    vertices whose degree is odd so far (``EdgeTally.odd``): ingest state
-    outside the meter, of at most one entry per vertex seen.  A graph with
-    an odd-degree vertex is rejected as soon as the source pass ends, before
-    phase 1 builds any state; phase 1 finds a disconnected graph.
+    vertices whose degree is odd so far (``initial_stream``'s ``odd``):
+    ingest state outside the meter, of one entry per vertex seen.  A graph
+    with an odd-degree vertex is rejected as soon as the source pass ends,
+    before phase 1 builds any state; phase 1 finds a disconnected graph.
     ``sort_chunk`` overrides the sorter's in-memory chunk size; ``None``
     keeps the pipeline's default.  Raises ``ParseError`` for malformed
     input, found first, ``NotEulerianError`` for graphs without a tour, and
@@ -62,9 +62,9 @@ def solve(n: int, edges: Iterable[tuple[int, int]], *, tmpdir: Optional[str] = N
     pipeline = StreamPipeline(tmpdir=tmpdir, trace_dir=trace_dir, **chunk)
     stats = pipeline.stats
     try:
-        ingested = EdgeTally()
-        source = pipeline.materialize(initial_stream(n, ingested.passing(edges)), "input")
-        if ingested.odd:
+        ingested, odd = EdgeTally(), set()
+        source = pipeline.materialize(initial_stream(n, ingested.passing(edges), odd), "input")
+        if odd:
             raise NotEulerianError(ODD_DEGREE)
         m = source.items
         stream = find_circuits(pipeline, n, source)
@@ -116,6 +116,6 @@ def solve_file(graph_path: str, tour_path: Optional[str] = None,
 
 
 def write_stats_file(path: str, result: SolveResult) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with replacing(path) as fh:
         json.dump(result.stats_dict(), fh, indent=2)
         fh.write("\n")

@@ -19,9 +19,8 @@ collector paused, and each sorting pass ends with one full collection of
 the objects it made, which hands CPython's free lists back (see
 ``StreamPipeline``).  ``EdgeTally`` fingerprints an undirected edge
 multiset in two words, so ``solve`` can check that its tour uses exactly
-the input's edges without another pass.  It also keeps the set of
-odd-degree vertices, so that ``solve`` rejects a graph by Euler's
-criterion before phase 1.
+the input's edges without another pass.  ``read_graph_file`` is the one
+graph reader: the header at once, the edges lazily, for ``validate_edges``.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ import os
 import shutil
 import struct
 import tempfile
-from contextlib import closing, contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 ODD_DEGREE = "odd degree"
 DISCONNECTED = "disconnected"
@@ -630,38 +629,21 @@ class EdgeTally:
     mod 2**61 - 1, so the tuple also holds each id's high bits: without them
     ids that differ by that modulus would hash alike.  With them, any two
     ids a record can hold (below 2**63) hash apart before the tuple mixes.
-
-    ``odd`` is not part of the fingerprint, and equality ignores it: it is
-    the set of vertices that end an odd number of the edges added.  It
-    holds only vertices seen, and is empty exactly when every degree is
-    even (Euler's criterion).
     """
 
     count: int = 0
     total: int = 0
-    odd: set[int] = field(default_factory=set, compare=False)
 
     def passing(self, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
         """Yield ``pairs`` unchanged; they are added when they run out."""
         count = total = 0
-        odd: set[int] = set()
-        add, discard = odd.add, odd.discard
         for u, v in pairs:
             count += 1
             total += hash((u, v, u >> 60, v >> 60) if u < v
                           else (v, u, v >> 60, u >> 60))
-            if u in odd:
-                discard(u)
-            else:
-                add(u)
-            if v in odd:
-                discard(v)
-            else:
-                add(v)
             yield u, v
         self.count += count
         self.total = (self.total + total) & 0xFFFF_FFFF_FFFF_FFFF
-        self.odd ^= odd
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]]) -> "EdgeTally":
@@ -671,25 +653,19 @@ class EdgeTally:
         return tally
 
 
-def read_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
-    """Parse a graph file and check its edges with ``validate_edges``."""
-    n, raw = _parse_graph_file(path)
-    with closing(raw):
-        return n, list(validate_edges(n, raw))
-
-
-def _parse_graph_file(path: str) -> tuple[int, Iterator[tuple[int, int]]]:
+def read_graph_file(path: str) -> tuple[int, Iterator[tuple[int, int]]]:
     """Read a graph file's header now; ``edges`` reads its ``u v`` lines lazily.
 
     Faults are raised in file order, the edge count after the last line.
     The file closes when ``edges`` ends or is closed, or on a header fault.
+    The edges are not checked: pass them through ``validate_edges``.
     """
     lines = _graph_lines(path)
     return next(lines), lines
 
 
 def _graph_lines(path: str) -> Iterator:
-    """Yield a graph file's ``n``, then its edges (see ``_parse_graph_file``)."""
+    """Yield a graph file's ``n``, then its edges (see ``read_graph_file``)."""
     with open(path, "r", encoding="ascii") as fh:
         numbered = enumerate(fh, start=1)
         for lineno, line in numbered:
@@ -730,8 +706,33 @@ def write_graph_file(path: str, n: int, edges: list[tuple[int, int]]) -> None:
             fh.write(f"{u} {v}\n")
 
 
+@contextmanager
+def replacing(path: str) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` only if the block ends without error.
+
+    The block writes a temporary file in ``path``'s directory, which is then
+    renamed over ``path``, or removed on any failure, so an earlier file is
+    left whole.  The file ends with the mode ``open(path, "w")`` would leave.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="ascii")
+    except OSError as exc:  # name the file asked for, not the temporary
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            with suppress(FileNotFoundError):  # open(path, "w") keeps its mode
+                shutil.copymode(path, tmp)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_tour_file(path: str, tour: list[tuple[int, int]]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with replacing(path) as fh:
         for u, v in tour:
             fh.write(f"{u} {v}\n")
 

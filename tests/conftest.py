@@ -81,7 +81,7 @@ def run_phase1(tmp_path, n, edges):
     and stats."""
     pl, stats = make_pipeline(tmp_path)
     try:
-        source = pl.materialize(initial_stream(n, edges), "input")
+        source = pl.materialize(initial_stream(n, edges, set()), "input")
         stream = find_circuits(pl, n, source)
         return list(stream.iter_items()), stats.tree_height, stats
     finally:

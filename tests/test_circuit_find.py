@@ -483,7 +483,7 @@ def test_nine_vertex_golden_stream(tmp_path, nine_vertex):
     pl, _ = make_pipeline(tmp_path / "own")
     try:
         finder = CircuitFinder(n)
-        pl.run_streaming_pass(finder, pl.materialize(initial_stream(n, edges)), "phase1")
+        pl.run_streaming_pass(finder, pl.materialize(initial_stream(n, edges, set())), "phase1")
     finally:
         pl.cleanup()
     assert finder.tree_vertices == {1, 2, 3, 4}
@@ -560,3 +560,21 @@ def test_nine_vertex_invariants(tmp_path, nine_vertex):
 def test_empty_graph_solves_to_empty_tour(tmp_path):
     result = solve(4, [], tmpdir=str(tmp_path))
     assert result.tour == [] and result.stats.circuits_found == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_initial_stream_odd_set_is_the_odd_degree_vertices(data):
+    """The source pass's parity set, not just whether it is empty."""
+    labels = data.draw(st.lists(st.integers(1, 2 ** 62), min_size=2, max_size=9,
+                                unique=True), label="labels")
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    m = data.draw(st.integers(0, len(pairs)), label="m")
+    chosen = data.draw(st.permutations(pairs), label="edge order")[:m]
+    flips = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="flips")
+    edges = [(b, a) if flip else (a, b) for (a, b), flip in zip(chosen, flips)]
+    odd = set()
+    items = list(initial_stream(2 ** 62, edges, odd))
+    assert items == [GraphEdge(u, v) for u, v in edges]
+    degree = Counter(v for edge in edges for v in edge)
+    assert odd == {v for v, d in degree.items() if d % 2}

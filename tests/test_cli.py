@@ -1,7 +1,14 @@
 """Command-line contract: subcommands, exit codes, files, and tracing."""
 
+import errno
 import json
 import os
+import signal
+import stat
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +304,123 @@ def test_each_failed_block_write_exits_1_and_leaves_nothing(tmp_path, monkeypatc
             assert captured.err.splitlines() == [
                 f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
             assert list(scratch.iterdir()) == []
+
+
+def wait_for(condition, timeout=60.0):
+    """Poll ``condition`` until it returns something other than None."""
+    deadline = time.monotonic() + timeout
+    while (found := condition()) is None:
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+    return found
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+def test_signal_exits_1_with_one_line_and_leaves_nothing(tmp_path, signum):
+    # the graph arrives through a pipe, so the child's source pass waits on
+    # it, its first stream file open, until the signal lands
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    fifo = tmp_path / "graph.fifo"
+    os.mkfifo(fifo)
+    out = tmp_path / "tour.txt"
+    out.write_text("earlier\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "strtour.cli", "solve", "--in", str(fifo), "--out", str(out)],
+        env=dict(os.environ, STRTOUR_TMPDIR=str(scratch), PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        # a shell's background job starts with SIGINT ignored, and so would the child
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    writer = None
+
+    def open_writer():
+        assert child.poll() is None, child.communicate()
+        try:
+            return os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:  # no reader yet
+                raise
+            return None
+
+    try:
+        writer = wait_for(open_writer)
+        os.write(writer, f"{NINE_VERTEX_N} {len(NINE_VERTEX_EDGES)}\n1 2\n".encode())
+        wait_for(lambda: next(scratch.glob("strtour-*/pass_000_*.bin"), None))
+        child.send_signal(signum)
+        stdout, stderr = child.communicate(timeout=60)
+    finally:
+        if writer is not None:
+            os.close(writer)
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == 1
+    assert stdout == ""
+    assert stderr.splitlines() == [f"error: interrupted by {signum.name}"]
+    assert list(scratch.iterdir()) == []
+    assert out.read_text() == "earlier\n"
+
+
+def test_main_puts_the_sigterm_handler_back(tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["solve", "--in", write_nine(tmp_path)]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+@pytest.mark.parametrize("target", ["tour", "stats"])
+def test_failed_output_write_exits_1_and_keeps_the_earlier_file(
+        tmp_path, monkeypatch, capsys, target):
+    from strtour import stream_core
+    graph = write_nine(tmp_path)
+    outputs = {"tour": tmp_path / "tour.txt", "stats": tmp_path / "stats.json"}
+    for path in outputs.values():
+        path.write_text("earlier\n")
+    failing = f".{outputs[target].name}."
+    writes = [0]
+
+    def failing_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        if mode == "x" and os.path.basename(file).startswith(failing):
+            real_write = fh.write
+
+            def full_disk(data):
+                writes[0] += 1
+                if writes[0] == 2:  # after a first write: the temporary is partly made
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return real_write(data)
+            fh.write = full_disk
+        return fh
+
+    monkeypatch.setattr(stream_core, "open", failing_open, raising=False)
+    names = sorted(os.listdir(tmp_path))
+    assert main(["solve", "--in", graph, "--out", str(outputs["tour"]),
+                 "--stats", str(outputs["stats"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert writes[0] == 2
+    assert outputs[target].read_text() == "earlier\n"
+    assert sorted(os.listdir(tmp_path)) == names  # no temporary left behind
+
+
+def test_output_in_a_missing_directory_names_the_output(tmp_path, capsys):
+    tour = str(tmp_path / "absent" / "tour.txt")
+    assert main(["solve", "--in", write_nine(tmp_path), "--out", tour]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {tour!r}"]
+
+
+def test_outputs_get_the_mode_that_open_gives(tmp_path):
+    from strtour import write_tour_file
+    reference, new = tmp_path / "reference.txt", tmp_path / "new.txt"
+    reference.write_text("")
+    write_tour_file(str(new), [(1, 2), (2, 1)])
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    new.chmod(0o604)  # open(path, "w") keeps an existing file's mode
+    write_tour_file(str(new), [(1, 2)])
+    assert stat.S_IMODE(new.stat().st_mode) == 0o604
+    assert new.read_text() == "1 2\n"

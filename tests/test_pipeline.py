@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import closing
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -162,16 +163,27 @@ def test_solve_file_validates_each_edge_once(tmp_path, monkeypatch):
     ([(1, 2), (2, 2), (1, 2)], "edge 2: self-loop at vertex 2"),
     ([(1, 2), (2, 4)], "edge 2: endpoint outside 1..3: (2, 4)"),
 ])
-def test_solve_file_reports_first_offending_edge(tmp_path, edges, message):
+def test_solve_file_reports_first_offending_edge(tmp_path, capsys, edges, message):
     from strtour import ParseError, read_graph_file
+    from strtour.cli import main
     from strtour.pipeline import solve_file
+    from strtour.stream_core import validate_edges
     path = str(tmp_path / "g.txt")
     write_graph_file(path, 3, edges)
-    with pytest.raises(ParseError) as via_read:
-        read_graph_file(path)
+    n, raw = read_graph_file(path)
+    with pytest.raises(ParseError) as via_read, closing(raw):
+        list(validate_edges(n, raw))
     with pytest.raises(ParseError) as via_solve:
         solve_file(path, tmpdir=str(tmp_path))
     assert str(via_solve.value) == str(via_read.value) == message
+    # every command checks a graph file with the same reader and checks
+    tour = tmp_path / "t.txt"
+    tour.write_text("1 2\n")
+    for args in (["solve"], ["verify", "--tour", str(tour)], ["oracle"]):
+        assert main(args + ["--in", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_phase1_finder_is_freed_before_prepare(tmp_path, monkeypatch):

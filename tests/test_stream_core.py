@@ -2,6 +2,7 @@
 
 import os
 import random
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -590,11 +591,45 @@ def test_budget_violation_at_300():
 
 # -- graph files --------------------------------------------------------------
 
+def read_checked(path):
+    """A graph file's n and edges, checked as ``solve`` checks them."""
+    n, edges = read_graph_file(path)
+    with closing(edges):
+        return n, list(validate_edges(n, edges))
+
+
 def test_graph_file_round_trip(tmp_path):
     path = str(tmp_path / "g.txt")
     edges = [(1, 2), (2, 3), (3, 1)]
     write_graph_file(path, 3, edges)
-    assert read_graph_file(path) == (3, edges)
+    assert read_checked(path) == (3, edges)
+
+
+def test_graph_file_edges_are_read_lazily_and_closed(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(stream_core, "open", recording_open, raising=False)
+    path = tmp_path / "g.txt"
+    path.write_text("3 3\n1 2\n2 x\n")
+    n, edges = read_graph_file(str(path))  # the bad line is not read yet
+    assert n == 3 and next(edges) == (1, 2) and not opened[0].closed
+    edges.close()  # as a failed solve leaves it
+    assert opened[0].closed
+    _, edges = read_graph_file(str(path))
+    with pytest.raises(ParseError):
+        list(edges)
+    assert opened[1].closed
+    path.write_text("3 1\n1 2\n")
+    _, edges = read_graph_file(str(path))
+    assert list(edges) == [(1, 2)] and opened[2].closed
+    path.write_text("\n3\n1 2\n")
+    with pytest.raises(ParseError):
+        read_graph_file(str(path))
+    assert opened[3].closed
 
 
 @pytest.mark.parametrize("content", [
@@ -610,22 +645,22 @@ def test_graph_file_rejects(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_text(content)
     with pytest.raises(ParseError):
-        read_graph_file(str(path))
+        read_checked(str(path))
 
 
 def test_graph_file_largest_vertex_count(tmp_path):
     # the largest n whose n + 1 still fits an int64 record field
     path = tmp_path / "g.txt"
     path.write_text(f"{2 ** 63 - 2} 3\n1 2\n2 3\n3 1\n")
-    assert read_graph_file(str(path)) == (2 ** 63 - 2, [(1, 2), (2, 3), (3, 1)])
+    assert read_checked(str(path)) == (2 ** 63 - 2, [(1, 2), (2, 3), (3, 1)])
 
 
 @pytest.mark.parametrize("reader, content, message", [
-    (read_graph_file, "3 3\n\n1 2\n2 x\n3 1\n", "line 4: expected integers 'u v'"),
-    (read_graph_file, "3 3\n1 2\n2 x\n", "line 3: expected integers 'u v'"),
-    (read_graph_file, "3 3\n1 2\n\n\n2 3 1\n3 1\n", "line 5: expected 'u v'"),
-    (read_graph_file, "\n3\n1 2\n", "line 2: expected 'n m'"),
-    (read_graph_file, "\n\nx 1\n1 2\n", "line 3: expected integers 'n m'"),
+    (read_checked, "3 3\n\n1 2\n2 x\n3 1\n", "line 4: expected integers 'u v'"),
+    (read_checked, "3 3\n1 2\n2 x\n", "line 3: expected integers 'u v'"),
+    (read_checked, "3 3\n1 2\n\n\n2 3 1\n3 1\n", "line 5: expected 'u v'"),
+    (read_checked, "\n3\n1 2\n", "line 2: expected 'n m'"),
+    (read_checked, "\n\nx 1\n1 2\n", "line 3: expected integers 'n m'"),
     (read_tour_file, "1 2\n\n2 x\n", "line 3: expected integers 'u v'"),
 ], ids=["graph-edge", "graph-edge-before-count", "graph-edge-fields", "graph-header",
         "graph-header-integers", "tour-edge"])

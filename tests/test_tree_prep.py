@@ -142,7 +142,7 @@ def prepared_nine_vertex(tmp_path, nine):
     n, edges = nine
     pl, stats = make_pipeline(tmp_path)
     try:
-        source = pl.materialize(initial_stream(n, edges), "input")
+        source = pl.materialize(initial_stream(n, edges, set()), "input")
         stream = find_circuits(pl, n, source)
         out, completer = prepare(pl, stream)
         return list(out.iter_items()), completer, stats.tree_height, stats
