@@ -10,7 +10,6 @@ Run with:  python demos/nine_vertex_walkthrough.py
 
 from strtour import (
     AdjacencyGraph,
-    InfoEdge,
     StreamPipeline,
     encode_item,
     find_circuits,
@@ -45,10 +44,10 @@ try:
     phase1 = list(stream.iter_items())
     for item in phase1:
         print("  " + encode_item(item))
-    # the flag-0 info edges are the rooted tree, each child one below its parent
+    # the flag-0 info edges (pred, succ, depth, cvertex, flag) are the rooted
+    # tree, each child one below its parent
     depths = {1: 0}
-    depths.update((e.succ, e.depth + 1) for e in phase1
-                  if isinstance(e, InfoEdge) and e.f5 == 0)
+    depths.update((e[1], e[2] + 1) for e in phase1 if len(e) == 5 and e[4] == 0)
     print(f"  tree height {height}, depths {depths}")
 
     print("\npreparation: rotate parented circuits, complete missing depths")

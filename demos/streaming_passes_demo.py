@@ -54,10 +54,11 @@ try:
     print(f"after window pass: {stream.items} items, "
           f"peak live records {stats.passes[-1].peak_live_records}")
 
+    # records are plain tuples; a graph edge's head is its second field
     stream = pipeline.run_sorting_pass(
-        lambda it: (it.head,) + it, stream, "demo", "sort-by-head")
+        lambda it: (it[1],) + it, stream, "demo", "sort-by-head")
     print(f"after sort by head: first heads = "
-          f"{[it.head for it in stream.iter_items()][:5]}")
+          f"{[it[1] for it in stream.iter_items()][:5]}")
 
     print(f"\nbudget so far: {assert_stream_budget(stats, m)}")
 

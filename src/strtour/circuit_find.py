@@ -21,8 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .stream_core import (
     DISCONNECTED,
-    GraphEdge,
-    InfoEdge,
+    GRAPH_EDGE_WORDS,
     IntegrityFault,
     NotEulerianError,
     ODD_DEGREE,
@@ -351,10 +350,10 @@ class CircuitFinder(Processor):
         self.flag1_parents: list[int] = []
 
     def on_item(self, item: StreamItem, emit) -> None:
-        if type(item) is not GraphEdge:
+        if len(item) != GRAPH_EDGE_WORDS:
             raise IntegrityFault("phase 1 expects a stream of raw graph edges")
         buffer = self.buffer
-        buffer.add(item.tail, item.head)
+        buffer.add(item[0], item[1])
         if buffer.edge_count >= self.n:
             if not self._emit_one(emit):
                 # a full buffer on <= n vertices always holds a cycle
@@ -381,15 +380,15 @@ class CircuitFinder(Processor):
             # no tree vertex: record the leaf inline and pre-rotate the
             # circuit so its first edge leaves the shared vertex
             parent, shared = leaf
-            emit(InfoEdge(parent, self.cir, 0, shared, 1))
+            emit((parent, self.cir, 0, shared, 1))
             self.flag1_parents.append(parent)
             if shared not in order:
                 raise IntegrityFault(f"vertex {shared} not on circuit {self.cir}")
             i = order.index(shared)
             edges = edges[i:] + edges[:i]
-        new, cir = tuple.__new__, self.cir
+        cir = self.cir
         for pos, (tail, head) in enumerate(edges, start=1):
-            emit(new(GraphEdge, (tail, head, cir, pos, 0, 0)))
+            emit((tail, head, cir, pos, 0, 0))
         return True
 
     def attach(self, cid: int, order: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -436,7 +435,7 @@ class CircuitFinder(Processor):
         self.joins += len(joins)
         return None
 
-    def root(self) -> tuple[list[InfoEdge], int]:
+    def root(self) -> tuple[list[StreamItem], int]:
         """Root the connectivity tree at circuit 1 and orient its records.
 
         Returns the oriented info edges (in record creation order) and the
@@ -473,7 +472,7 @@ class CircuitFinder(Processor):
             if abs(da - db) != 1:
                 raise IntegrityFault("connectivity tree record skips a level")
             parent, child = (a, b) if da < db else (b, a)
-            edges.append(InfoEdge(parent, child, depth[parent], cvertex, 0))
+            edges.append((parent, child, depth[parent], cvertex, 0))
         height = max(depth.values())
         for p in self.flag1_parents:
             if p not in depth:
@@ -518,7 +517,7 @@ def initial_stream(n: int, edges: Iterable[tuple[int, int]], odd: set[int]):
             discard(v)
         else:
             add(v)
-        yield GraphEdge(u, v, 0, 0, 0, 0)
+        yield u, v, 0, 0, 0, 0
 
 
 def find_circuits(pipeline: StreamPipeline, n: int, source: Stream) -> Stream:

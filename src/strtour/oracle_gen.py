@@ -14,8 +14,7 @@ from typing import Iterable, Optional
 
 from .stream_core import (
     DISCONNECTED,
-    GraphEdge,
-    InfoEdge,
+    GRAPH_EDGE_WORDS,
     IntegrityFault,
     ODD_DEGREE,
     StreamItem,
@@ -125,15 +124,18 @@ def merge_spec(items: Iterable[StreamItem]
     """
     seqs: dict[int, list[tuple[int, int]]] = {}
     rooted: dict[int, tuple[int, int, int]] = {}
-    leaves: list[InfoEdge] = []
+    leaves: list[tuple[int, int, int]] = []  # (parent, child, shared vertex)
     # graph edges in position order; a stable sort keeps everything else
-    for item in sorted(items, key=lambda it: it.f4 if isinstance(it, GraphEdge) else 0):
-        if isinstance(item, GraphEdge):
-            seqs.setdefault(item.f3, []).append((item.tail, item.head))
-        elif item.f5:
-            leaves.append(item)
+    for item in sorted(items, key=lambda it: it[3] if len(it) == GRAPH_EDGE_WORDS else 0):
+        if len(item) == GRAPH_EDGE_WORDS:
+            tail, head, cid = item[:3]
+            seqs.setdefault(cid, []).append((tail, head))
+            continue
+        pred, succ, depth, cvertex, flag = item
+        if flag:
+            leaves.append((pred, succ, cvertex))
         else:
-            rooted[item.succ] = (item.pred, item.depth, item.cvertex)
+            rooted[succ] = (pred, depth, cvertex)
     for cid, (_, _, share) in rooted.items():
         seq = seqs.get(cid, [])
         pivot = next((i for i, (tail, _) in enumerate(seq) if tail == share), None)
@@ -141,9 +143,9 @@ def merge_spec(items: Iterable[StreamItem]
             raise IntegrityFault(f"circuit {cid} has no edge leaving vertex {share}")
         seqs[cid] = seq[pivot:] + seq[:pivot]
     parent = dict(rooted)
-    for leaf in leaves:
-        depth = rooted[leaf.pred][1] + 1 if leaf.pred in rooted else 0
-        parent[leaf.succ] = (leaf.pred, depth, leaf.cvertex)
+    for pred, succ, cvertex in leaves:
+        depth = rooted[pred][1] + 1 if pred in rooted else 0
+        parent[succ] = (pred, depth, cvertex)
     rounds = []
     while parent:
         slots: dict[int, dict[int, list[tuple[int, int]]]] = {}

@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 from .circuit_find import find_circuits, initial_stream
 from .stream_core import (
     EdgeTally,
-    InfoEdge,
+    INFO_EDGE_WORDS,
     IntegrityFault,
     NotEulerianError,
     ODD_DEGREE,
@@ -99,8 +99,9 @@ def _dump_tree(trace_dir: str, stream: Stream) -> None:
     path = os.path.join(trace_dir, "connectivity_tree.txt")
     with open(path, "w", encoding="ascii") as fh:
         for item in stream.iter_items():
-            if type(item) is InfoEdge and item.f5 == 0:
-                fh.write(f"T {item.pred} {item.succ} {item.cvertex}\n")
+            if len(item) == INFO_EDGE_WORDS and item[4] == 0:
+                pred, succ, _, cvertex, _ = item
+                fh.write(f"T {pred} {succ} {cvertex}\n")
 
 
 def solve_file(graph_path: str, tour_path: Optional[str] = None,

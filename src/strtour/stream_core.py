@@ -8,9 +8,13 @@ primitive: its internal working memory is not charged against the streaming
 meter.  Every pass is logged as a ``PassRecord`` in the pipeline's
 ``PassStats`` so budget assertions can be checked after a run.
 
-Inter-pass streams and sort spill chunks hold fixed-width binary records
-(``RECORD``).  Files are written in whole blocks of ``BLOCK_RECORDS``, each
-packed in one call, and read a block at a time.  The text form ``G tail head
+A stream record is a plain tuple of non-negative ints whose length gives
+its kind: six fields for a graph edge, five for an info edge.  ``GraphEdge``
+and ``InfoEdge`` name the fields; they are tuples too, so a stream accepts
+them, but no pass builds them or reads a field by name.  Inter-pass streams
+and sort spill chunks hold fixed-width binary records (``RECORD``).  Files
+are written in whole blocks of ``BLOCK_RECORDS``, each packed in one call,
+and read a block at a time into plain tuples.  The text form ``G tail head
 f3 f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
 ``decode_item``) appears only in the stream dumps of a trace directory.
 
@@ -33,8 +37,8 @@ import struct
 import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 ODD_DEGREE = "odd degree"
 DISCONNECTED = "disconnected"
@@ -60,9 +64,12 @@ class NotEulerianError(Exception):
 
 
 class GraphEdge(NamedTuple):
-    """A directed edge of the input graph, annotated for circuit bookkeeping.
+    """The fields of a graph-edge record: a directed edge of the input
+    graph, annotated for circuit bookkeeping.
 
-    In steady state ``f3`` is the circuit id and ``f4`` the 1-based position
+    A stream holds a graph edge as a plain 6-tuple in this field order;
+    this class names the fields and builds test and demo inputs.  In steady
+    state ``f3`` is the circuit id and ``f4`` the 1-based position
     of the edge within its circuit; ``f5`` and ``f6`` are zero.  While a
     merge is in flight, ``f3`` holds the host circuit, ``f4`` the insertion
     slot, and ``f5``/``f6`` the original circuit id and position.
@@ -77,8 +84,9 @@ class GraphEdge(NamedTuple):
 
 
 class InfoEdge(NamedTuple):
-    """A tree edge between two circuits.
+    """The fields of an info-edge record: a tree edge between two circuits.
 
+    A stream holds an info edge as a plain 5-tuple in this field order.
     ``pred`` is the parent circuit, ``succ`` the child, ``depth`` the depth
     of the parent in the rooted circuit tree, and ``cvertex`` a vertex the
     two circuits share.  ``f5`` is a 0/1 flag outside merge-internal passes;
@@ -92,13 +100,14 @@ class InfoEdge(NamedTuple):
     f5: int = 0
 
 
-StreamItem = Union[GraphEdge, InfoEdge]
+# A stream record: a tuple of GRAPH_EDGE_WORDS or INFO_EDGE_WORDS ints.
+StreamItem = tuple[int, ...]
 
 
 # -- text form: the documented record syntax, used for trace dumps ----------
 
 def encode_item(item: StreamItem) -> str:
-    if isinstance(item, GraphEdge):
+    if len(item) == GRAPH_EDGE_WORDS:
         return "G %d %d %d %d %d %d" % item
     return "I %d %d %d %d %d" % item
 
@@ -115,13 +124,13 @@ def decode_item(line: str) -> StreamItem:
     if values and min(values) < 0:
         raise ParseError(f"negative field in {line!r}")
     if tag == "G":
-        if len(values) != 6:
+        if len(values) != GRAPH_EDGE_WORDS:
             raise ParseError(f"graph edge needs 6 fields, got {len(values)}")
-        return GraphEdge(*values)
+        return tuple(values)
     if tag == "I":
-        if len(values) != 5:
+        if len(values) != INFO_EDGE_WORDS:
             raise ParseError(f"info edge needs 5 fields, got {len(values)}")
-        return InfoEdge(*values)
+        return tuple(values)
     raise ParseError(f"unknown record tag {tag!r}")
 
 
@@ -170,7 +179,7 @@ def decode_block(block: bytes, first: int) -> list[StreamItem]:
     """Unpack a block of records; ``first`` is the 1-based index of its first.
 
     Tags and signs are checked for the whole block at once, every record is
-    unpacked as a graph edge, and the few info edges are then converted.
+    unpacked as a 6-tuple, and the few info edges are then cut to 5 fields.
     """
     size = RECORD.size
     whole, extra = divmod(len(block), size)
@@ -180,13 +189,13 @@ def decode_block(block: bytes, first: int) -> list[StreamItem]:
     signs = b"".join([block[k::size] for k in _SIGN_BYTES])
     if tags.translate(None, b"GI") or signs.translate(None, _NON_NEGATIVE):
         _raise_first_fault(block, first)
-    items = list(map(tuple.__new__, repeat(GraphEdge), _GRAPH_BODY.iter_unpack(block)))
+    items = list(_GRAPH_BODY.iter_unpack(block))
     at = tags.find(b"I")
     while at >= 0:
         record = items[at]
         if record[5]:
             _raise_first_fault(block, first)
-        items[at] = tuple.__new__(InfoEdge, record[:5])
+        items[at] = record[:5]
         at = tags.find(b"I", at + 1)
     return items
 
@@ -407,14 +416,15 @@ class StreamPipeline:
 
     Passes create no reference cycles: everything a pass allocates is freed
     by reference counting.  So every pass runs with the cyclic collector
-    paused, which would otherwise scan the records of every block, chunk and
-    merge buffer again and again (records are ``NamedTuple`` instances, which
-    CPython never untracks).  After the pass, also when it raises, the
-    collector is enabled again if it was enabled before.  Each sorting pass
-    ends with one full collection, with the objects alive at its start
-    frozen, so that it scans only what the sort made (a plain full
-    collection scans the whole process, and on a small solve costs more
-    than the pause saves).
+    paused.  Left running, it would start a young collection every few
+    hundred allocations and examine every record, sort key and block list
+    the pass makes: CPython creates each tuple tracked, untracks a tuple of
+    ints only when a collection examines it, and never untracks a list.
+    After the pass, also when it raises, the collector is enabled again if
+    it was enabled before.  Each sorting pass ends with one full
+    collection, with the objects alive at its start frozen, so that it
+    scans only what the sort made (a plain full collection scans the whole
+    process, and on a small solve costs more than the pause saves).
     Only a full collection empties CPython's object free lists, which
     otherwise pin the memory pools that a sort's chunk and keys used, and
     raise the peak RSS.  A caller holding frozen objects gets the pause
@@ -467,7 +477,8 @@ class StreamPipeline:
                     fh.write(encode_item(item) + "\n")
         return stream
 
-    def _consume(self, stream: Stream) -> None:
+    def discard(self, stream: Stream) -> None:
+        """Delete a stream that has been read and is not needed again."""
         if os.path.exists(stream.path):
             os.unlink(stream.path)
 
@@ -486,9 +497,9 @@ class StreamPipeline:
 
         The pass's peak live state is the largest of these meter readings:
         the processor's live records and words after ``on_start``; after
-        each ``on_item``, the same plus the item in flight (one record, of 6
-        words for a graph edge and 5 for an info edge); and after
-        ``on_end``.  Every reading makes one ``live_records`` and one
+        each ``on_item``, the same plus the item in flight (one record of
+        ``len(item)`` words: 6 for a graph edge, 5 for an info edge); and
+        after ``on_end``.  Every reading makes one ``live_records`` and one
         ``scalar_words`` call and counts ``record_words * live_records() +
         scalar_words()`` words.
 
@@ -514,8 +525,7 @@ class StreamPipeline:
                 if len(pending) >= BLOCK_RECORDS:
                     writer.flush()
                 records = live_records()
-                words = record_words * records + scalar_words() + (
-                    GRAPH_EDGE_WORDS if type(item) is GraphEdge else INFO_EDGE_WORDS)
+                words = record_words * records + scalar_words() + len(item)
                 records += 1
                 if records > peak_records:
                     peak_records = records
@@ -528,7 +538,7 @@ class StreamPipeline:
 
         out = self._finish("stream", label, phase, stream.items,
                            writer.stream, peak_records, peak_words)
-        self._consume(stream)
+        self.discard(stream)
         return out
 
     @_collector_paused(collect=True)
@@ -569,7 +579,7 @@ class StreamPipeline:
             os.unlink(path)
 
         out = self._finish("sort", label, phase, stream.items, writer.stream)
-        self._consume(stream)
+        self.discard(stream)
         return out
 
     def _spill(self, chunk: list[StreamItem], key: Callable[[StreamItem], tuple]) -> str:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .stream_core import (
-    GraphEdge,
-    InfoEdge,
+    GRAPH_EDGE_WORDS,
+    INFO_EDGE_WORDS,
     IntegrityFault,
     Processor,
     Stream,
@@ -49,15 +49,17 @@ def iteration_bound(height: int) -> int:
 
 
 # Every sort key ends with the record itself, as one element.  In each key
-# the two record types differ at a fixed earlier position, so a record is
-# only ever compared with a record of its own type, field by field.
+# the two record kinds differ at a fixed earlier position, so a record is
+# only ever compared with a record of its own kind, field by field.  Fields
+# are read by index: a graph edge is (tail, head, f3, f4, f5, f6), an info
+# edge (pred, succ, depth, cvertex, f5).
 
 def regroup_key(item: StreamItem) -> tuple:
     """Info edges first, grouped by second field; within a group the flag-0
     parent edge precedes the reversed edges that need its first field."""
-    if isinstance(item, InfoEdge):
-        return (0, item.succ, item.f5, item)
-    return (1, item.f3, item.f4, item)
+    if len(item) == INFO_EDGE_WORDS:
+        return (0, item[1], item[4], item)
+    return (1, item[2], item[3], item)
 
 
 def circuit_grouping_key(item: StreamItem) -> tuple:
@@ -68,28 +70,28 @@ def circuit_grouping_key(item: StreamItem) -> tuple:
     to put each instruction in front of its child: after the rewire every
     info edge's ``succ`` is its child, and each child has one parent edge,
     so ``f5`` (the slot there) never decides the order."""
-    if isinstance(item, InfoEdge):
-        return (item.succ, 0, item.f5, item)
-    return (item.f3, 1, item.f4, item)
+    if len(item) == INFO_EDGE_WORDS:
+        return (item[1], 0, item[4], item)
+    return (item[2], 1, item[3], item)
 
 
 def slot_search_key(item: StreamItem) -> tuple:
     """Graph edges by (circuit, head, position); each even-depth info edge
     right after the host edges whose head equals its shared vertex; odd
     (rewired) info edges parked at the end."""
-    if isinstance(item, GraphEdge):
-        return (0, item.f3, item.head, 0, item.f4, item)
-    if item.depth % 2 == 0:
-        return (0, item.pred, item.cvertex, 1, item.succ, item)
-    return (1, item.pred, item.succ, item)
+    if len(item) == GRAPH_EDGE_WORDS:
+        return (0, item[2], item[1], 0, item[3], item)
+    if item[2] % 2 == 0:
+        return (0, item[0], item[3], 1, item[1], item)
+    return (1, item[0], item[1], item)
 
 
 def splice_key(item: StreamItem) -> tuple:
     """Info edges in front; graph edges by their four trailing labels, which
     places every child block right after its splice edge."""
-    if isinstance(item, InfoEdge):
+    if len(item) == INFO_EDGE_WORDS:
         return (0, item)
-    return (1, item.f3, item.f4, item.f5, item.f6, item)
+    return (1, item[2], item[3], item[4], item[5], item)
 
 
 class NormalFormWriter(Processor):
@@ -104,9 +106,9 @@ class NormalFormWriter(Processor):
         self.info_out += 1
         self.max_pred_depth = max(self.max_pred_depth, depth)
         if depth % 2 == 1:
-            emit(InfoEdge(succ, pred, depth, cvertex, 1))
+            emit((succ, pred, depth, cvertex, 1))
         else:
-            emit(InfoEdge(pred, succ, depth, cvertex, 0))
+            emit((pred, succ, depth, cvertex, 0))
 
     @property
     def observed_height(self) -> int:
@@ -123,19 +125,19 @@ class GrandparentRewire(Processor):
         self.parent = 0
 
     def on_item(self, item, emit) -> None:
-        if isinstance(item, GraphEdge):
+        if len(item) != INFO_EDGE_WORDS:
             emit(item)
             return
-        if item.f5 == 0:
-            self.group, self.parent = item.succ, item.pred
+        pred, succ, depth, cvertex, flag = item
+        if flag == 0:
+            self.group, self.parent = succ, pred
             emit(item)
             return
         # reversed edge (child, odd-parent, depth, v, 1): the group head told
         # us who the odd parent's own parent is
-        if self.group != item.succ:
-            raise IntegrityFault(
-                f"no parent edge found for odd-depth circuit {item.succ}")
-        emit(InfoEdge(self.parent, item.pred, item.depth, item.cvertex, 0))
+        if self.group != succ:
+            raise IntegrityFault(f"no parent edge found for odd-depth circuit {succ}")
+        emit((self.parent, pred, depth, cvertex, 0))
 
     def scalar_words(self) -> int:
         return 2
@@ -147,21 +149,21 @@ class SlotRecorder(Processor):
     label = "merge-slots"
 
     def __init__(self):
-        self.last: Optional[GraphEdge] = None
+        self.last: Optional[StreamItem] = None  # the last graph edge
 
     def on_item(self, item, emit) -> None:
-        if isinstance(item, GraphEdge):
+        if len(item) == GRAPH_EDGE_WORDS:
             self.last = item
             emit(item)
             return
-        if item.depth % 2 == 1:
+        pred, succ, depth, cvertex, _ = item
+        if depth % 2 == 1:
             emit(item)
             return
-        if (self.last is None or self.last.f3 != item.pred
-                or self.last.head != item.cvertex):
-            raise IntegrityFault(
-                f"no edge of circuit {item.pred} has head {item.cvertex}")
-        emit(InfoEdge(item.pred, item.succ, item.depth, item.cvertex, self.last.f4))
+        last = self.last
+        if last is None or last[2] != pred or last[1] != cvertex:
+            raise IntegrityFault(f"no edge of circuit {pred} has head {cvertex}")
+        emit((pred, succ, depth, cvertex, last[3]))
 
     def live_records(self) -> int:
         return 1 if self.last is not None else 0
@@ -173,19 +175,19 @@ class ChildRewriter(Processor):
     label = "merge-rewrite"
 
     def __init__(self):
-        self.instruction: Optional[InfoEdge] = None
+        self.instruction: Optional[StreamItem] = None  # an info edge
         self.consumed = True
 
     def _check_consumed(self) -> None:
         if self.instruction is not None and not self.consumed:
             raise IntegrityFault(
-                f"merge instruction for circuit {self.instruction.succ} "
+                f"merge instruction for circuit {self.instruction[1]} "
                 "matched no graph edges")
 
     def on_item(self, item, emit) -> None:
-        if isinstance(item, InfoEdge):
+        if len(item) == INFO_EDGE_WORDS:
             self._check_consumed()
-            if item.depth % 2 == 1:
+            if item[2] % 2 == 1:  # odd depth: not an instruction this round
                 self.instruction = None
                 emit(item)
                 return
@@ -193,10 +195,11 @@ class ChildRewriter(Processor):
             self.consumed = False
             return
         ins = self.instruction
-        if ins is not None and item.f3 == ins.succ:
+        if ins is not None and item[2] == ins[1]:  # an edge of the child
+            pred, _, _, _, slot = ins
+            tail, head, cid, pos, _, _ = item
             self.consumed = True
-            emit(GraphEdge(item.tail, item.head, ins.pred, ins.f5,
-                           item.f3, item.f4))
+            emit((tail, head, pred, slot, cid, pos))
             return
         self._check_consumed()
         self.instruction = None
@@ -222,26 +225,27 @@ class SpliceRenumberer(NormalFormWriter):
         self.circuits_out = 0
 
     def on_item(self, item, emit) -> None:
-        if isinstance(item, InfoEdge):
+        if len(item) == INFO_EDGE_WORDS:
             if self.seen_graph:
                 raise IntegrityFault("info edge sorted behind graph edges")
-            if item.f5 != 0 or item.depth % 2 != 1:
+            pred, succ, depth, cvertex, flag = item
+            if flag != 0 or depth % 2 != 1:
                 raise IntegrityFault(
                     f"unexpected surviving info edge {tuple(item)}")
-            self.emit_normal(item.pred, item.succ, (item.depth - 1) // 2,
-                             item.cvertex, emit)
+            self.emit_normal(pred, succ, (depth - 1) // 2, cvertex, emit)
             return
         self.seen_graph = True
-        if item.f3 != self.circuit:
-            if item.f5 != 0 or item.f6 != 0:
+        tail, head, cid, _, orig_cid, orig_pos = item
+        if cid != self.circuit:
+            if orig_cid != 0 or orig_pos != 0:
                 raise IntegrityFault(
-                    f"merged circuit {item.f3} does not start with a host edge")
-            self.circuit = item.f3
+                    f"merged circuit {cid} does not start with a host edge")
+            self.circuit = cid
             self.counter = 1
             self.circuits_out += 1
         else:
             self.counter += 1
-        emit(GraphEdge(item.tail, item.head, item.f3, self.counter, 0, 0))
+        emit((tail, head, cid, self.counter, 0, 0))
 
     def scalar_words(self) -> int:
         return 5
@@ -320,8 +324,8 @@ def run_merges(pipeline: StreamPipeline, stream: Stream, height: int,
 
 
 def tour_position_key(item: StreamItem) -> tuple:
-    if isinstance(item, GraphEdge):
-        return (0, item.f4, item)
+    if len(item) == GRAPH_EDGE_WORDS:
+        return (0, item[3], item)
     return (1, item)
 
 
@@ -329,26 +333,28 @@ def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int) -> list[tuple[in
     """Final sort by position, then read the tour off the stream.
 
     The read validates that exactly one circuit with positions 1..m remains
-    and that consecutive edges chain into a closed trail.  The returned
-    list holds all m edges: an O(m) structure outside the meter.
+    and that consecutive edges chain into a closed trail.  The sorted
+    stream is deleted once read.  The returned list holds all m edges: an
+    O(m) structure outside the meter.
     """
     s = pipeline.run_sorting_pass(tour_position_key, stream, "emit", "sort-tour")
     tour: list[tuple[int, int]] = []
     circuit = None
     for item in s.iter_items():
-        if isinstance(item, InfoEdge):
+        if len(item) != GRAPH_EDGE_WORDS:
             raise IntegrityFault("info edge left in the final stream")
+        tail, head, cid, pos, _, _ = item
         if circuit is None:
-            circuit = item.f3
-        elif item.f3 != circuit:
+            circuit = cid
+        elif cid != circuit:
+            raise IntegrityFault(f"final stream holds circuits {circuit} and {cid}")
+        if pos != len(tour) + 1:
             raise IntegrityFault(
-                f"final stream holds circuits {circuit} and {item.f3}")
-        if item.f4 != len(tour) + 1:
-            raise IntegrityFault(
-                f"tour position {item.f4} where {len(tour) + 1} was expected")
-        if tour and tour[-1][1] != item.tail:
-            raise IntegrityFault(f"tour breaks before position {item.f4}")
-        tour.append((item.tail, item.head))
+                f"tour position {pos} where {len(tour) + 1} was expected")
+        if tour and tour[-1][1] != tail:
+            raise IntegrityFault(f"tour breaks before position {pos}")
+        tour.append((tail, head))
+    pipeline.discard(s)
     if len(tour) != m:
         raise IntegrityFault(f"tour has {len(tour)} edges, expected {m}")
     if tour and tour[-1][1] != tour[0][0]:

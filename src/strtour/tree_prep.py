@@ -19,11 +19,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .stream_core import (
-    GraphEdge,
-    InfoEdge,
+    INFO_EDGE_WORDS,
     IntegrityFault,
     Processor,
     Stream,
+    StreamItem,
     StreamPipeline,
 )
 from .tree_merge import NormalFormWriter, circuit_grouping_key, regroup_key
@@ -43,52 +43,56 @@ class RotationAnnotator(Processor):
     label = "rotate-annotate"
 
     def __init__(self):
-        self.pending: Optional[InfoEdge] = None
-        self.first_edge: Optional[GraphEdge] = None
+        self.pending: Optional[StreamItem] = None  # the parent info edge
+        self.first_edge: Optional[StreamItem] = None
         self.length = 0
         self.pivot = 0
 
     def _flush(self, emit) -> None:
-        if self.pending is not None and self.first_edge is not None:
-            if self.pivot == 0:
+        pending, first_edge = self.pending, self.first_edge
+        if pending is not None:
+            _, succ, _, cvertex, _ = pending
+            if first_edge is None:
                 raise IntegrityFault(
-                    f"circuit {self.first_edge.f3} has no edge leaving "
-                    f"vertex {self.pending.cvertex}")
-            emit(self.pending)
-            emit(GraphEdge(self.first_edge.tail, self.first_edge.head,
-                           self.first_edge.f3, self.first_edge.f4,
-                           self.length, self.pivot))
-        elif self.pending is not None:
-            raise IntegrityFault(
-                f"parent info edge for circuit {self.pending.succ} "
-                "has no circuit edges")
+                    f"parent info edge for circuit {succ} has no circuit edges")
+            tail, head, cid, pos, _, _ = first_edge
+            if self.pivot == 0:
+                raise IntegrityFault(f"circuit {cid} has no edge leaving vertex {cvertex}")
+            emit(pending)
+            emit((tail, head, cid, pos, self.length, self.pivot))
         self.pending = None
         self.first_edge = None
         self.length = 0
         self.pivot = 0
 
     def on_item(self, item, emit) -> None:
-        if isinstance(item, InfoEdge):
+        if len(item) == INFO_EDGE_WORDS:
             self._flush(emit)
-            if item.f5 == 1:
-                emit(InfoEdge(item.succ, item.pred, item.depth, item.cvertex, 1))
+            pred, succ, depth, cvertex, flag = item
+            if flag == 1:
+                emit((succ, pred, depth, cvertex, 1))
             else:
                 self.pending = item
             return
-        if self.pending is not None and self.first_edge is None:
-            if item.f3 != self.pending.succ:
+        pending = self.pending
+        if pending is None:
+            emit(item)
+            return
+        tail, _, cid, pos, _, _ = item
+        _, succ, _, cvertex, _ = pending
+        if self.first_edge is None:
+            if cid != succ:
                 raise IntegrityFault(
-                    f"parent info edge for circuit {self.pending.succ} "
-                    f"is followed by circuit {item.f3}")
+                    f"parent info edge for circuit {succ} is followed by circuit {cid}")
             self.first_edge = item
             self.length = 1
-            if item.tail == self.pending.cvertex:
-                self.pivot = item.f4
+            if tail == cvertex:
+                self.pivot = pos
             return
-        if self.pending is not None and item.f3 == self.pending.succ:
+        if cid == succ:
             self.length += 1
-            if self.pivot == 0 and item.tail == self.pending.cvertex:
-                self.pivot = item.f4
+            if self.pivot == 0 and tail == cvertex:
+                self.pivot = pos
             emit(item)
             return
         self._flush(emit)
@@ -118,18 +122,17 @@ class RotationApplier(Processor):
         return ((position - self.pivot) % self.length) + 1
 
     def on_item(self, item, emit) -> None:
-        if isinstance(item, InfoEdge):
+        if len(item) == INFO_EDGE_WORDS:
             emit(item)
             return
-        if item.f5 > 0:
+        tail, head, cid, pos, length, pivot = item
+        if length > 0:
             # annotated first edge carries (length, pivot)
-            self.circuit, self.length, self.pivot = item.f3, item.f5, item.f6
-            emit(GraphEdge(item.tail, item.head, item.f3,
-                           self._renumber(item.f4), 0, 0))
+            self.circuit, self.length, self.pivot = cid, length, pivot
+            emit((tail, head, cid, self._renumber(pos), 0, 0))
             return
-        if self.circuit == item.f3:
-            emit(GraphEdge(item.tail, item.head, item.f3,
-                           self._renumber(item.f4), 0, 0))
+        if self.circuit == cid:
+            emit((tail, head, cid, self._renumber(pos), 0, 0))
             return
         self.circuit = 0
         emit(item)
@@ -155,21 +158,21 @@ class DepthCompleter(NormalFormWriter):
         self.known_depth = 0
 
     def on_item(self, item, emit) -> None:
-        if isinstance(item, GraphEdge):
+        if len(item) != INFO_EDGE_WORDS:
             emit(item)
             return
-        if item.f5 == 0:
-            if self.known_succ == item.succ:
-                raise IntegrityFault(
-                    f"circuit {item.succ} has more than one parent edge")
-            self.known_succ = item.succ
-            self.known_depth = item.depth
-            self.emit_normal(item.pred, item.succ, item.depth, item.cvertex, emit)
+        pred, succ, depth, cvertex, flag = item
+        if flag == 0:
+            if self.known_succ == succ:
+                raise IntegrityFault(f"circuit {succ} has more than one parent edge")
+            self.known_succ = succ
+            self.known_depth = depth
+            self.emit_normal(pred, succ, depth, cvertex, emit)
             return
         # swapped leaf edge (succ, pred, 0, v, 1): restore and fill the depth
-        pred, succ = item.succ, item.pred
+        pred, succ = succ, pred
         depth = self.known_depth + 1 if self.known_succ == pred else 0
-        self.emit_normal(pred, succ, depth, item.cvertex, emit)
+        self.emit_normal(pred, succ, depth, cvertex, emit)
 
     def scalar_words(self) -> int:
         return 4

@@ -10,7 +10,8 @@ The edge order below forces exactly that discovery sequence.
 
 import pytest
 
-from strtour import StreamPipeline, find_circuits, initial_stream
+from strtour import GraphEdge, InfoEdge, StreamPipeline, find_circuits, initial_stream
+from strtour.stream_core import GRAPH_EDGE_WORDS, INFO_EDGE_WORDS
 
 
 NINE_VERTEX_N = 9
@@ -74,6 +75,16 @@ def make_pipeline(tmp_path, **kwargs):
 def spec_rounds(reports):
     """Merge-round reports in ``merge_spec``'s per-round form."""
     return [(r.circuits_after, r.height_after, r.info_edges_after) for r in reports]
+
+
+def graph_edges(items):
+    """The graph-edge records (six fields) of ``items``, with named fields."""
+    return [GraphEdge._make(it) for it in items if len(it) == GRAPH_EDGE_WORDS]
+
+
+def info_edges(items):
+    """The info-edge records (five fields) of ``items``, with named fields."""
+    return [InfoEdge._make(it) for it in items if len(it) == INFO_EDGE_WORDS]
 
 
 def run_phase1(tmp_path, n, edges):

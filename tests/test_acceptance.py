@@ -35,6 +35,8 @@ from conftest import (
     NINE_VERTEX_HEIGHT,
     NINE_VERTEX_N,
     NINE_VERTEX_PHASE1,
+    graph_edges,
+    info_edges,
     run_phase1,
     spec_rounds,
 )
@@ -177,13 +179,14 @@ def test_criterion_07_nine_vertex_golden(tmp_path):
     items = run_phase1(tmp_path, NINE_VERTEX_N, NINE_VERTEX_EDGES)[0]
     from strtour import encode_item
     assert [encode_item(it) for it in items] == NINE_VERTEX_PHASE1
-    info = [it for it in items if isinstance(it, InfoEdge)]
+    info = info_edges(items)
+    assert len(info) == 4
     flagged = [it for it in info if it.f5 == 1]
     rooted = [it for it in info if it.f5 == 0]
     assert flagged == [InfoEdge(3, 5, 0, 2, 1)]
     tree = {frozenset((e.pred, e.succ)) for e in rooted}
     assert tree == {frozenset((1, 2)), frozenset((4, 1)), frozenset((4, 3))}
-    circuits = {it.f3 for it in items if isinstance(it, GraphEdge)}
+    circuits = {it.f3 for it in graph_edges(items)}
     assert circuits == {1, 2, 3, 4, 5}
     assert result.stats.tree_height == NINE_VERTEX_HEIGHT
     g = AdjacencyGraph.from_edges(NINE_VERTEX_N, NINE_VERTEX_EDGES)
@@ -209,8 +212,8 @@ def test_criterion_09_tree_invariant(sweep):
     # the in-pass assertion raises on any violation, so completing the sweep
     # means zero; re-derive the tree from each stream as an independent check
     for run in sweep["runs"]:
-        rooted = [it for it in run["phase1"]
-                  if isinstance(it, InfoEdge) and it.f5 == 0]
+        rooted = [it for it in info_edges(run["phase1"]) if it.f5 == 0]
+        assert rooted, (run["n"], run["seed"])  # every sweep tree has an edge
         vertices = {1} | {e.pred for e in rooted} | {e.succ for e in rooted}
         assert len(rooted) == len(vertices) - 1
         parent = {}

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from strtour import (
     CircuitFinder,
     GraphEdge,
-    InfoEdge,
     IntegrityFault,
     NotEulerianError,
     ParseError,
@@ -26,6 +25,8 @@ from strtour.stream_core import DISCONNECTED, ODD_DEGREE
 from conftest import (
     NINE_VERTEX_HEIGHT,
     NINE_VERTEX_PHASE1,
+    graph_edges,
+    info_edges,
     make_pipeline,
     run_phase1,
 )
@@ -449,7 +450,8 @@ def test_root_star_depths_zero():
     state.tree_records = [(2, 1, 5), (3, 1, 6), (4, 1, 7)]
     edges, height = state.root()
     assert height == 1
-    assert {(e.pred, e.succ, e.depth) for e in edges} == {(1, 2, 0), (1, 3, 0), (1, 4, 0)}
+    assert {(pred, succ, depth) for pred, succ, depth, _, _ in edges} == \
+        {(1, 2, 0), (1, 3, 0), (1, 4, 0)}
 
 
 # -- full pass ----------------------------------------------------------------
@@ -488,8 +490,7 @@ def test_nine_vertex_golden_stream(tmp_path, nine_vertex):
         pl.cleanup()
     assert finder.tree_vertices == {1, 2, 3, 4}
     depths = {1: 0}
-    depths.update((e.succ, e.depth + 1) for e in items
-                  if isinstance(e, InfoEdge) and e.f5 == 0)
+    depths.update((e.succ, e.depth + 1) for e in info_edges(items) if e.f5 == 0)
     assert depths == {1: 0, 2: 1, 4: 1, 3: 2}
 
 
@@ -512,8 +513,9 @@ def phase1_record(stats):
 
 
 def phase1_invariants(n, edges, items, words_peak):
-    graph = [it for it in items if isinstance(it, GraphEdge)]
-    info = [it for it in items if isinstance(it, InfoEdge)]
+    graph = graph_edges(items)
+    info = info_edges(items)
+    assert graph and info  # every graph checked here has more than one circuit
     # edge conservation
     assert Counter(frozenset((g.tail, g.head)) for g in graph) == \
         Counter(frozenset(e) for e in edges)

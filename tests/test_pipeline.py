@@ -302,37 +302,64 @@ def test_small_graphs_match_spec_within_budgets(tmp_path, data):
 
 
 def relabelling(monkeypatch, old, new):
-    """Make every merge's renumbering pass write vertex ``old`` as ``new``."""
-    from strtour import GraphEdge
+    """Make every merge's renumbering pass write vertex ``old`` as ``new``.
+
+    Returns the list of graph edges it relabelled, filled as the passes run.
+    """
+    from strtour.stream_core import GRAPH_EDGE_WORDS
     from strtour.tree_merge import SpliceRenumberer
     real = SpliceRenumberer.on_item
+    relabelled = []
 
     def on_item(self, item, emit):
         def relabel(out):
-            if type(out) is GraphEdge:
-                out = out._replace(tail=new if out.tail == old else out.tail,
-                                   head=new if out.head == old else out.head)
+            if len(out) == GRAPH_EDGE_WORDS and old in out[:2]:
+                tail, head, *rest = out
+                out = (new if tail == old else tail, new if head == old else head, *rest)
+                relabelled.append(out)
             emit(out)
         real(self, item, relabel)
 
     monkeypatch.setattr(SpliceRenumberer, "on_item", on_item)
+    return relabelled
 
 
 def test_solve_rejects_a_tour_of_relabelled_edges(tmp_path, monkeypatch, nine_vertex):
     # the relabelled tour still chains and closes; only its edges betray it
     from strtour import IntegrityFault
     n, edges = nine_vertex
-    relabelling(monkeypatch, 7, 10 ** 6)
+    relabelled = relabelling(monkeypatch, 7, 10 ** 6)
     with pytest.raises(IntegrityFault, match="not the input's edges"):
         solve(n, edges, tmpdir=str(tmp_path))
+    assert relabelled
 
 
 def test_solve_rejects_a_relabelling_at_the_spill_chunk(tmp_path, monkeypatch):
     from strtour import IntegrityFault
     n, edges = gen_eulerian(40, 120, 2)
-    relabelling(monkeypatch, 1, n)
+    relabelled = relabelling(monkeypatch, 1, n)
     with pytest.raises(IntegrityFault, match="not the input's edges"):
         solve(n, edges, tmpdir=str(tmp_path), sort_chunk=7)
+    assert relabelled
+
+
+@pytest.mark.parametrize("sort_chunk", [None, 7])
+def test_work_directory_is_empty_when_cleanup_runs(tmp_path, monkeypatch, sort_chunk):
+    """Every pass deletes its input, and ``emit_tour`` the final stream, so
+    ``cleanup`` only removes the directory itself."""
+    from strtour import StreamPipeline
+    left = []
+    cleanup = StreamPipeline.cleanup
+
+    def recording_cleanup(self):
+        left.append(sorted(os.listdir(self.workdir)))
+        cleanup(self)
+
+    monkeypatch.setattr(StreamPipeline, "cleanup", recording_cleanup)
+    n, edges = gen_eulerian(40, 120, 2)
+    result = solve(n, edges, tmpdir=str(tmp_path), sort_chunk=sort_chunk)
+    assert len(result.tour) == len(edges)
+    assert left == [[]]
 
 
 def test_many_spill_chunks_solve_under_a_low_open_file_limit(tmp_path):

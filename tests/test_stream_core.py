@@ -105,8 +105,34 @@ def test_binary_stream_round_trip(tmp_path, count):
     assert os.path.getsize(stream.path) == len(items) * RECORD.size
     got = list(stream.iter_items())
     assert got == items
-    assert [type(it) for it in got] == [type(it) for it in items]
+    assert [len(it) for it in got] == [len(it) for it in items]
+    assert {type(it) for it in got} == {tuple}
     pl.cleanup()
+
+
+def named_records(kind, count, seed):
+    """``count`` NamedTuple records: all graph edges, all info edges, or mixed."""
+    rng = random.Random(seed)
+    field = lambda: rng.randrange(0, 2**63)
+    graph = lambda: GraphEdge(*(field() for _ in range(6)))
+    info = lambda: InfoEdge(*(field() for _ in range(5)))
+    make = {"graph": graph, "info": info,
+            "mixed": lambda: graph() if rng.random() < 0.7 else info()}[kind]
+    return [make() for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", ["graph", "info", "mixed"])
+@pytest.mark.parametrize("count", [BLOCK_RECORDS, 37])  # a full block and a short last one
+def test_plain_and_named_records_encode_alike(kind, count):
+    named = named_records(kind, count, count)
+    plain = [tuple(it) for it in named]
+    assert {type(it) for it in plain} == {tuple}
+    block = encode_block(named)
+    assert encode_block(plain) == block
+    assert [encode_item(it) for it in plain] == [encode_item(it) for it in named]
+    decoded = stream_core.decode_block(bytes(block), 1)
+    assert decoded == plain
+    assert {type(it) for it in decoded} == {tuple}
 
 
 def corrupt_stream(tmp_path, record):
@@ -151,7 +177,7 @@ def test_unencodable_record_is_an_integrity_fault(tmp_path):
 
 
 def packed_one_by_one(items):
-    return b"".join(RECORD.pack(ord("G"), *item) if type(item) is GraphEdge
+    return b"".join(RECORD.pack(ord("G"), *item) if len(item) == 6
                     else RECORD.pack(ord("I"), *item, 0) for item in items)
 
 
@@ -201,7 +227,8 @@ class Counting(Processor):
 
     def on_item(self, item, emit):
         self.count += 1
-        emit(GraphEdge(item.tail, item.head, item.f3, self.count, 0, 0))
+        tail, head, circuit = item[:3]
+        emit((tail, head, circuit, self.count, 0, 0))
 
     def scalar_words(self):
         return 1
@@ -237,7 +264,7 @@ def test_counting_processor_meter(tmp_path):
     pl, stats = make_pipeline(tmp_path)
     stream = pl.materialize([GraphEdge(1, 2), GraphEdge(2, 3), GraphEdge(3, 1)])
     out = pl.run_streaming_pass(Counting(), stream, "test")
-    assert [it.f4 for it in out.iter_items()] == [1, 2, 3]
+    assert [it[3] for it in out.iter_items()] == [1, 2, 3]
     # the processor retains nothing, so the only live record is the one in flight
     assert stats.passes[-1].peak_live_records == 1
     pl.cleanup()
@@ -423,7 +450,7 @@ def test_stats_monotone_across_passes(tmp_path):
 # -- sorting passes -----------------------------------------------------------
 
 def head_key(item):
-    return (item.head,)
+    return (item[1],)
 
 
 def test_sort_already_sorted_identity(tmp_path):
@@ -439,7 +466,7 @@ def test_sort_reversed(tmp_path):
     pl, _ = make_pipeline(tmp_path)
     items = [GraphEdge(1, h, 1, i) for i, h in enumerate([9, 7, 4, 2], start=1)]
     out = pl.run_sorting_pass(head_key, pl.materialize(items), "test", "sort")
-    assert [it.head for it in out.iter_items()] == [2, 4, 7, 9]
+    assert [it[1] for it in out.iter_items()] == [2, 4, 7, 9]
     pl.cleanup()
 
 
@@ -462,7 +489,7 @@ def test_sort_multi_chunk_matches_single_chunk(tmp_path):
              for i in range(1, 101)]
     small, _ = make_pipeline(tmp_path / "a", sort_chunk=7)  # force the external merge path
     big, _ = make_pipeline(tmp_path / "b")
-    key = lambda it: (it.f3, it.head)
+    key = lambda it: (it[2], it[1])
     got_small = list(small.run_sorting_pass(key, small.materialize(items), "t", "s").iter_items())
     got_big = list(big.run_sorting_pass(key, big.materialize(items), "t", "s").iter_items())
     assert got_small == got_big

@@ -19,7 +19,7 @@ from strtour import (
     validate_tour,
 )
 
-from conftest import make_pipeline, run_phase1, spec_rounds
+from conftest import graph_edges, info_edges, make_pipeline, run_phase1, spec_rounds
 
 
 def circuit(cid, pairs):
@@ -74,7 +74,7 @@ def test_host_child_splice_matches_reference(tmp_path):
     assert expected == [(1, 2), (2, 4), (4, 5), (5, 2), (2, 3), (3, 1)]
 
     out, report, _ = merged_once(tmp_path, items, height=1)
-    graph = [it for it in out if isinstance(it, GraphEdge)]
+    graph = graph_edges(out)
     assert [(g.tail, g.head) for g in sorted(graph, key=lambda g: g.f4)] == expected
     assert [g.f4 for g in sorted(graph, key=lambda g: g.f4)] == [1, 2, 3, 4, 5, 6]
     assert report.height_before == 1
@@ -85,8 +85,7 @@ def test_chain_rewires_to_grandparent(tmp_path):
     # tree 1 -> 2 -> 3: circuit 2 merges into 1, the deeper edge is rewired
     n, edges, items = chain_gadget(2)
     out, report, _ = merged_once(tmp_path, items, height=2)
-    info = [it for it in out if isinstance(it, InfoEdge)]
-    assert info == [InfoEdge(1, 3, 0, 5, 0)]
+    assert info_edges(out) == [InfoEdge(1, 3, 0, 5, 0)]
     assert report.height_after == 1
     assert report.circuits_after == 2
 
@@ -136,8 +135,8 @@ def test_iteration_invariants_on_gadget(tmp_path):
         while info_count:
             stream, report = merge_iteration(pl, stream, height_before=height)
             data = list(stream.iter_items())
-            graph = [it for it in data if isinstance(it, GraphEdge)]
-            info = [it for it in data if isinstance(it, InfoEdge)]
+            graph = graph_edges(data)
+            info = info_edges(data)
             # edge count and undirected multiset are preserved
             assert len(graph) == len(edges)
             assert Counter(frozenset((g.tail, g.head)) for g in graph) == \

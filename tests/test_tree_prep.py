@@ -15,7 +15,7 @@ from strtour import (
     rotate_member_circuits,
 )
 
-from conftest import make_pipeline
+from conftest import graph_edges, info_edges, make_pipeline
 
 
 def circuit(cid, pairs, start_pos=1):
@@ -24,7 +24,7 @@ def circuit(cid, pairs, start_pos=1):
 
 
 def by_position(items, cid):
-    edges = [it for it in items if isinstance(it, GraphEdge) and it.f3 == cid]
+    edges = [it for it in graph_edges(items) if it.f3 == cid]
     return [(e.tail, e.head) for e in sorted(edges, key=lambda e: e.f4)]
 
 
@@ -47,8 +47,7 @@ def test_rotation_triangle_pivot(tmp_path):
     # shared vertex 2 sits at position 2 of circuit 2
     out, _ = run_rotate(tmp_path, items)
     assert by_position(out, 2) == [(2, 5), (5, 4), (4, 2)]
-    new_pos = {(e.tail, e.head): e.f4 for e in out
-               if isinstance(e, GraphEdge) and e.f3 == 2}
+    new_pos = {(e.tail, e.head): e.f4 for e in graph_edges(out) if e.f3 == 2}
     assert new_pos == {(4, 2): 3, (2, 5): 1, (5, 4): 2}
 
 
@@ -87,8 +86,9 @@ def test_rotation_preserves_cycle_and_budget(tmp_path):
              + [InfoEdge(1, 2, 0, 3, 0)]
              + circuit(2, [(6, 3), (3, 7), (7, 6)]))
     out, stats = run_rotate(tmp_path, items)
-    assert Counter(tuple(it)[:2] for it in out if isinstance(it, GraphEdge)) == \
-        Counter(tuple(it)[:2] for it in items if isinstance(it, GraphEdge))
+    assert len(graph_edges(out)) == 6
+    assert Counter(tuple(it)[:2] for it in graph_edges(out)) == \
+        Counter(tuple(it)[:2] for it in graph_edges(items))
     seq = by_position(out, 2)
     assert seq[0][0] == 3
     for a, b in zip(seq, seq[1:] + seq[:1]):
@@ -152,8 +152,8 @@ def prepared_nine_vertex(tmp_path, nine):
 
 def test_prepare_nine_vertex_properties(tmp_path, nine_vertex):
     items, completer, height, stats = prepared_nine_vertex(tmp_path, nine_vertex)
-    graph = [it for it in items if isinstance(it, GraphEdge)]
-    info = [it for it in items if isinstance(it, InfoEdge)]
+    graph = graph_edges(items)
+    info = info_edges(items)
     # the flagged leaf got its parent depth: parent of circuit 5 is circuit 3 at depth 2
     logical = {}
     for e in info:
