@@ -37,7 +37,7 @@ class EdgeBuffer:
     """Adjacency view over the undirected edges currently held in memory.
 
     The buffer also carries the walk of ``extract_circuit`` from one
-    extraction to the next: ``add`` tells a started walk about the new
+    extraction to the next: ``add`` tells a carried walk about the new
     edge, and the walk's own cut is the only removal.
     """
 
@@ -61,7 +61,7 @@ class EdgeBuffer:
         else:
             nbrs.add(u)
         self.edge_count += 1
-        if self.walk.started:
+        if self.walk.path:
             self.walk.edge_added(adj, u, v)
 
     def unlink(self, u: int, v: int) -> None:
@@ -86,9 +86,13 @@ class Walk:
     parent by one edge.  The edges the walk has used are exactly the tree
     edges: the path's own and the finished vertices'.  Heap entries are
     deleted lazily: a popped neighbour whose edge is used or no longer
-    buffered is skipped.  ``starts`` is a min-heap of start candidates,
-    used when a walk with no cut so far exhausts the component of
-    ``start``.  All of it is O(buffered edges).
+    buffered is skipped.  ``path[0]`` is the start, and ``starts`` the
+    min-heap of start candidates built by ``begin``, read only by the
+    extraction that began the walk.  All of it is O(buffered edges).
+
+    Between extractions the walk is idle (an empty path, nothing else
+    kept) or carried (a non-empty path, and a cycle cut since ``begin``).
+    An extraction that finds no cycle leaves it idle.
 
     When a new edge changes the order of the path walked so far, the walk
     is rolled back (``rollback``) rather than started over.  Vertices cut
@@ -101,9 +105,6 @@ class Walk:
         self.reset()
 
     def reset(self) -> None:
-        self.started = False
-        self.cut = False  # a cycle was cut since this walk started
-        self.start = 0
         self.starts: list[int] = []
         self.path: list[int] = []
         self.on_path: dict[int, int] = {}
@@ -112,12 +113,11 @@ class Walk:
 
     def begin(self, adj: dict[int, set[int]]) -> None:
         self.reset()
-        self.started = True
         self.starts = list(adj)
         heapq.heapify(self.starts)
 
     def edge_added(self, adj: dict[int, set[int]], u: int, v: int) -> None:
-        """Fold a new edge into the started walk, rolling it back or
+        """Fold a new edge into the carried walk, rolling it back or
         resetting it where the edge changes the walk's order.
 
         The walk stays valid when a fresh walk over the grown buffer would
@@ -125,9 +125,10 @@ class Walk:
         candidate that the fresh walk tries later than the current path is
         only offered.  An edge from ``path[i]`` to a vertex the fresh walk
         tries before ``path[i + 1]`` rolls the walk back to ``path[i]``
-        first.  An edge below ``start`` resets it.
+        first.  An edge below the start ``path[0]`` resets it.
         """
-        if u < self.start or v < self.start:
+        start = self.path[0]
+        if u < start or v < start:
             self.reset()
             return
         finished = self.finished
@@ -145,13 +146,6 @@ class Walk:
                 if i < len(path) - 1 and y < path[i + 1]:
                     self.rollback(i, adj)
                 self.offer(i, y, adj)
-        starts = self.starts
-        for x in (u, v):
-            if len(adj[x]) == 1:  # x just entered the buffer
-                heapq.heappush(starts, x)
-        if len(starts) > 2 * len(adj):
-            self.starts = [x for x in adj if x not in finished and x not in on_path]
-            heapq.heapify(self.starts)
 
     def reopen(self, x: int, adj: dict[int, set[int]]) -> bool:
         """Unmark the dead-end subtree holding ``x``; False if that needs a reset.
@@ -230,29 +224,31 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
     would try before ``path[i + 1]``, or one that reopens a dead end
     hanging off ``path[i]``, rolls the path back to ``path[i]`` and offers
     ``path[i + 1]`` to its heap again; the dead ends found above it stay
-    finished.  The walk starts over only for a new edge below ``start``, a
-    dead end under an exhausted earlier start, or a path that empties after
-    a cut (a dead-end vertex may then be the lowest).  That keeps phase 1
-    close to linear in the edges streamed.  The walk's scratch is
-    O(buffered edges), outside the phase-1 meter.
+    finished.  The walk starts over only for a new edge below its start, a
+    dead end under an exhausted earlier start, a path that empties after a
+    cut (a dead-end vertex may then be the lowest), or an extraction that
+    finds no cycle.  That keeps phase 1 close to linear in the edges
+    streamed.  The walk's scratch is O(buffered edges), outside the phase-1
+    meter.
     """
     walk = buffer.walk
     adj = buffer.adj
-    if not walk.started:
-        walk.begin(adj)
     path, heaps, on_path, finished = walk.path, walk.heaps, walk.on_path, walk.finished
+    begun = False  # whether this call began a fresh walk
     heappop, heapify = heapq.heappop, heapq.heapify
     while True:
         if not path:
-            if walk.cut:
+            if not begun:
+                begun = True
                 walk.begin(adj)
                 path, heaps, on_path, finished = walk.path, walk.heaps, walk.on_path, walk.finished
             starts = walk.starts
             while starts and (starts[0] not in adj or starts[0] in finished):
                 heappop(starts)
             if not starts:
+                walk.reset()
                 return None
-            v = walk.start = heappop(starts)
+            v = heappop(starts)
             on_path[v] = 0
             path.append(v)
             heap = list(adj[v])
@@ -280,7 +276,6 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
                     del on_path[x]
                 del path[cut + 1:]
                 del heaps[cut + 1:]
-                walk.cut = True
                 if not buffer.edge_count:
                     walk.reset()  # nothing left to resume; free the scratch
                 return cycle
@@ -491,11 +486,12 @@ class CircuitFinder(Processor):
         # sum was recorded with; 9 for the scalars.  The buffered edges are
         # the pass's records.  Not counted: the walk's scratch
         # (``buffer.walk``) and ``root``'s adjacency and depth maps, O(tree
-        # vertices).  The walk's scratch lives from one reset to the next,
+        # vertices).  The walk's scratch lives while the walk is carried,
         # across many extractions, and stays O(buffered edges): path
         # vertices are joined by buffered edges, a finished vertex keeps its
-        # buffered edges (cuts remove only path edges, rollbacks none), and
-        # ``offer`` and ``edge_added`` trim the heaps and ``starts``.
+        # buffered edges (cuts remove only path edges, rollbacks none),
+        # ``offer`` trims the heaps, and ``begin`` builds ``starts`` with
+        # one entry per buffered vertex.
         return (2 * self.n + len(self.tree_vertices) + 3 * len(self.tree_records)
                 + len(self.flag1_parents) + self.joins + 9)
 

@@ -161,6 +161,8 @@ def extract_both(spec, buf):
     got = extract_circuit(buf)
     assert got == want
     assert buf.adj == spec.adj and buf.edge_count == spec.edge_count
+    if got is None:  # a walk that found no cycle is left idle
+        assert buf.walk.path == [] and buf.walk.finished == {}
     return want
 
 

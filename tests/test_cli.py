@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from strtour.cli import main
-from strtour import decode_item, encode_item, read_tour_file, write_graph_file
+from strtour import (
+    decode_item, encode_item, read_tour_file, write_graph_file, write_tour_file)
 
 from conftest import NINE_VERTEX_EDGES, NINE_VERTEX_N, NINE_VERTEX_PHASE1
 
@@ -124,12 +125,28 @@ def test_verify_truncated_tour_exits_2(tmp_path, capsys):
     assert "invalid tour" in capsys.readouterr().out
 
 
+def test_verify_open_trail_exits_2(tmp_path, capsys):
+    graph = str(tmp_path / "g.txt")
+    tour = str(tmp_path / "t.txt")
+    write_graph_file(graph, 3, [(1, 2), (2, 3)])
+    write_tour_file(tour, [(1, 2), (2, 3)])
+    assert main(["verify", "--in", graph, "--tour", tour]) == 2
+    assert capsys.readouterr().out == "invalid tour: chaining violation at tour index 1\n"
+
+
 def test_oracle_reports_eulerian(tmp_path, capsys):
     graph = write_nine(tmp_path)
     assert main(["oracle", "--in", graph]) == 0
     out = capsys.readouterr().out
     assert "eulerian: yes" in out
     assert len([ln for ln in out.splitlines() if ln and ln[0].isdigit()]) == 16
+
+
+def test_oracle_edgeless_graph_is_eulerian(tmp_path, capsys):
+    graph = str(tmp_path / "g.txt")
+    write_graph_file(graph, 3, [])
+    assert main(["oracle", "--in", graph]) == 0
+    assert capsys.readouterr().out == "eulerian: yes\n"
 
 
 def test_oracle_reports_reason(tmp_path, capsys):

@@ -10,6 +10,7 @@ from strtour import (
     IntegrityFault,
     PERTURB_DISCONNECTED,
     PERTURB_ODD,
+    TourViolation,
     eulerian_reason,
     gen_eulerian,
     hierholzer,
@@ -61,6 +62,10 @@ def test_hierholzer_bowtie_revisits_center():
 
 def test_hierholzer_refuses_non_eulerian():
     assert hierholzer(graph(3, [(1, 2), (2, 3)])) is None
+
+
+def test_hierholzer_edgeless_graph_is_the_empty_tour():
+    assert hierholzer(graph(3, [])) == []
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -132,6 +137,12 @@ def test_validate_flags_open_tour():
     g = graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     violation = validate_tour(g, [(2, 3), (3, 4), (4, 1), (1, 3)])
     assert violation is not None
+
+
+def test_validate_flags_trail_that_does_not_close():
+    # every edge once and chained, but the trail ends at 3, not at 1
+    violation = validate_tour(graph(3, [(1, 2), (2, 3)]), [(1, 2), (2, 3)])
+    assert violation == TourViolation("chaining", 1)
 
 
 def test_validate_empty_graph():

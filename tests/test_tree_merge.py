@@ -1,5 +1,6 @@
 """Merge-loop tests: splicing, rewiring, height halving, tour emission."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -237,6 +238,22 @@ def test_emit_tour_rejects_two_circuits(tmp_path):
         items = circuit(1, [(1, 2), (2, 1)]) + circuit(2, [(3, 4), (4, 3)])
         with pytest.raises(IntegrityFault):
             emit_tour(pl, pl.materialize(items), 4)
+    finally:
+        pl.cleanup()
+
+
+@pytest.mark.parametrize("items, m, message", [
+    (circuit(1, [(1, 2), (2, 3), (3, 1)]) + [InfoEdge(1, 2, 0, 1, 0)], 3,
+     "info edge left in the final stream"),
+    (circuit(1, [(1, 2), (3, 1)]), 2, "tour breaks before position 2"),
+    (circuit(1, [(1, 2), (2, 3), (3, 1)]), 4, "tour has 3 edges, expected 4"),
+    (circuit(1, [(1, 2), (2, 3)]), 2, "tour does not close"),
+], ids=["info-edge", "chain-break", "edge-count", "open-trail"])
+def test_emit_tour_rejects_broken_final_stream(tmp_path, items, m, message):
+    pl, _ = make_pipeline(tmp_path)
+    try:
+        with pytest.raises(IntegrityFault, match=f"^{re.escape(message)}$"):
+            emit_tour(pl, pl.materialize(items), m)
     finally:
         pl.cleanup()
 
