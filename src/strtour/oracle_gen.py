@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 from .stream_core import (
@@ -206,54 +207,63 @@ def gen_eulerian(n: int, target_m: int, seed: int) -> tuple[int, list[tuple[int,
     candidate that would duplicate an existing edge is skipped, which keeps
     all degrees even.  Attempts are retried (with sub-seeds derived from
     ``seed``) until the edge count lands within 10% of ``target_m`` and the
-    positive-degree vertices are connected.  Deterministic per seed; the
-    generator is the Mersenne Twister behind ``random.Random``.
+    positive-degree vertices are connected.
+
+    A graph is fixed by ``(n, target_m, seed)`` with ``seed >= 0``: the
+    draws from ``random.Random`` (Mersenne Twister) and their order -- one
+    ``randint`` and one ``sample`` per candidate, one ``shuffle`` of the
+    accepted attempt -- are part of the output, as are the sub-seeds, the
+    stall limit and the retry rules.  ``test_gen_output_is_pinned`` holds
+    digests of known graphs, so bookkeeping may change but none of these.
     """
     if n < 3 or target_m < 3:
         raise GenerationError(f"need n >= 3 and target_m >= 3, got {n}, {target_m}")
     if target_m > n * (n - 1) // 2:
         raise GenerationError(f"target_m={target_m} exceeds simple-graph capacity")
+    if seed < 0:  # random.Random seeds with abs(seed), so -s would repeat s
+        raise GenerationError(f"need seed >= 0, got {seed}")
     lo = max(3, -(-target_m * 9 // 10))  # ceil(0.9 * target)
     hi = target_m * 11 // 10
+    width = min(n, 12)
+    vertices = range(1, n + 1)
+    stride = n + 1  # edge {u, v} with u < v has the key u * stride + v
     for attempt in range(200):
         rng = random.Random(seed * 1_000_003 + attempt)
-        edges: set[frozenset[int]] = set()
+        keys: set[int] = set()
         order: list[tuple[int, int]] = []
-        parent = {}
-
-        def find(v):
-            while parent.get(v, v) != v:
-                parent[v] = parent.get(parent[v], parent[v])
-                v = parent[v]
-            return v
-
-        stall = 0
-        while len(order) < lo and stall < 60 * target_m:
-            stall += 1
-            width = min(n, 12)
+        for _ in range(60 * target_m):  # the stall limit
             room = hi - len(order)
             if room < 3:
                 break
-            length = rng.randint(3, min(width, room))
-            verts = rng.sample(range(1, n + 1), length)
-            cycle = [(verts[i], verts[(i + 1) % length]) for i in range(length)]
-            if any(frozenset(e) in edges for e in cycle):
-                continue
-            for u, v in cycle:
-                edges.add(frozenset((u, v)))
-                order.append((u, v))
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        if not (lo <= len(order) <= hi):
-            continue
-        active = {v for e in order for v in e}
-        if len({find(v) for v in active}) != 1:
-            continue
-        rng.shuffle(order)
-        return n, order
+            verts = rng.sample(vertices, rng.randint(3, min(width, room)))
+            cycle = list(zip(verts, verts[1:] + verts[:1]))
+            new = [u * stride + v if u < v else v * stride + u for u, v in cycle]
+            if keys.isdisjoint(new):
+                keys.update(new)
+                order += cycle
+                if len(order) >= lo:
+                    break
+        if lo <= len(order) <= hi and _connected(n, order):
+            rng.shuffle(order)
+            return n, order
     raise GenerationError(
         f"could not generate a connected instance for n={n}, m={target_m}, seed={seed}")
+
+
+def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
+    """Whether the endpoints of ``edges``, which are not empty, are connected."""
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {edges[0][0]}
+    stack = [edges[0][0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == sum(map(bool, adj))
 
 
 def perturb(n: int, edges: list[tuple[int, int]], mode: str) -> tuple[int, list[tuple[int, int]]]:
@@ -264,7 +274,7 @@ def perturb(n: int, edges: list[tuple[int, int]], mode: str) -> tuple[int, list[
     separate triangle on three fresh vertices, keeping all degrees even.
     """
     if mode == PERTURB_ODD:
-        anchor = min((v for e in edges for v in e), default=1)
+        anchor = min(chain.from_iterable(edges), default=1)
         return n + 1, edges + [(anchor, n + 1)]
     if mode == PERTURB_DISCONNECTED:
         a, b, c = n + 1, n + 2, n + 3

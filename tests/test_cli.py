@@ -75,6 +75,15 @@ def test_solve_rejects_disconnected(tmp_path, capsys):
     assert "not eulerian: disconnected" in capsys.readouterr().out
 
 
+def test_gen_negative_seed_exits_1(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    assert main(["gen", "--out", str(graph), "--n", "50", "--m", "150", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need seed >= 0, got -1\n"
+    assert not graph.exists()
+
+
 def test_solve_missing_file_exits_1(tmp_path):
     assert main(["solve", "--in", str(tmp_path / "absent.txt")]) == 1
 

@@ -1,5 +1,7 @@
 """Oracle tests: Eulerian check, tour builder, merge spec, generators."""
 
+import hashlib
+
 import pytest
 
 from strtour import (
@@ -173,6 +175,67 @@ def test_gen_always_eulerian(seed):
 def test_gen_rejects_infeasible(n, m):
     with pytest.raises(GenerationError):
         gen_eulerian(n, m, 1)
+
+
+def test_gen_rejects_negative_seed():
+    # random.Random seeds with abs(seed), so seed -1 would repeat seed 1
+    with pytest.raises(GenerationError, match=r"need seed >= 0, got -1"):
+        gen_eulerian(50, 150, -1)
+    assert gen_eulerian(50, 150, 0) != gen_eulerian(50, 150, 1)
+
+
+# sha256 of each graph's file text, recorded before the generator's
+# bookkeeping was rewritten and never re-recorded: the random draws, their
+# order and the retry rules are part of what a seed means.  (1000, 6, 3)
+# accepts its second attempt after a disconnected first; (1000, 6, 1)
+# accepts its second after a first that missed the edge count.  Both
+# (7, 21) graphs are K7 in different orders: seed 31 would change under a
+# stall limit of 59 * m, seed 10 under one of 75 * m.
+PINNED_GRAPHS = {
+    "250-4750-8": (lambda: gen_eulerian(250, 4750, 8),
+                   "9e5c6c8a59fb669a27120ca9974a105864c12b237407720f881b280326cbe70d"),
+    "250-4750-9": (lambda: gen_eulerian(250, 4750, 9),
+                   "ea84bc2cf9a9b1963d12c8936c5bcc3e9dc355be39ad2588e7d2833d57ae6507"),
+    "2000-38000-5": (lambda: gen_eulerian(2000, 38000, 5),
+                     "091e9f15e02a1e86575b5b2398eb739309f61cb09a6c1d99f8da142d9211bcc7"),
+    "2000-38000-5-odd": (lambda: perturb(*gen_eulerian(2000, 38000, 5), PERTURB_ODD),
+                         "28de0543570bfb7f535a75f8fa70ade29cb43e658342063fb8ad63ec1bb4d228"),
+    "3-3-5": (lambda: gen_eulerian(3, 3, 5),
+              "51cc6c3097e822cc6cf00bb9f1e2aea25d73a93fcd323dfe9b4e0f73f08fea94"),
+    "50-150-9": (lambda: gen_eulerian(50, 150, 9),
+                 "392ff7269f96301982f34e118c8f17ee6c6d1b659215f30f401f002c828c2a26"),
+    "1000-6-3-after-disconnected": (
+        lambda: gen_eulerian(1000, 6, 3),
+        "5fc947c69114ba6c070d37b698ffea01ef760000809a3f008a97266a1e55049a"),
+    "1000-6-1-after-count-miss": (
+        lambda: gen_eulerian(1000, 6, 1),
+        "fb24a65c09f6f05e2f2abf107be87e7dba7135ed545c0bdb2ff1ae1a02e2cd84"),
+    "7-21-31-stall-limit-below": (
+        lambda: gen_eulerian(7, 21, 31),
+        "9c09cea2f9dcc45843643b5b64bf56b913a5eb34eecdee4223fab683e59390e3"),
+    "7-21-10-stall-limit-above": (
+        lambda: gen_eulerian(7, 21, 10),
+        "fe7b363e01b03e0527a6743ab48968e8f034679bf5fcaad9c93b93f0f768b98a"),
+    "edgeless-odd": (lambda: perturb(3, [], PERTURB_ODD),
+                     "246cec2afa80520b97d9a923aa01ea0ab42ea7db60b65705cf5aabcd9665172a"),
+    "edgeless-disconnected": (lambda: perturb(3, [], PERTURB_DISCONNECTED),
+                              "761f4f1fce28cc68e49430cd042f44b9f10553c11bc50be40b57d38512452a6e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+def test_gen_output_is_pinned(name):
+    make, expected = PINNED_GRAPHS[name]
+    n, edges = make()
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == expected
+
+
+def test_gen_exhaustion_names_its_parameters():
+    # K4 is the only 6-edge graph on 4 vertices, and its degrees are odd
+    with pytest.raises(GenerationError) as info:
+        gen_eulerian(4, 6, 1)
+    assert str(info.value) == "could not generate a connected instance for n=4, m=6, seed=1"
 
 
 def test_perturb_odd_degree():
