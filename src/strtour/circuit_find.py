@@ -34,17 +34,34 @@ from .stream_core import (
 
 
 class EdgeBuffer:
-    """Adjacency view over the undirected edges currently held in memory.
+    """The undirected edges held in memory, and the walk of ``extract_circuit``
+    suspended between extractions.
 
-    The buffer also carries the walk of ``extract_circuit`` from one
-    extraction to the next: ``add`` tells a carried walk about the new
-    edge, and the walk's own cut is the only removal.
+    ``adj`` maps each buffered vertex to its buffered neighbours.  The walk
+    is lowest-first and depth-first.  ``path`` is its active path and
+    ``heaps[i]`` the min-heap of candidate neighbours of ``path[i]``;
+    ``on_path`` maps each path vertex to its index.  ``finished`` maps each
+    dead-end vertex to its DFS parent (0 for a start).  Every buffered edge
+    of a finished vertex is a tree edge, to its parent or to a finished
+    child, so the finished vertices form acyclic subtrees, each hanging off
+    its root's parent by one edge.  The edges the walk has used are exactly
+    the tree edges: the path's own and the finished vertices'.  Heap entries
+    are deleted lazily: a popped neighbour whose edge is used or no longer
+    buffered is skipped.  ``path[0]`` is the start, and ``starts`` the
+    min-heap of start candidates built by ``begin``, read only by the
+    extraction that began the walk.  All of it is O(buffered edges).
+
+    Between extractions the walk is idle (an empty path, nothing else
+    kept) or carried (a non-empty path, and a cycle cut since ``begin``).
+    An extraction that finds no cycle leaves it idle.  ``add`` folds each
+    new edge into a carried walk (``edge_added``), and the walk's own cut
+    (``unlink``) is the only removal.
     """
 
     def __init__(self) -> None:
         self.adj: dict[int, set[int]] = {}
         self.edge_count = 0
-        self.walk = Walk()
+        self.reset()
 
     def add(self, u: int, v: int) -> None:
         adj = self.adj
@@ -61,8 +78,8 @@ class EdgeBuffer:
         else:
             nbrs.add(u)
         self.edge_count += 1
-        if self.walk.path:
-            self.walk.edge_added(adj, u, v)
+        if self.path:
+            self.edge_added(u, v)
 
     def unlink(self, u: int, v: int) -> None:
         """Remove an edge of a cut cycle; the walk already knows it is gone."""
@@ -74,36 +91,6 @@ class EdgeBuffer:
             del self.adj[v]
         self.edge_count -= 1
 
-
-class Walk:
-    """The lowest-first depth-first walk, suspended between extractions.
-
-    ``path`` is the active path and ``heaps[i]`` the min-heap of candidate
-    neighbours of ``path[i]``.  ``finished`` maps each dead-end vertex to
-    its DFS parent (0 for a start).  Every buffered edge of a finished
-    vertex is a tree edge, to its parent or to a finished child, so the
-    finished vertices form acyclic subtrees, each hanging off its root's
-    parent by one edge.  The edges the walk has used are exactly the tree
-    edges: the path's own and the finished vertices'.  Heap entries are
-    deleted lazily: a popped neighbour whose edge is used or no longer
-    buffered is skipped.  ``path[0]`` is the start, and ``starts`` the
-    min-heap of start candidates built by ``begin``, read only by the
-    extraction that began the walk.  All of it is O(buffered edges).
-
-    Between extractions the walk is idle (an empty path, nothing else
-    kept) or carried (a non-empty path, and a cycle cut since ``begin``).
-    An extraction that finds no cycle leaves it idle.
-
-    When a new edge changes the order of the path walked so far, the walk
-    is rolled back (``rollback``) rather than started over.  Vertices cut
-    off the path leave it unfinished, but the dead-end subtrees below them
-    stay finished: a finished subtree hangs off its parent by a single
-    edge, so a walk that reaches it again still finds it a dead end.
-    """
-
-    def __init__(self) -> None:
-        self.reset()
-
     def reset(self) -> None:
         self.starts: list[int] = []
         self.path: list[int] = []
@@ -111,12 +98,12 @@ class Walk:
         self.heaps: list[list[int]] = []
         self.finished: dict[int, int] = {}
 
-    def begin(self, adj: dict[int, set[int]]) -> None:
+    def begin(self) -> None:
         self.reset()
-        self.starts = list(adj)
+        self.starts = list(self.adj)
         heapq.heapify(self.starts)
 
-    def edge_added(self, adj: dict[int, set[int]], u: int, v: int) -> None:
+    def edge_added(self, u: int, v: int) -> None:
         """Fold a new edge into the carried walk, rolling it back or
         resetting it where the edge changes the walk's order.
 
@@ -134,7 +121,7 @@ class Walk:
         finished = self.finished
         if u in finished or v in finished:
             for x in (u, v):
-                if x in finished and not self.reopen(x, adj):
+                if x in finished and not self.reopen(x):
                     self.reset()
                     return
         path, on_path = self.path, self.on_path
@@ -144,10 +131,10 @@ class Walk:
                 if i is None:
                     continue
                 if i < len(path) - 1 and y < path[i + 1]:
-                    self.rollback(i, adj)
-                self.offer(i, y, adj)
+                    self.rollback(i)
+                self.offer(i, y)
 
-    def reopen(self, x: int, adj: dict[int, set[int]]) -> bool:
+    def reopen(self, x: int) -> bool:
         """Unmark the dead-end subtree holding ``x``; False if that needs a reset.
 
         A subtree under an exhausted earlier start needs a reset.  One that
@@ -165,20 +152,20 @@ class Walk:
             return False
         i = self.on_path.get(parent)
         if i is not None and i < len(self.path) - 1:
-            self.rollback(i, adj)
+            self.rollback(i)
         del self.finished[root]
         stack = [root]
         while stack:
             y = stack.pop()
-            for z in adj[y]:
+            for z in self.adj[y]:
                 if self.finished.get(z) == y:
                     del self.finished[z]
                     stack.append(z)
         if i is not None:
-            self.offer(i, root, adj)
+            self.offer(i, root)
         return True
 
-    def rollback(self, i: int, adj: dict[int, set[int]]) -> None:
+    def rollback(self, i: int) -> None:
         """Cut the path back to ``path[i]``, which will try ``path[i + 1]`` again.
 
         No edge is removed, so every finished vertex keeps its edges and
@@ -190,9 +177,9 @@ class Walk:
             del on_path[x]
         del path[i + 1:]
         del self.heaps[i + 1:]
-        self.offer(i, nxt, adj)
+        self.offer(i, nxt)
 
-    def offer(self, i: int, w: int, adj: dict[int, set[int]]) -> None:
+    def offer(self, i: int, w: int) -> None:
         """Add candidate ``w`` to the heap of ``path[i]``.
 
         A heap grown past twice the vertex's degree is cut back to its
@@ -200,7 +187,7 @@ class Walk:
         """
         heap = self.heaps[i]
         heapq.heappush(heap, w)
-        nbrs = adj[self.path[i]]
+        nbrs = self.adj[self.path[i]]
         if len(heap) > 2 * len(nbrs):
             heap[:] = nbrs.intersection(heap)
             heapq.heapify(heap)
@@ -218,35 +205,36 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
     the next-lowest vertex not yet visited.  Each call returns what that
     walk, run afresh on the current buffer, would return.
 
-    The walk is not run afresh: its state (``buffer.walk``) survives the
+    The walk is not run afresh: its state, kept on ``buffer``, survives the
     cut and resumes at the cut vertex on the next call, and ``add`` folds
     new edges into it.  A new edge from ``path[i]`` that the fresh walk
     would try before ``path[i + 1]``, or one that reopens a dead end
     hanging off ``path[i]``, rolls the path back to ``path[i]`` and offers
-    ``path[i + 1]`` to its heap again; the dead ends found above it stay
-    finished.  The walk starts over only for a new edge below its start, a
-    dead end under an exhausted earlier start, a path that empties after a
-    cut (a dead-end vertex may then be the lowest), or an extraction that
-    finds no cycle.  That keeps phase 1 close to linear in the edges
-    streamed.  The walk's scratch is O(buffered edges), outside the phase-1
-    meter.
+    ``path[i + 1]`` to its heap again.  The dead ends found above it stay
+    finished: a finished subtree hangs off its parent by a single edge, so
+    a walk that reaches it again still finds it a dead end.  The walk
+    starts over only for a new edge below its start, a dead end under an
+    exhausted earlier start, a path that empties after a cut (a dead-end
+    vertex may then be the lowest), or an extraction that finds no cycle.
+    That keeps phase 1 close to linear in the edges streamed.  The walk's
+    scratch is outside the phase-1 meter.
     """
-    walk = buffer.walk
     adj = buffer.adj
-    path, heaps, on_path, finished = walk.path, walk.heaps, walk.on_path, walk.finished
+    path, heaps, on_path, finished = buffer.path, buffer.heaps, buffer.on_path, buffer.finished
     begun = False  # whether this call began a fresh walk
     heappop, heapify = heapq.heappop, heapq.heapify
     while True:
         if not path:
             if not begun:
                 begun = True
-                walk.begin(adj)
-                path, heaps, on_path, finished = walk.path, walk.heaps, walk.on_path, walk.finished
-            starts = walk.starts
+                buffer.begin()
+                path, heaps, on_path, finished = (
+                    buffer.path, buffer.heaps, buffer.on_path, buffer.finished)
+            starts = buffer.starts
             while starts and (starts[0] not in adj or starts[0] in finished):
                 heappop(starts)
             if not starts:
-                walk.reset()
+                buffer.reset()
                 return None
             v = heappop(starts)
             on_path[v] = 0
@@ -277,7 +265,7 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
                 del path[cut + 1:]
                 del heaps[cut + 1:]
                 if not buffer.edge_count:
-                    walk.reset()  # nothing left to resume; free the scratch
+                    buffer.reset()  # nothing left to resume; free the scratch
                 return cycle
             on_path[w] = len(path)
             path.append(w)
@@ -436,7 +424,8 @@ class CircuitFinder(Processor):
         Returns the oriented info edges (in record creation order) and the
         overall tree height including circuits that only appear as flag-1
         leaves.  One record fewer than tree vertices, with every vertex
-        reached from circuit 1, proves the records form a tree.
+        reached from circuit 1, proves the records form a tree, so each
+        record is a breadth-first tree edge and joins adjacent depths.
         """
         vertices, records = self.tree_vertices, self.tree_records
         if not vertices:
@@ -463,10 +452,7 @@ class CircuitFinder(Processor):
             raise IntegrityFault("connectivity tree is not connected after rooting")
         edges = []
         for a, b, cvertex in records:
-            da, db = depth[a], depth[b]
-            if abs(da - db) != 1:
-                raise IntegrityFault("connectivity tree record skips a level")
-            parent, child = (a, b) if da < db else (b, a)
+            parent, child = (a, b) if depth[a] < depth[b] else (b, a)
             edges.append((parent, child, depth[parent], cvertex, 0))
         height = max(depth.values())
         for p in self.flag1_parents:
@@ -484,14 +470,14 @@ class CircuitFinder(Processor):
         # record, fewer than n); one per tree vertex; three per tree record;
         # one per pending flag-1 parent; one per join, a margin the golden
         # sum was recorded with; 9 for the scalars.  The buffered edges are
-        # the pass's records.  Not counted: the walk's scratch
-        # (``buffer.walk``) and ``root``'s adjacency and depth maps, O(tree
-        # vertices).  The walk's scratch lives while the walk is carried,
-        # across many extractions, and stays O(buffered edges): path
-        # vertices are joined by buffered edges, a finished vertex keeps its
-        # buffered edges (cuts remove only path edges, rollbacks none),
-        # ``offer`` trims the heaps, and ``begin`` builds ``starts`` with
-        # one entry per buffered vertex.
+        # the pass's records.  Not counted: the walk's scratch (every
+        # ``EdgeBuffer`` field but ``adj`` and ``edge_count``) and
+        # ``root``'s adjacency and depth maps, O(tree vertices).  The walk's
+        # scratch lives while the walk is carried, across many extractions,
+        # and stays O(buffered edges): path vertices are joined by buffered
+        # edges, a finished vertex keeps its buffered edges (cuts remove
+        # only path edges, rollbacks none), ``offer`` trims the heaps, and
+        # ``begin`` builds ``starts`` with one entry per buffered vertex.
         return (2 * self.n + len(self.tree_vertices) + 3 * len(self.tree_records)
                 + len(self.flag1_parents) + self.joins + 9)
 

@@ -9,6 +9,7 @@ generators for Eulerian and deliberately broken inputs.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional
@@ -243,16 +244,20 @@ def gen_eulerian(n: int, target_m: int, seed: int) -> tuple[int, list[tuple[int,
                 order += cycle
                 if len(order) >= lo:
                     break
-        if lo <= len(order) <= hi and _connected(n, order):
+        if lo <= len(order) <= hi and _connected(order):
             rng.shuffle(order)
             return n, order
     raise GenerationError(
         f"could not generate a connected instance for n={n}, m={target_m}, seed={seed}")
 
 
-def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    """Whether the endpoints of ``edges``, which are not empty, are connected."""
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
+def _connected(edges: list[tuple[int, int]]) -> bool:
+    """Whether the endpoints of ``edges``, which are not empty, are connected.
+
+    The adjacency holds only the endpoints, so the check is O(edges) and
+    does not grow with the vertex range the edges were drawn from.
+    """
+    adj: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
@@ -263,7 +268,7 @@ def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == sum(map(bool, adj))
+    return len(seen) == len(adj)
 
 
 def perturb(n: int, edges: list[tuple[int, int]], mode: str) -> tuple[int, list[tuple[int, int]]]:

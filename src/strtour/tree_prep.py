@@ -95,8 +95,9 @@ class RotationAnnotator(Processor):
                 self.pivot = pos
             emit(item)
             return
-        self._flush(emit)
-        emit(item)
+        # after sort-circuits every circuit but the first has its own info
+        # edge in front of it, which would have flushed the pending one
+        raise IntegrityFault(f"circuit {cid} has no info edge in front of it")
 
     def on_end(self, emit) -> None:
         self._flush(emit)

@@ -1,6 +1,7 @@
 """Phase-1 tests: extraction, attaching circuits to the tree, rooting, invariants."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -162,7 +163,7 @@ def extract_both(spec, buf):
     assert got == want
     assert buf.adj == spec.adj and buf.edge_count == spec.edge_count
     if got is None:  # a walk that found no cycle is left idle
-        assert buf.walk.path == [] and buf.walk.finished == {}
+        assert buf.path == [] and buf.finished == {}
     return want
 
 
@@ -247,24 +248,23 @@ def test_resumed_walk_matches_restarting_walk_sparse(monkeypatch):
     new edge tried before the next path vertex, and a reopened dead end
     below the top of the path.  The test checks that it reaches both.
     """
-    from strtour.circuit_find import Walk
     rollbacks = Counter()
     reopening = []
-    rollback, reopen = Walk.rollback, Walk.reopen
+    rollback, reopen = EdgeBuffer.rollback, EdgeBuffer.reopen
 
-    def counting_rollback(self, i, adj):
+    def counting_rollback(self, i):
         rollbacks["reopen" if reopening else "edge"] += 1
-        rollback(self, i, adj)
+        rollback(self, i)
 
-    def marking_reopen(self, x, adj):
+    def marking_reopen(self, x):
         reopening.append(x)
         try:
-            return reopen(self, x, adj)
+            return reopen(self, x)
         finally:
             reopening.pop()
 
-    monkeypatch.setattr(Walk, "rollback", counting_rollback)
-    monkeypatch.setattr(Walk, "reopen", marking_reopen)
+    monkeypatch.setattr(EdgeBuffer, "rollback", counting_rollback)
+    monkeypatch.setattr(EdgeBuffer, "reopen", marking_reopen)
     for seed in range(400):
         rng = random.Random(seed)
         n = rng.randrange(10, 41)
@@ -279,17 +279,16 @@ def test_resumed_walk_matches_restarting_walk_sparse(monkeypatch):
 
 @pytest.fixture
 def resets(monkeypatch):
-    """Count ``Walk.reset`` calls from the moment the fixture is used."""
-    from strtour.circuit_find import Walk
+    """Count ``EdgeBuffer.reset`` calls from the moment the fixture is used."""
     calls = []
-    reset = Walk.reset
+    reset = EdgeBuffer.reset
 
     def counting(self):
         calls.append(1)
         reset(self)
 
     def start_counting():
-        monkeypatch.setattr(Walk, "reset", counting)
+        monkeypatch.setattr(EdgeBuffer, "reset", counting)
         return calls
     return start_counting
 
@@ -309,11 +308,11 @@ def test_edge_before_next_path_vertex_rolls_back(resets):
     edges = [(1, 4), (4, 6), (6, 7), (7, 8), (8, 6), (6, 13), (13, 4),
              (1, 9), (9, 12), (12, 1)]
     spec, buf = suspended_walk(edges)
-    assert buf.walk.path == [1, 4, 6]
+    assert buf.path == [1, 4, 6]
     calls = resets()
     spec.add(1, 2)
     buf.add(1, 2)
-    assert buf.walk.path == [1]
+    assert buf.path == [1]
     assert extract_both(spec, buf) == [(4, 6), (6, 13), (13, 4)]
     assert calls == []
     assert extract_both(spec, buf) == [(1, 9), (9, 12), (12, 1)]
@@ -327,11 +326,11 @@ def test_reopened_dead_end_below_top_rolls_back(resets):
     edges = [(1, 4), (4, 5), (4, 6), (6, 7), (7, 8), (8, 6), (6, 13), (13, 4),
              (1, 9), (9, 12), (12, 1)]
     spec, buf = suspended_walk(edges)
-    assert buf.walk.path == [1, 4, 6] and buf.walk.finished == {5: 4}
+    assert buf.path == [1, 4, 6] and buf.finished == {5: 4}
     calls = resets()
     spec.add(5, 20)
     buf.add(5, 20)
-    assert buf.walk.path == [1, 4] and buf.walk.finished == {}
+    assert buf.path == [1, 4] and buf.finished == {}
     assert extract_both(spec, buf) == [(4, 6), (6, 13), (13, 4)]
     assert calls == []
     assert extract_both(spec, buf) == [(1, 9), (9, 12), (12, 1)]
@@ -343,15 +342,14 @@ def test_walk_restarts_are_few(tmp_path, monkeypatch):
     m about 2700 starts over a few dozen times at most, not once per few
     circuits.  ``solve`` rejects an odd graph before phase 1, so the odd
     graphs run phase 1 alone, which must find the odd residue itself."""
-    from strtour.circuit_find import Walk
     begins = []
-    begin = Walk.begin
+    begin = EdgeBuffer.begin
 
-    def counting(self, adj):
+    def counting(self):
         begins.append(1)
-        begin(self, adj)
+        begin(self)
 
-    monkeypatch.setattr(Walk, "begin", counting)
+    monkeypatch.setattr(EdgeBuffer, "begin", counting)
     for seed in (1, 2, 3):
         n, edges = gen_eulerian(300, 3000, seed)
         begins.clear()
@@ -438,6 +436,32 @@ def test_tree_cycle_rejected():
 
 
 # -- root -----------------------------------------------------------------------
+
+def rooted(vertices, records, flag1_parents=()):
+    """``root()`` over a hand-built connectivity tree."""
+    state = fresh_state()
+    state.tree_vertices = set(vertices)
+    state.tree_records = list(records)
+    state.flag1_parents = list(flag1_parents)
+    return state.root()
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda: buffer_of([(1, 2), (2, 1)]), "edge (2, 1) buffered twice"),
+    (lambda: rooted({2, 3}, [(3, 2, 5)]),
+     "first circuit missing from the connectivity tree"),
+    (lambda: rooted({1, 2, 3}, [(2, 1, 5)]), "connectivity tree has 1 records for 3 circuits"),
+    (lambda: rooted({1, 2}, [(2, 9, 5)]), "tree edge to unknown circuit 9"),
+    # three records for four circuits, but 3-4 is recorded twice
+    (lambda: rooted({1, 2, 3, 4}, [(2, 1, 5), (4, 3, 6), (3, 4, 7)]),
+     "connectivity tree is not connected after rooting"),
+    (lambda: rooted({1}, [], flag1_parents=[7]), "flag-1 parent 7 not in the connectivity tree"),
+], ids=["buffered-twice", "first-missing", "record-count", "unknown-circuit",
+        "disconnected", "flag1-parent"])
+def test_phase1_integrity_faults(fault, message):
+    with pytest.raises(IntegrityFault, match=f"^{re.escape(message)}$"):
+        fault()
+
 
 def test_root_single_circuit_emits_nothing():
     state = fresh_state()

@@ -191,6 +191,19 @@ def test_memory_error_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
     assert captured.err.splitlines() == ["error: out of memory"]
 
 
+def test_integrity_fault_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    from strtour import IntegrityFault, pipeline
+
+    def broken(*args, **kwargs):
+        raise IntegrityFault("x")
+
+    monkeypatch.setattr(pipeline, "prepare", broken)
+    assert main(["solve", "--in", write_nine(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "integrity fault: x\n"
+
+
 def test_oracle_writes_tour_file(tmp_path):
     graph = write_nine(tmp_path)
     tour = str(tmp_path / "t.txt")

@@ -1,6 +1,7 @@
 """Oracle tests: Eulerian check, tour builder, merge spec, generators."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -236,6 +237,19 @@ def test_gen_exhaustion_names_its_parameters():
     with pytest.raises(GenerationError) as info:
         gen_eulerian(4, 6, 1)
     assert str(info.value) == "could not generate a connected instance for n=4, m=6, seed=1"
+
+
+def test_gen_attempts_do_not_grow_with_n():
+    # 30 edges over 10^5 vertices are never connected, so all 200 attempts
+    # run the connectivity check; its memory must follow the edges, not n
+    tracemalloc.start()
+    try:
+        with pytest.raises(GenerationError):
+            gen_eulerian(10 ** 5, 30, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_perturb_odd_degree():

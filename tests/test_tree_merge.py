@@ -19,6 +19,7 @@ from strtour import (
     solve,
     validate_tour,
 )
+from strtour.tree_merge import GrandparentRewire, SpliceRenumberer
 
 from conftest import graph_edges, info_edges, make_pipeline, run_phase1, spec_rounds
 
@@ -204,6 +205,45 @@ def test_slot_vertex_not_on_host_faults(tmp_path):
             merge_iteration(pl, pl.materialize(items), index=1, height_before=1)
     finally:
         pl.cleanup()
+
+
+def feed(processor, items):
+    """Run a processor over hand-built records, outside any pipeline."""
+    out = []
+    for item in items:
+        processor.on_item(item, out.append)
+    processor.on_end(out.append)
+    return out
+
+
+def halving_violation(tmp_path):
+    # a height-1 tree merges to height 0, but the caller claims height 3
+    items = (circuit(1, [(1, 2), (2, 3), (3, 1)])
+             + circuit(2, [(3, 4), (4, 5), (5, 3)])
+             + [InfoEdge(1, 2, 0, 3, 0)])
+    pl, _ = make_pipeline(tmp_path)
+    try:
+        run_merges(pl, normalize(pl, items), height=3, info_edges=1, circuits=2)
+    finally:
+        pl.cleanup()
+
+
+@pytest.mark.parametrize("fault, message", [
+    # a reversed edge whose odd parent has no flag-0 edge in front of it
+    (lambda _: feed(GrandparentRewire(), [InfoEdge(4, 3, 1, 5, 1)]),
+     "no parent edge found for odd-depth circuit 3"),
+    (lambda _: feed(SpliceRenumberer(), [GraphEdge(1, 2, 1, 1, 0, 0), InfoEdge(3, 1, 1, 2, 0)]),
+     "info edge sorted behind graph edges"),
+    (lambda _: feed(SpliceRenumberer(), [InfoEdge(3, 1, 2, 2, 0)]),
+     "unexpected surviving info edge (3, 1, 2, 2, 0)"),
+    (lambda _: feed(SpliceRenumberer(), [GraphEdge(2, 4, 1, 1, 2, 1)]),
+     "merged circuit 1 does not start with a host edge"),
+    (halving_violation, "iteration 1 took height 3 to 0, expected 1"),
+], ids=["rewire-no-parent", "renumber-info-late", "renumber-bad-info",
+        "renumber-child-first", "halving"])
+def test_merge_integrity_faults(tmp_path, fault, message):
+    with pytest.raises(IntegrityFault, match=f"^{re.escape(message)}$"):
+        fault(tmp_path)
 
 
 # -- tour emission ------------------------------------------------------------

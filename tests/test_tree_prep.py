@@ -1,5 +1,6 @@
 """Preparation tests: circuit rotation and depth completion."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -78,6 +79,21 @@ def test_rotation_missing_pivot_faults(tmp_path):
 def test_rotation_orphan_parent_edge_faults(tmp_path):
     items = circuit(1, [(1, 2), (2, 3), (3, 1)]) + [InfoEdge(1, 2, 0, 2, 0)]
     with pytest.raises(IntegrityFault):
+        run_rotate(tmp_path, items)
+
+
+@pytest.mark.parametrize("items, message", [
+    # circuit 2 is missing, so circuit 3's edges follow its parent edge
+    (circuit(1, [(1, 2), (2, 3), (3, 1)]) + [InfoEdge(1, 2, 0, 2, 0)]
+     + circuit(3, [(2, 4), (4, 5), (5, 2)]),
+     "parent info edge for circuit 2 is followed by circuit 3"),
+    # circuit 3 has lost its info edge
+    (circuit(1, [(1, 2), (2, 3), (3, 1)]) + [InfoEdge(1, 2, 0, 2, 0)]
+     + circuit(2, [(2, 4), (4, 5), (5, 2)]) + circuit(3, [(3, 6), (6, 7), (7, 3)]),
+     "circuit 3 has no info edge in front of it"),
+], ids=["wrong-circuit", "lost-info-edge"])
+def test_rotation_integrity_faults(tmp_path, items, message):
+    with pytest.raises(IntegrityFault, match=f"^{re.escape(message)}$"):
         run_rotate(tmp_path, items)
 
 
