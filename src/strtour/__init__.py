@@ -8,55 +8,38 @@ O(log n) passes with O(1) live records, metering passes, live memory, and
 stream length throughout.
 """
 
-from .circuit_find import (
-    CircuitFinder,
-    extract_circuit,
-    find_circuits,
-    initial_stream,
-)
-from .oracle_gen import (
-    AdjacencyGraph,
-    GenerationError,
-    PERTURB_DISCONNECTED,
-    PERTURB_ODD,
-    TourViolation,
-    eulerian_reason,
-    gen_eulerian,
-    hierholzer,
-    merge_spec,
-    perturb,
-    validate_tour,
-)
-from .pipeline import SolveResult, solve, solve_file, write_stats_file
-from .stream_core import (
-    BudgetViolation,
-    DISCONNECTED,
-    EdgeTally,
-    GraphEdge,
-    InfoEdge,
-    IntegrityFault,
-    NotEulerianError,
-    ODD_DEGREE,
-    ParseError,
-    PassStats,
-    Processor,
-    Stream,
-    StreamPipeline,
-    assert_stream_budget,
-    decode_item,
-    encode_item,
-    read_graph_file,
-    read_tour_file,
-    write_graph_file,
-    write_tour_file,
-)
-from .tree_merge import (
-    MergeIterationReport,
-    emit_tour,
-    iteration_bound,
-    merge_iteration,
-    run_merges,
-)
-from .tree_prep import complete_depths, prepare, rotate_member_circuits
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# The public names, by the submodule that defines them.  Each resolves on
+# first use (PEP 562), so that a command loads only the modules it runs.
+_EXPORTS = {
+    "circuit_find": ("CircuitFinder", "extract_circuit", "find_circuits", "initial_stream"),
+    "oracle_gen": ("AdjacencyGraph", "GenerationError", "PERTURB_DISCONNECTED",
+                   "PERTURB_ODD", "TourViolation", "eulerian_reason", "gen_eulerian",
+                   "hierholzer", "merge_spec", "perturb", "validate_tour"),
+    "pipeline": ("SolveResult", "solve", "solve_file", "write_stats_file"),
+    "stream_core": ("BudgetViolation", "DISCONNECTED", "EdgeTally", "GraphEdge", "InfoEdge",
+                    "IntegrityFault", "NotEulerianError", "ODD_DEGREE", "ParseError",
+                    "PassStats", "Processor", "Stream", "StreamPipeline",
+                    "assert_stream_budget", "decode_item", "encode_item", "read_graph_file",
+                    "read_tour_file", "write_graph_file", "write_tour_file"),
+    "tree_merge": ("MergeIterationReport", "emit_tour", "iteration_bound",
+                   "merge_iteration", "run_merges"),
+    "tree_prep": ("complete_depths", "prepare", "rotate_member_circuits"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [*_EXPORTS, *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, bound here by its import
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,15 +15,8 @@ import threading
 from contextlib import closing, contextmanager
 from typing import Iterator, Optional
 
-from .oracle_gen import (
-    AdjacencyGraph,
-    eulerian_reason,
-    gen_eulerian,
-    hierholzer,
-    perturb,
-    validate_tour,
-)
-from .pipeline import solve_file
+# stream_core first: the largest module compiles while the least code is
+# alive.  gen, verify and oracle import oracle_gen themselves.
 from .stream_core import (
     IntegrityFault,
     NotEulerianError,
@@ -34,6 +27,7 @@ from .stream_core import (
     write_graph_file,
     write_tour_file,
 )
+from .pipeline import solve_file
 
 
 class UsageError(Exception):
@@ -101,6 +95,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
+    from .oracle_gen import gen_eulerian, perturb
     n, edges = gen_eulerian(args.n, args.m, args.seed)
     if args.perturb:
         n, edges = perturb(n, edges, args.perturb)
@@ -124,12 +119,14 @@ def cmd_solve(args) -> int:
 
 def load_graph(path: str) -> AdjacencyGraph:
     """The graph of a graph file, its edges checked as ``solve`` checks them."""
+    from .oracle_gen import AdjacencyGraph
     n, edges = read_graph_file(path)
     with closing(edges):
         return AdjacencyGraph.from_edges(n, validate_edges(n, edges))
 
 
 def cmd_verify(args) -> int:
+    from .oracle_gen import validate_tour
     g = load_graph(args.input)
     violation = validate_tour(g, read_tour_file(args.tour))
     if violation is not None:
@@ -140,6 +137,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle_gen import eulerian_reason, hierholzer
     g = load_graph(args.input)
     reason = eulerian_reason(g)
     if reason is not None:

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import closing
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .circuit_find import find_circuits, initial_stream
 from .stream_core import (
     EdgeTally,
+    Fields,
     INFO_EDGE_WORDS,
     IntegrityFault,
     NotEulerianError,
@@ -27,11 +26,12 @@ from .tree_merge import MergeIterationReport, emit_tour, run_merges
 from .tree_prep import prepare
 
 
-@dataclass
-class SolveResult:
-    tour: list[tuple[int, int]]
-    stats: PassStats
-    iteration_reports: list[MergeIterationReport] = field(default_factory=list)
+class SolveResult(Fields):
+    def __init__(self, tour: list[tuple[int, int]], stats: PassStats,
+                 iteration_reports: Optional[list[MergeIterationReport]] = None):
+        self.tour = tour
+        self.stats = stats
+        self.iteration_reports = [] if iteration_reports is None else iteration_reports
 
     def stats_dict(self) -> dict:
         out = self.stats.core_dict()
@@ -117,6 +117,7 @@ def solve_file(graph_path: str, tour_path: Optional[str] = None,
 
 
 def write_stats_file(path: str, result: SolveResult) -> None:
+    import json  # here, so that a solve without --stats never loads it
     with replacing(path) as fh:
         json.dump(result.stats_dict(), fh, indent=2)
         fh.write("\n")

@@ -36,7 +36,6 @@ import shutil
 import struct
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
@@ -211,12 +210,26 @@ def _raise_first_fault(block: bytes, first: int) -> None:
             raise ParseError(f"record {index}: info edge pad is {values[5]}, not 0")
 
 
-@dataclass
-class Stream:
+class Fields:
+    """A class whose attributes are its fields, in the order ``__init__``
+    sets them: ``repr`` and ``==`` go by them, as a dataclass's do."""
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+
+class Stream(Fields):
     """A materialized stream: back-to-back binary records in ``path``."""
 
-    path: str
-    items: int = 0
+    def __init__(self, path: str, items: int = 0):
+        self.path = path
+        self.items = items
 
     def iter_items(self) -> Iterator[StreamItem]:
         return chain.from_iterable(self._iter_blocks())
@@ -276,8 +289,7 @@ class StreamWriter:
             self._fh.close()
 
 
-@dataclass
-class PassRecord:
+class PassRecord(NamedTuple):
     """Per-pass accounting entry in the order the passes ran."""
 
     index: int
@@ -290,19 +302,20 @@ class PassRecord:
     peak_live_words: int
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
 
-@dataclass
-class PassStats:
+class PassStats(Fields):
     """The log of one pipeline run: a record per pass, plus the three facts
     that no pass record holds.  ``core_dict()`` computes the pass counters
     from the records."""
 
-    merge_iterations: int = 0
-    circuits_found: int = 0
-    tree_height: int = 0
-    passes: list[PassRecord] = field(default_factory=list)
+    def __init__(self, merge_iterations: int = 0, circuits_found: int = 0,
+                 tree_height: int = 0, passes: Optional[list[PassRecord]] = None):
+        self.merge_iterations = merge_iterations
+        self.circuits_found = circuits_found
+        self.tree_height = tree_height
+        self.passes = [] if passes is None else passes
 
     def core_dict(self) -> dict:
         passes = self.passes
@@ -318,8 +331,7 @@ class PassStats:
         }
 
 
-@dataclass(frozen=True)
-class BudgetViolation:
+class BudgetViolation(NamedTuple):
     pass_index: int
     items: int
     limit: int
@@ -628,8 +640,7 @@ def validate_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[i
         yield u, v
 
 
-@dataclass
-class EdgeTally:
+class EdgeTally(Fields):
     """An order-independent fingerprint of an undirected edge multiset.
 
     ``count`` edges, and ``total``, the sum mod 2**64 of ``hash((a, b, a >>
@@ -641,8 +652,9 @@ class EdgeTally:
     ids a record can hold (below 2**63) hash apart before the tuple mixes.
     """
 
-    count: int = 0
-    total: int = 0
+    def __init__(self, count: int = 0, total: int = 0):
+        self.count = count
+        self.total = total
 
     def passing(self, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
         """Yield ``pairs`` unchanged; they are added when they run out."""
@@ -720,11 +732,19 @@ def write_graph_file(path: str, n: int, edges: list[tuple[int, int]]) -> None:
 def replacing(path: str) -> Iterator[TextIO]:
     """A text file that replaces ``path`` only if the block ends without error.
 
-    The block writes a temporary file in ``path``'s directory, which is then
-    renamed over ``path``, or removed on any failure, so an earlier file is
-    left whole.  The file ends with the mode ``open(path, "w")`` would leave.
+    The block writes a temporary file beside the file that ``path`` names,
+    symlinks followed, which is then renamed over that file, or removed on
+    any failure, so an earlier file is left whole and a link stays a link.
+    The file ends with the mode ``open(path, "w")`` would leave.  A target
+    that exists and is not a regular file (a FIFO, a device) cannot be
+    renamed over, so the block writes straight to it.
     """
-    head, tail = os.path.split(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="ascii")
@@ -733,9 +753,9 @@ def replacing(path: str) -> Iterator[TextIO]:
     try:
         with fh:
             with suppress(FileNotFoundError):  # open(path, "w") keeps its mode
-                shutil.copymode(path, tmp)
+                shutil.copymode(target, tmp)
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -29,8 +29,7 @@ off with one final sort by position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .stream_core import (
     GRAPH_EDGE_WORDS,
@@ -251,8 +250,7 @@ class SpliceRenumberer(NormalFormWriter):
         return 5
 
 
-@dataclass
-class MergeIterationReport:
+class MergeIterationReport(NamedTuple):
     index: int
     circuits_before: int
     circuits_after: int
@@ -263,7 +261,7 @@ class MergeIterationReport:
     peak_live_records: int
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
 
 def merge_iteration(pipeline: StreamPipeline, stream: Stream, *,

@@ -463,3 +463,56 @@ def test_outputs_get_the_mode_that_open_gives(tmp_path):
     write_tour_file(str(new), [(1, 2)])
     assert stat.S_IMODE(new.stat().st_mode) == 0o604
     assert new.read_text() == "1 2\n"
+
+
+
+OUTPUT_NAMES = {"tour": "tour.txt", "stats": "stats.json"}
+
+
+def solve_nine_to(tmp_path, target, path):
+    """Solve the nine-vertex graph with output ``target`` at ``path`` and the
+    other in ``tmp_path``; returns the bytes a regular ``target`` file gets."""
+    nine = write_nine(tmp_path)
+    ref = tmp_path / "ref"
+    ref.mkdir(exist_ok=True)
+    outputs = {key: tmp_path / name for key, name in OUTPUT_NAMES.items()}
+    for paths in ({key: ref / name for key, name in OUTPUT_NAMES.items()},
+                  {**outputs, target: path}):
+        assert main(["solve", "--in", nine, "--out", str(paths["tour"]),
+                     "--stats", str(paths["stats"])]) == 0
+    return (ref / OUTPUT_NAMES[target]).read_bytes()
+
+
+@pytest.mark.parametrize("target", OUTPUT_NAMES)
+def test_an_output_symlink_stays_and_its_target_is_replaced(tmp_path, target):
+    real_dir = tmp_path / "real"
+    real_dir.mkdir()
+    real = real_dir / "out.txt"
+    real.write_text("earlier\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    expected = solve_nine_to(tmp_path, target, link)
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == expected
+    assert os.listdir(real_dir) == ["out.txt"]  # no temporary left beside it
+    dangling = tmp_path / "dangling.txt"
+    dangling.symlink_to(real_dir / "absent.txt")
+    assert solve_nine_to(tmp_path, target, dangling) == expected
+    assert dangling.is_symlink() and (real_dir / "absent.txt").read_bytes() == expected
+
+
+@pytest.mark.parametrize("target", OUTPUT_NAMES)
+def test_an_output_fifo_is_written_through_and_stays_a_fifo(tmp_path, target):
+    # the read end is open before the solve and the output fits the pipe's
+    # buffer, so the write cannot block and a replaced FIFO cannot hang here
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        expected = solve_nine_to(tmp_path, target, fifo)
+        received = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert received == expected
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
