@@ -15,19 +15,18 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.  Each resolves on
 # first use (PEP 562), so that a command loads only the modules it runs.
 _EXPORTS = {
-    "circuit_find": ("CircuitFinder", "extract_circuit", "find_circuits", "initial_stream"),
+    "circuit_find": ("CircuitFinder", "extract_circuit", "find_circuits"),
     "oracle_gen": ("AdjacencyGraph", "GenerationError", "PERTURB_DISCONNECTED",
                    "PERTURB_ODD", "TourViolation", "eulerian_reason", "gen_eulerian",
                    "hierholzer", "merge_spec", "perturb", "validate_tour"),
-    "pipeline": ("SolveResult", "solve", "solve_file", "write_stats_file"),
+    "pipeline": ("SolveResult", "initial_stream", "solve", "solve_file", "write_stats_file"),
     "stream_core": ("BudgetViolation", "DISCONNECTED", "EdgeTally", "GraphEdge", "InfoEdge",
                     "IntegrityFault", "NotEulerianError", "ODD_DEGREE", "ParseError",
                     "PassStats", "Processor", "Stream", "StreamPipeline",
                     "assert_stream_budget", "decode_item", "encode_item", "read_graph_file",
                     "read_tour_file", "write_graph_file", "write_tour_file"),
-    "tree_merge": ("MergeIterationReport", "emit_tour", "iteration_bound",
-                   "merge_iteration", "run_merges"),
-    "tree_prep": ("complete_depths", "prepare", "rotate_member_circuits"),
+    "tree_merge": ("MergeIterationReport", "complete_depths", "emit_tour", "iteration_bound",
+                   "merge_iteration", "prepare", "rotate_member_circuits", "run_merges"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_MODULE_OF]

@@ -17,7 +17,7 @@ parent depths.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .stream_core import (
     DISCONNECTED,
@@ -29,7 +29,6 @@ from .stream_core import (
     Stream,
     StreamItem,
     StreamPipeline,
-    validate_edges,
 )
 
 
@@ -480,26 +479,6 @@ class CircuitFinder(Processor):
         # ``begin`` builds ``starts`` with one entry per buffered vertex.
         return (2 * self.n + len(self.tree_vertices) + 3 * len(self.tree_records)
                 + len(self.flag1_parents) + self.joins + 9)
-
-
-def initial_stream(n: int, edges: Iterable[tuple[int, int]], odd: set[int]):
-    """Raw input items: one unannotated graph edge per validated input edge.
-
-    Each edge flips both its ends in ``odd``, which starts empty and so ends
-    as the odd-degree vertices: ingest state of the source pass, outside the
-    meter, with one entry per vertex seen.
-    """
-    add, discard = odd.add, odd.discard
-    for u, v in validate_edges(n, edges):
-        if u in odd:
-            discard(u)
-        else:
-            add(u)
-        if v in odd:
-            discard(v)
-        else:
-            add(v)
-        yield u, v, 0, 0, 0, 0
 
 
 def find_circuits(pipeline: StreamPipeline, n: int, source: Stream) -> Stream:

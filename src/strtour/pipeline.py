@@ -1,4 +1,4 @@
-"""End-to-end driver: decomposition, preparation, merges, tour emission."""
+"""End-to-end driver: ingest, decomposition, preparation, merges, tour emission."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import os
 from contextlib import closing
 from typing import Iterable, Optional
 
-from .circuit_find import find_circuits, initial_stream
+from .circuit_find import find_circuits
 from .stream_core import (
     EdgeTally,
     Fields,
@@ -20,10 +20,30 @@ from .stream_core import (
     assert_stream_budget,
     read_graph_file,
     replacing,
+    validate_edges,
     write_tour_file,
 )
-from .tree_merge import MergeIterationReport, emit_tour, run_merges
-from .tree_prep import prepare
+from .tree_merge import MergeIterationReport, emit_tour, prepare, run_merges
+
+
+def initial_stream(n: int, edges: Iterable[tuple[int, int]], odd: set[int]):
+    """Raw input items: one unannotated graph edge per validated input edge.
+
+    Each edge flips both its ends in ``odd``, which starts empty and so ends
+    as the odd-degree vertices: ingest state of the source pass, outside the
+    meter, with one entry per vertex seen.
+    """
+    add, discard = odd.add, odd.discard
+    for u, v in validate_edges(n, edges):
+        if u in odd:
+            discard(u)
+        else:
+            add(u)
+        if v in odd:
+            discard(v)
+        else:
+            add(v)
+        yield u, v, 0, 0, 0, 0
 
 
 class SolveResult(Fields):

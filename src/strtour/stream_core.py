@@ -688,7 +688,7 @@ def read_graph_file(path: str) -> tuple[int, Iterator[tuple[int, int]]]:
 
 def _graph_lines(path: str) -> Iterator:
     """Yield a graph file's ``n``, then its edges (see ``read_graph_file``)."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         numbered = enumerate(fh, start=1)
         for lineno, line in numbered:
             if header := _int_pair(line, lineno, "n m"):
@@ -708,8 +708,11 @@ def _graph_lines(path: str) -> Iterator:
         raise ParseError(f"expected {m} edge lines, found {found}")
 
 
-def _int_pair(line: str, lineno: int, names: str) -> Optional[tuple[int, int]]:
-    """Parse a line of two integers named ``names``; None if it is blank."""
+def _int_pair(line: bytes, lineno: int, names: str) -> Optional[tuple[int, int]]:
+    """Parse a line of two integers named ``names``; None if it is blank.
+
+    Bytes split on ASCII whitespace, so a non-ASCII byte fails ``int``.
+    """
     parts = line.split()
     if not parts:
         return None
@@ -722,7 +725,7 @@ def _int_pair(line: str, lineno: int, names: str) -> Optional[tuple[int, int]]:
 
 
 def write_graph_file(path: str, n: int, edges: list[tuple[int, int]]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with replacing(path) as fh:
         fh.write(f"{n} {len(edges)}\n")
         for u, v in edges:
             fh.write(f"{u} {v}\n")
@@ -768,6 +771,6 @@ def write_tour_file(path: str, tour: list[tuple[int, int]]) -> None:
 
 
 def read_tour_file(path: str) -> list[tuple[int, int]]:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return [pair for lineno, line in enumerate(fh, start=1)
                 if (pair := _int_pair(line, lineno, "u v"))]

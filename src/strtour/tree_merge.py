@@ -1,9 +1,23 @@
-"""The merge loop: splice child circuits into their parents, halving the tree.
+"""Phase 2: splice the phase-1 circuits into one tour, halving the tree.
 
-Each iteration merges every circuit at odd depth into its even-depth parent
-and rewires the remaining info edges to the grandparent, so the out-tree
-height drops from h to floor(h / 2).  An iteration is exactly four sorts
-and four streams:
+This is the circuit-tree merge of Atallah and Vishkin (JCSS 1984), run as
+6 + 8 * rounds + 1 passes, each with a handful of live records.  Every
+step moves information the same way: a sort puts the record that needs a
+value next to the record that has it, then a streaming pass carries the
+value over.
+
+Prep, 3 sorts + 3 streams (``prepare``).  Circuits that own a tree vertex
+were written before their parent was known, so two sorts and two streams
+rotate each one to start at the vertex it shares with its parent.  Info
+edges written inline (flag 1) were emitted before the tree was rooted, so
+their parent depth is missing: the rotation's first stream swaps them, the
+depth sort (``regroup_key``, which also starts every round) puts each
+behind its parent's own info edge, and one stream fills the depth in.
+
+Each round, 4 sorts + 4 streams (``merge_iteration``): merge every circuit
+at odd depth into its even-depth parent and rewire the remaining info
+edges to the grandparent, so the out-tree height drops from h to
+floor(h / 2):
 
   1. sort info edges in front, grouped by their second field; a stream then
      rewires each reversed edge to the grandparent found in the group head,
@@ -16,15 +30,15 @@ and four streams:
      their splice points; a stream renumbers each merged circuit 1..L and
      writes the halved depths back in normal form.
 
+Emit, 1 sort (``emit_tour``).  When no info edges remain the single
+surviving circuit is the tour, read off by position.
+
 Info edges enter every round in normal form: the parent edge of circuit
 ``succ`` in circuit ``pred``, with parent depth ``depth`` and shared vertex
 ``cvertex``, is ``(succ, pred, depth, cvertex, 1)`` when the depth is odd
 and ``(pred, succ, depth, cvertex, 0)`` otherwise.  ``NormalFormWriter`` is
-the one place that writes it: the preparation step for the first round,
-each round's last pass for the next.
-
-When no info edges remain the single surviving circuit is the tour, read
-off with one final sort by position.
+the one place that writes it: prep's depth stream for the first round,
+each round's last stream for the next.
 """
 
 from __future__ import annotations
@@ -112,6 +126,186 @@ class NormalFormWriter(Processor):
     @property
     def observed_height(self) -> int:
         return self.max_pred_depth + 1 if self.info_out else 0
+
+
+class RotationAnnotator(Processor):
+    """First rotation stream: measure each parented circuit.
+
+    Holds the pending parent info edge and the circuit's first graph edge,
+    counts the circuit length, and finds the pivot position (lowest position
+    whose tail is the shared vertex).  Length and pivot ride out in the
+    first edge's two spare fields.  Flag-1 info edges pass with pred and
+    succ exchanged, so the depth sort groups them behind their parent's own
+    info edge.
+    """
+
+    label = "rotate-annotate"
+
+    def __init__(self):
+        self.pending: Optional[StreamItem] = None  # the parent info edge
+        self.first_edge: Optional[StreamItem] = None
+        self.length = 0
+        self.pivot = 0
+
+    def _flush(self, emit) -> None:
+        pending, first_edge = self.pending, self.first_edge
+        if pending is not None:
+            _, succ, _, cvertex, _ = pending
+            if first_edge is None:
+                raise IntegrityFault(
+                    f"parent info edge for circuit {succ} has no circuit edges")
+            tail, head, cid, pos, _, _ = first_edge
+            if self.pivot == 0:
+                raise IntegrityFault(f"circuit {cid} has no edge leaving vertex {cvertex}")
+            emit(pending)
+            emit((tail, head, cid, pos, self.length, self.pivot))
+        self.pending = None
+        self.first_edge = None
+        self.length = 0
+        self.pivot = 0
+
+    def on_item(self, item, emit) -> None:
+        if len(item) == INFO_EDGE_WORDS:
+            self._flush(emit)
+            pred, succ, depth, cvertex, flag = item
+            if flag == 1:
+                emit((succ, pred, depth, cvertex, 1))
+            else:
+                self.pending = item
+            return
+        pending = self.pending
+        if pending is None:
+            emit(item)
+            return
+        tail, _, cid, pos, _, _ = item
+        _, succ, _, cvertex, _ = pending
+        if self.first_edge is None:
+            if cid != succ:
+                raise IntegrityFault(
+                    f"parent info edge for circuit {succ} is followed by circuit {cid}")
+            self.first_edge = item
+            self.length = 1
+            if tail == cvertex:
+                self.pivot = pos
+            return
+        if cid == succ:
+            self.length += 1
+            if self.pivot == 0 and tail == cvertex:
+                self.pivot = pos
+            emit(item)
+            return
+        # after sort-circuits every circuit but the first has its own info
+        # edge in front of it, which would have flushed the pending one
+        raise IntegrityFault(f"circuit {cid} has no info edge in front of it")
+
+    def on_end(self, emit) -> None:
+        self._flush(emit)
+
+    def live_records(self) -> int:
+        return (self.pending is not None) + (self.first_edge is not None)
+
+    def scalar_words(self) -> int:
+        return 2
+
+
+class RotationApplier(Processor):
+    """Second rotation stream: renumber positions using the annotations."""
+
+    label = "rotate-apply"
+
+    def __init__(self):
+        self.circuit = 0
+        self.length = 0
+        self.pivot = 0
+
+    def _renumber(self, position: int) -> int:
+        return ((position - self.pivot) % self.length) + 1
+
+    def on_item(self, item, emit) -> None:
+        if len(item) == INFO_EDGE_WORDS:
+            emit(item)
+            return
+        tail, head, cid, pos, length, pivot = item
+        if length > 0:
+            # annotated first edge carries (length, pivot)
+            self.circuit, self.length, self.pivot = cid, length, pivot
+            emit((tail, head, cid, self._renumber(pos), 0, 0))
+            return
+        if self.circuit == cid:
+            emit((tail, head, cid, self._renumber(pos), 0, 0))
+            return
+        self.circuit = 0
+        emit(item)
+
+    def scalar_words(self) -> int:
+        return 3
+
+
+class DepthCompleter(NormalFormWriter):
+    """Fill missing parent depths into swapped flag-1 info edges.
+
+    After the depth grouping sort, the flag-0 parent edge of circuit ``i``
+    (if any) directly precedes every swapped leaf edge whose stored parent is
+    ``i``.  A leaf whose parent has no own parent edge sits under the root
+    and gets depth 0.  Every info edge leaves in normal form.
+    """
+
+    label = "depth-complete"
+
+    def __init__(self):
+        super().__init__()
+        self.known_succ = 0
+        self.known_depth = 0
+
+    def on_item(self, item, emit) -> None:
+        if len(item) != INFO_EDGE_WORDS:
+            emit(item)
+            return
+        pred, succ, depth, cvertex, flag = item
+        if flag == 0:
+            if self.known_succ == succ:
+                raise IntegrityFault(f"circuit {succ} has more than one parent edge")
+            self.known_succ = succ
+            self.known_depth = depth
+            self.emit_normal(pred, succ, depth, cvertex, emit)
+            return
+        # swapped leaf edge (succ, pred, 0, v, 1): restore and fill the depth
+        pred, succ = succ, pred
+        depth = self.known_depth + 1 if self.known_succ == pred else 0
+        self.emit_normal(pred, succ, depth, cvertex, emit)
+
+    def scalar_words(self) -> int:
+        return 4
+
+
+def rotate_member_circuits(pipeline: StreamPipeline, stream: Stream) -> Stream:
+    """Rotate every parented circuit to start at its shared vertex.
+
+    Two sorts and two streams; flag-1 circuits arrive pre-rotated and the
+    root has no parent, so both pass through untouched.
+    """
+    s = pipeline.run_sorting_pass(circuit_grouping_key, stream, "prep", "sort-circuits")
+    s = pipeline.run_streaming_pass(RotationAnnotator(), s, "prep")
+    s = pipeline.run_sorting_pass(circuit_grouping_key, s, "prep", "sort-circuits")
+    return pipeline.run_streaming_pass(RotationApplier(), s, "prep")
+
+
+def complete_depths(pipeline: StreamPipeline, stream: Stream) -> tuple[Stream, DepthCompleter]:
+    """Resolve the parent depth of every swapped flag-1 info edge.
+
+    One sort groups each swapped edge behind its parent's own info edge (the
+    merge loop's ``regroup_key`` order: info edges first, by second field,
+    flag-0 parent edge first); one stream carries the depth over and writes
+    the normal form.
+    """
+    s = pipeline.run_sorting_pass(regroup_key, stream, "prep", "sort-depths")
+    completer = DepthCompleter()
+    return pipeline.run_streaming_pass(completer, s, "prep"), completer
+
+
+def prepare(pipeline: StreamPipeline, stream: Stream) -> tuple[Stream, DepthCompleter]:
+    """Full preparation in six passes, output in normal form for the merge loop."""
+    return complete_depths(pipeline, rotate_member_circuits(pipeline, stream))
 
 
 class GrandparentRewire(Processor):

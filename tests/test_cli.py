@@ -407,12 +407,13 @@ def test_main_puts_the_sigterm_handler_back(tmp_path):
     assert signal.getsignal(signal.SIGTERM) is before
 
 
-@pytest.mark.parametrize("target", ["tour", "stats"])
+@pytest.mark.parametrize("target", ["tour", "stats", "gen"])
 def test_failed_output_write_exits_1_and_keeps_the_earlier_file(
         tmp_path, monkeypatch, capsys, target):
     from strtour import stream_core
     graph = write_nine(tmp_path)
-    outputs = {"tour": tmp_path / "tour.txt", "stats": tmp_path / "stats.json"}
+    outputs = {"tour": tmp_path / "tour.txt", "stats": tmp_path / "stats.json",
+               "gen": tmp_path / "gen.txt"}
     for path in outputs.values():
         path.write_text("earlier\n")
     failing = f".{outputs[target].name}."
@@ -433,8 +434,12 @@ def test_failed_output_write_exits_1_and_keeps_the_earlier_file(
 
     monkeypatch.setattr(stream_core, "open", failing_open, raising=False)
     names = sorted(os.listdir(tmp_path))
-    assert main(["solve", "--in", graph, "--out", str(outputs["tour"]),
-                 "--stats", str(outputs["stats"])]) == 1
+    if target == "gen":
+        args = ["gen", "--out", str(outputs["gen"]), "--n", "9", "--m", "18"]
+    else:
+        args = ["solve", "--in", graph, "--out", str(outputs["tour"]),
+                "--stats", str(outputs["stats"])]
+    assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [

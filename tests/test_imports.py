@@ -39,8 +39,7 @@ PUBLIC_NAMES = [
     "run_merges",
     "complete_depths", "prepare", "rotate_member_circuits",
 ]
-SUBMODULES = ["circuit_find", "oracle_gen", "pipeline", "stream_core", "tree_merge",
-              "tree_prep"]
+SUBMODULES = ["circuit_find", "oracle_gen", "pipeline", "stream_core", "tree_merge"]
 # heavy or unneeded on the solve path: dataclasses pulls in inspect, json is
 # only for --stats, and oracle_gen only for gen, verify and oracle
 NOT_ON_SOLVE_PATH = {"dataclasses", "inspect", "json", "strtour.oracle_gen"}

@@ -140,7 +140,7 @@ def test_solve_takes_any_iterable_of_pairs(tmp_path):
 
 
 def test_solve_file_validates_each_edge_once(tmp_path, monkeypatch):
-    from strtour import circuit_find, pipeline, stream_core
+    from strtour import pipeline, stream_core
     calls = []
     real = stream_core.validate_edges
 
@@ -148,8 +148,8 @@ def test_solve_file_validates_each_edge_once(tmp_path, monkeypatch):
         calls.append(n)
         return real(n, edges)
 
-    # the source pass's initial_stream imports the name into circuit_find
-    for module in (stream_core, circuit_find):
+    # the source pass's initial_stream imports the name into pipeline
+    for module in (stream_core, pipeline):
         monkeypatch.setattr(module, "validate_edges", counting_validate)
     n, edges = gen_eulerian(10, 20, 1)
     path = str(tmp_path / "g.txt")

@@ -689,12 +689,17 @@ def test_graph_file_largest_vertex_count(tmp_path):
     (read_checked, "\n3\n1 2\n", "line 2: expected 'n m'"),
     (read_checked, "\n\nx 1\n1 2\n", "line 3: expected integers 'n m'"),
     (read_tour_file, "1 2\n\n2 x\n", "line 3: expected integers 'u v'"),
+    # a non-ASCII byte is a parse error on its line, not a decoding error
+    (read_checked, "3 3\n1 2\n2 3\n3 \u00e91\n", "line 4: expected integers 'u v'"),
+    (read_checked, "\ufeff3 3\n1 2\n2 3\n3 1\n", "line 1: expected integers 'n m'"),
+    (read_tour_file, "1 2\n2 \u00e93\n", "line 2: expected integers 'u v'"),
 ], ids=["graph-edge", "graph-edge-before-count", "graph-edge-fields", "graph-header",
-        "graph-header-integers", "tour-edge"])
+        "graph-header-integers", "tour-edge", "graph-edge-non-ascii", "graph-header-bom",
+        "tour-edge-non-ascii"])
 def test_parse_errors_name_the_physical_line(tmp_path, reader, content, message):
     # blank lines are skipped but still counted
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(ParseError) as err:
         reader(str(path))
     assert str(err.value) == message
