@@ -30,11 +30,11 @@ graph reader: the header at once, the edges lazily, for ``validate_edges``.
 from __future__ import annotations
 
 import gc
-import heapq
 import os
 import shutil
 import struct
 import tempfile
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
@@ -411,8 +411,55 @@ MERGE_FAN_IN = 64
 
 
 def _merged(paths: list[str], key: Callable[[StreamItem], tuple]) -> Iterator[StreamItem]:
-    """The records of sorted chunk files in key order; ties go to the earlier file."""
-    return heapq.merge(*(Stream(path).iter_items() for path in paths), key=key)
+    """The records of sorted chunk files in key order; ties go to the earlier file.
+
+    Each file holds its current block, the offset of its first record not
+    yet merged, and its last record's key.  The horizon is the least of
+    those keys, and ``first`` the earliest file whose block ends on it.  A
+    batch takes, from each file's unmerged part, the keys at most the
+    horizon from ``first`` and the files before it, and the keys below it
+    from the files after.  So a batch precedes every record left, a tie
+    keeps chunk order, and ``first``'s block is used up.  The parts, joined
+    in file order, are sorted under ``key`` (Timsort merges them in C),
+    unless one file gave them all.  The merge holds one block per file plus
+    one batch's keys, up to ``MERGE_FAN_IN * BLOCK_RECORDS`` records.
+    """
+    return chain.from_iterable(_batches([Stream(path)._iter_blocks() for path in paths], key))
+
+
+def _batches(sources: list[Iterator[list[StreamItem]]],
+             key: Callable[[StreamItem], tuple]) -> Iterator[list[StreamItem]]:
+    """The merge of ``_merged``, one sorted batch at a time."""
+    blocks = [next(source) for source in sources]  # a chunk file is never empty
+    starts = [0] * len(blocks)
+    lasts = [key(block[-1]) for block in blocks]
+    while len(blocks) > 1:
+        horizon = min(lasts)
+        first = lasts.index(horizon)
+        batch: list[StreamItem] = []
+        parts = 0
+        for run, block in enumerate(blocks):
+            start = starts[run]
+            if run == first:
+                cut = len(block)
+            else:
+                cut = (bisect_right if run < first else bisect_left)(
+                    block, horizon, start, key=key)
+            if cut > start:
+                batch += block[start:cut]
+                starts[run] = cut
+                parts += 1
+        if parts > 1:
+            batch.sort(key=key)
+        yield batch
+        block = next(sources[first], None)
+        if block is None:
+            del sources[first], blocks[first], starts[first], lasts[first]
+        else:
+            blocks[first], starts[first], lasts[first] = block, 0, key(block[-1])
+    if blocks:
+        yield blocks[0][starts[0]:]
+        yield from sources[0]
 
 
 class StreamPipeline:
@@ -425,6 +472,10 @@ class StreamPipeline:
     given, it must be absent or empty, and each pass's output is also
     dumped there as text, one record per line, with its pass index in the
     file name.
+
+    A sorting pass that spilled merges its chunks a batch at a time
+    (``_merged``), holding one block per file plus one batch's keys: up to
+    ``MERGE_FAN_IN * BLOCK_RECORDS`` records, more than a smaller chunk.
 
     Passes create no reference cycles: everything a pass allocates is freed
     by reference counting.  So every pass runs with the cyclic collector
@@ -559,10 +610,13 @@ class StreamPipeline:
         """Stable sort of the stream under ``key``.
 
         The sorter is a primitive of the model, so it carries no live-state
-        meter.  Internally it spills fixed-size sorted chunks, in the stream
-        format, and merges them, at most ``MERGE_FAN_IN`` at a time, which
-        keeps memory and open files bounded for streams larger than one
-        chunk.
+        meter.  A stream longer than one chunk is spilled in sorted chunks of
+        ``sort_chunk`` records, merged at most ``MERGE_FAN_IN`` at a time, so
+        a sort holds at most ``MERGE_FAN_IN + 1`` files open.  A merge goes a
+        batch at a time (``_merged``): a batch ends at the least last key of
+        the files' current blocks, and a tie goes to the earlier chunk.  It
+        holds one block per file plus one batch's keys, up to
+        ``MERGE_FAN_IN * BLOCK_RECORDS`` records, more than a smaller chunk.
         """
         items = stream.iter_items()
         size = self.sort_chunk

@@ -575,6 +575,89 @@ def test_sort_is_permutation(tmp_path):
     pl.cleanup()
 
 
+# -- merging spilled chunks longer than one block -----------------------------
+
+def sorted_by_sorter(tmp_path, items, key, sort_chunk):
+    pl, _ = make_pipeline(tmp_path, sort_chunk=sort_chunk)
+    try:
+        out = pl.run_sorting_pass(key, pl.materialize(items), "test", "sort")
+        return list(out.iter_items())
+    finally:
+        pl.cleanup()
+
+
+def horizon_straddling_items():
+    # Chunk 0's first block ends on key 2 and its second block goes on with
+    # key 2; chunk 1 holds keys below 2, key 2 and above, so the merge's
+    # first batch must take chunk 1's keys below 2 and hold back its 2s.
+    chunk0 = [1] * 1000 + [2] * 1048
+    chunk1 = [0] * 500 + [2] * 1000 + [3] * 548
+    # the same with the chunks' roles swapped: the later chunk's block ends
+    # on the key that the earlier chunk goes on with
+    chunk2 = [0] * 500 + [2] * 1000 + [3] * 548
+    chunk3 = [1] * 1000 + [2] * 1048
+    return [GraphEdge(1, 1, k, i) for i, k in
+            enumerate(chunk0 + chunk1 + chunk2 + chunk3, start=1)]
+
+
+MERGE_CASES = {
+    # name: (items, key, sort_chunk)
+    "heavy ties": ([GraphEdge(1, i * 7919 % 5003, 1, i) for i in range(1, 6001)],
+                   lambda r: (r[1] % 3,), 1500),
+    "all keys equal": ([GraphEdge(1, 2, 1, i) for i in range(1, 5001)],
+                       lambda r: (), 1100),
+    "block ends on the horizon": (horizon_straddling_items(),
+                                  lambda r: (r[2],), 2048),
+    "presorted": ([GraphEdge(1, i, 1, i) for i in range(1, 8001)],
+                  lambda r: (r[1],), 1200),
+    "reverse partitioned": ([GraphEdge(1, 8000 - i // 1200 * 1200 + i % 1200, 1, i)
+                             for i in range(8000)], lambda r: (r[1],), 1200),
+    "more chunks than the fan-in": (
+        [GraphEdge(1, i * 7919 % 97, 1, i)
+         for i in range(1, (MERGE_FAN_IN + 1) * (BLOCK_RECORDS + 1) + 2)],
+        lambda r: (r[1],), BLOCK_RECORDS + 1),
+}
+
+
+@pytest.mark.parametrize("case", list(MERGE_CASES))
+def test_merge_of_chunks_longer_than_a_block_matches_a_stable_sort(tmp_path, case):
+    items, key, sort_chunk = MERGE_CASES[case]
+    assert sort_chunk > BLOCK_RECORDS and len(items) > 2 * sort_chunk
+    assert sorted_by_sorter(tmp_path, items, key, sort_chunk) == sorted(items, key=key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 6000),
+       sort_chunk=st.sampled_from([1, 3, 700, BLOCK_RECORDS, BLOCK_RECORDS + 1, 1500, 2500]),
+       ties=st.sampled_from([1, 2, 3, 10, 1000, 2**40]))
+def test_merge_matches_a_stable_sort(tmp_path_factory, seed, length, sort_chunk, ties):
+    if sort_chunk < 16:
+        length //= 20  # keep the chunk files few
+    rng = random.Random(seed)
+    items = [GraphEdge(1, rng.randrange(ties), 1, i) for i in range(1, length + 1)]
+    key = lambda r: (r[1],)
+    got = sorted_by_sorter(tmp_path_factory.mktemp("merge"), items, key, sort_chunk)
+    assert got == sorted(items, key=key)
+
+
+@pytest.mark.parametrize("shape, limit", [("presorted", 1.25), ("random", 2.1)])
+def test_key_calls_of_a_spilling_sort(tmp_path, shape, limit):
+    # The chunk sorts call the key once per record; every call beyond n is
+    # the merge's.  A merge that calls it once per record makes 2n calls.
+    n = 8 * 2048
+    rng = random.Random(5)
+    heads = list(range(n)) if shape == "presorted" else [rng.randrange(n) for _ in range(n)]
+    items = [GraphEdge(1, h, 1, i) for i, h in enumerate(heads, start=1)]
+    calls = [0]
+
+    def key(item):
+        calls[0] += 1
+        return (item[1],)
+
+    assert sorted_by_sorter(tmp_path, items, key, 2048) == sorted(items, key=lambda r: r[1])
+    assert calls[0] < limit * n
+
+
 # -- budgets ------------------------------------------------------------------
 
 def fabricated_stats(peaks):
