@@ -364,8 +364,6 @@ class CircuitFinder(Processor):
             parent, shared = leaf
             emit((parent, self.cir, 0, shared, 1))
             self.flag1_parents.append(parent)
-            if shared not in order:
-                raise IntegrityFault(f"vertex {shared} not on circuit {self.cir}")
             i = order.index(shared)
             edges = edges[i:] + edges[:i]
         cir = self.cir

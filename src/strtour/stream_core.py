@@ -18,10 +18,8 @@ and read a block at a time into plain tuples.  The text form ``G tail head
 f3 f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
 ``decode_item``) appears only in the stream dumps of a trace directory.
 
-Passes create no reference cycles, so every pass runs with CPython's cyclic
-collector paused, and each sorting pass ends with one full collection of
-the objects it made, which hands CPython's free lists back (see
-``StreamPipeline``).  ``EdgeTally`` fingerprints an undirected edge
+Every pass runs with CPython's cyclic collector paused (``_collector_paused``
+says why and how).  ``EdgeTally`` fingerprints an undirected edge
 multiset in two words, so ``solve`` can check that its tour uses exactly
 the input's edges without another pass.  ``read_graph_file`` is the one
 graph reader: the header at once, the edges lazily, for ``validate_edges``.
@@ -379,11 +377,22 @@ class Processor:
 
 @contextmanager
 def _collector_paused(collect: bool = False) -> Iterator[None]:
-    """Run the block with the cyclic collector off.
+    """Run the block, a pass, with the cyclic collector off.
 
-    The collector is enabled again on exit only if it was enabled on entry.
-    With ``collect``, the objects alive on entry are frozen and the block
-    ends with one full collection, which scans only what the block made;
+    Passes create no reference cycles: everything a pass allocates is freed
+    by reference counting.  Left running, the collector would start a young
+    collection every few hundred allocations and examine every record, sort
+    key and block list the pass makes: CPython creates each tuple tracked,
+    untracks a tuple of ints only when a collection examines it, and never
+    untracks a list.  On exit, also when the block raises, the collector is
+    enabled again only if it was enabled on entry.
+
+    With ``collect`` (every sorting pass), the objects alive on entry are
+    frozen and the block ends with one full collection, which scans only
+    what the block made; a plain full collection scans the whole process,
+    and on a small solve costs more than the pause saves.  Only a full
+    collection empties CPython's object free lists, which otherwise pin the
+    memory pools that a sort's chunk and keys used, and raise the peak RSS.
     ``gc.unfreeze`` then moves the objects frozen on entry into the oldest
     generation.  So ``gc.isenabled()`` and ``gc.get_freeze_count()`` come
     back as they were, but generation membership does not.  A caller that
@@ -410,7 +419,7 @@ def _collector_paused(collect: bool = False) -> Iterator[None]:
 MERGE_FAN_IN = 64
 
 
-def _merged(paths: list[str], key: Callable[[StreamItem], tuple]) -> Iterator[StreamItem]:
+def _merged(runs: list[Stream], key: Callable[[StreamItem], tuple]) -> Iterator[StreamItem]:
     """The records of sorted chunk files in key order; ties go to the earlier file.
 
     Each file holds its current block, the offset of its first record not
@@ -422,9 +431,10 @@ def _merged(paths: list[str], key: Callable[[StreamItem], tuple]) -> Iterator[St
     keeps chunk order, and ``first``'s block is used up.  The parts, joined
     in file order, are sorted under ``key`` (Timsort merges them in C),
     unless one file gave them all.  The merge holds one block per file plus
-    one batch's keys, up to ``MERGE_FAN_IN * BLOCK_RECORDS`` records.
+    one batch's keys, up to ``MERGE_FAN_IN * BLOCK_RECORDS`` records: more
+    than a ``sort_chunk`` below that.
     """
-    return chain.from_iterable(_batches([Stream(path)._iter_blocks() for path in paths], key))
+    return chain.from_iterable(_batches([run._iter_blocks() for run in runs], key))
 
 
 def _batches(sources: list[Iterator[list[StreamItem]]],
@@ -467,31 +477,13 @@ class StreamPipeline:
 
     The pipeline owns the run's ``PassStats`` (``stats``) and appends one
     ``PassRecord`` per pass.  Intermediate binary files live in a private
-    working directory (honoring ``STRTOUR_TMPDIR`` when set) and are
-    deleted as soon as they are consumed.  When a trace directory is
-    given, it must be absent or empty, and each pass's output is also
-    dumped there as text, one record per line, with its pass index in the
-    file name.
-
-    A sorting pass that spilled merges its chunks a batch at a time
-    (``_merged``), holding one block per file plus one batch's keys: up to
-    ``MERGE_FAN_IN * BLOCK_RECORDS`` records, more than a smaller chunk.
-
-    Passes create no reference cycles: everything a pass allocates is freed
-    by reference counting.  So every pass runs with the cyclic collector
-    paused.  Left running, it would start a young collection every few
-    hundred allocations and examine every record, sort key and block list
-    the pass makes: CPython creates each tuple tracked, untracks a tuple of
-    ints only when a collection examines it, and never untracks a list.
-    After the pass, also when it raises, the collector is enabled again if
-    it was enabled before.  Each sorting pass ends with one full
-    collection, with the objects alive at its start frozen, so that it
-    scans only what the sort made (a plain full collection scans the whole
-    process, and on a small solve costs more than the pause saves).
-    Only a full collection empties CPython's object free lists, which
-    otherwise pin the memory pools that a sort's chunk and keys used, and
-    raise the peak RSS.  A caller holding frozen objects gets the pause
-    without the collection.
+    working directory (honoring ``STRTOUR_TMPDIR`` when set).  Each one,
+    a sort's chunk files too, is written by a ``StreamWriter``, held as a
+    ``Stream``, and deleted by ``discard`` once it is consumed; a pass ends
+    in ``_finish``.  When a trace directory is given, it must be absent or
+    empty, and each pass's output is also dumped there as text, one record
+    per line, with its pass index in the file name.  Every pass runs with
+    the cyclic collector paused (``_collector_paused``).
     """
 
     def __init__(self, tmpdir: Optional[str] = None,
@@ -520,24 +512,22 @@ class StreamPipeline:
         index = len(self.stats.passes)
         return os.path.join(self.workdir, f"pass_{index:03d}_{label}.bin")
 
-    def _finish(self, kind: str, label: str, phase: str, items_in: int,
+    def _finish(self, kind: str, label: str, phase: str, source: Optional[Stream],
                 stream: Stream, peak_records: int = 0, peak_words: int = 0) -> Stream:
-        rec = PassRecord(
-            index=len(self.stats.passes),
-            kind=kind,
-            label=label,
-            phase=phase,
-            items_in=items_in,
-            items_out=stream.items,
-            peak_live_records=peak_records,
-            peak_live_words=peak_words,
-        )
-        self.stats.passes.append(rec)
+        """End a pass that read ``source`` (``None`` for the source pass) and
+        wrote ``stream``: log it, dump ``stream`` to the trace directory, and
+        discard ``source``."""
+        index = len(self.stats.passes)
+        self.stats.passes.append(PassRecord(index, kind, label, phase,
+                                            source.items if source else 0,
+                                            stream.items, peak_records, peak_words))
         if self.trace_dir:
-            dump = os.path.join(self.trace_dir, f"pass_{rec.index:03d}_{label}.txt")
+            dump = os.path.join(self.trace_dir, f"pass_{index:03d}_{label}.txt")
             with open(dump, "w", encoding="ascii") as fh:
                 for item in stream.iter_items():
                     fh.write(encode_item(item) + "\n")
+        if source:
+            self.discard(source)
         return stream
 
     def discard(self, stream: Stream) -> None:
@@ -551,7 +541,7 @@ class StreamPipeline:
     def materialize(self, items: Iterable[StreamItem], label: str = "source") -> Stream:
         with StreamWriter(self._new_path(label)) as writer:
             writer.write_all(items)
-        return self._finish("source", label, "source", 0, writer.stream)
+        return self._finish("source", label, "source", None, writer.stream)
 
     @_collector_paused()
     def run_streaming_pass(self, processor: Processor, stream: Stream,
@@ -599,10 +589,8 @@ class StreamPipeline:
             peak_records = max(peak_records, records)
             peak_words = max(peak_words, record_words * records + scalar_words())
 
-        out = self._finish("stream", label, phase, stream.items,
-                           writer.stream, peak_records, peak_words)
-        self.discard(stream)
-        return out
+        return self._finish("stream", label, phase, stream, writer.stream,
+                            peak_records, peak_words)
 
     @_collector_paused(collect=True)
     def run_sorting_pass(self, key: Callable[[StreamItem], tuple], stream: Stream,
@@ -611,63 +599,45 @@ class StreamPipeline:
 
         The sorter is a primitive of the model, so it carries no live-state
         meter.  A stream longer than one chunk is spilled in sorted chunks of
-        ``sort_chunk`` records, merged at most ``MERGE_FAN_IN`` at a time, so
-        a sort holds at most ``MERGE_FAN_IN + 1`` files open.  A merge goes a
-        batch at a time (``_merged``): a batch ends at the least last key of
-        the files' current blocks, and a tie goes to the earlier chunk.  It
-        holds one block per file plus one batch's keys, up to
-        ``MERGE_FAN_IN * BLOCK_RECORDS`` records, more than a smaller chunk.
+        ``sort_chunk`` records, merged (``_merged``) at most ``MERGE_FAN_IN``
+        at a time, so a sort holds at most ``MERGE_FAN_IN + 1`` files open.
         """
         items = stream.iter_items()
         size = self.sort_chunk
-        chunk_paths: list[str] = []
+        runs: list[Stream] = []
         chunk = list(islice(items, size))
-        while len(chunk) >= size:
-            chunk_paths.append(self._spill(chunk, key))
+        while len(chunk) >= size or runs and chunk:
+            chunk.sort(key=key)
+            runs.append(self._chunk_file(chunk))
             chunk = list(islice(items, size))
-        if chunk_paths and chunk:
-            chunk_paths.append(self._spill(chunk, key))
-            chunk = []
         # A merge breaks key ties by chunk order, and a merge of too many
         # chunks first merges runs of consecutive ones, earliest run first,
         # so the sort stays stable.
-        while len(chunk_paths) > MERGE_FAN_IN:
-            chunk_paths = [self._merge_run(chunk_paths[i:i + MERGE_FAN_IN], key)
-                           for i in range(0, len(chunk_paths), MERGE_FAN_IN)]
-
+        while len(runs) > MERGE_FAN_IN:
+            runs = [self._merge_run(runs[i:i + MERGE_FAN_IN], key)
+                    for i in range(0, len(runs), MERGE_FAN_IN)]
+        chunk.sort(key=key)  # empty if the stream was spilled
         with StreamWriter(self._new_path(label)) as writer:
-            if chunk_paths:
-                writer.write_all(_merged(chunk_paths, key))
-            else:
-                chunk.sort(key=key)
-                writer.write_all(chunk)
-        for path in chunk_paths:
-            os.unlink(path)
+            writer.write_all(_merged(runs, key) if runs else chunk)
+        for run in runs:
+            self.discard(run)
+        return self._finish("sort", label, phase, stream, writer.stream)
 
-        out = self._finish("sort", label, phase, stream.items, writer.stream)
-        self.discard(stream)
-        return out
-
-    def _spill(self, chunk: list[StreamItem], key: Callable[[StreamItem], tuple]) -> str:
-        """Sort one chunk in memory and write it to its own file."""
-        chunk.sort(key=key)
-        return self._chunk_file(chunk)
-
-    def _merge_run(self, paths: list[str], key: Callable[[StreamItem], tuple]) -> str:
+    def _merge_run(self, runs: list[Stream], key: Callable[[StreamItem], tuple]) -> Stream:
         """Merge a run of chunk files into one new chunk file."""
-        if len(paths) == 1:
-            return paths[0]
-        path = self._chunk_file(_merged(paths, key))
-        for used in paths:
-            os.unlink(used)
-        return path
+        if len(runs) == 1:
+            return runs[0]
+        merged = self._chunk_file(_merged(runs, key))
+        for run in runs:
+            self.discard(run)
+        return merged
 
-    def _chunk_file(self, items: Iterable[StreamItem]) -> str:
+    def _chunk_file(self, items: Iterable[StreamItem]) -> Stream:
         fd, path = tempfile.mkstemp(prefix="chunk-", dir=self.workdir)
         os.close(fd)
         with StreamWriter(path) as writer:
             writer.write_all(items)
-        return path
+        return writer.stream
 
     def cleanup(self) -> None:
         shutil.rmtree(self.workdir, ignore_errors=True)
@@ -763,19 +733,22 @@ def _graph_lines(path: str) -> Iterator:
 
 
 def _int_pair(line: bytes, lineno: int, names: str) -> Optional[tuple[int, int]]:
-    """Parse a line of two integers named ``names``; None if it is blank.
+    """Parse a line of two decimal integers named ``names``; None if it is blank.
 
-    Bytes split on ASCII whitespace, so a non-ASCII byte fails ``int``.
+    A field is an optional ``-`` and ASCII digits (``int`` alone would also
+    take ``_`` and ``+``).  Bytes split on ASCII whitespace, and
+    ``bytes.isdigit`` is true of ASCII digits only.
     """
     parts = line.split()
     if not parts:
         return None
     if len(parts) != 2:
         raise ParseError(f"line {lineno}: expected '{names}'")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected integers '{names}'") from None
+    u, v = parts
+    if ((u.isdigit() or u.removeprefix(b"-").isdigit())
+            and (v.isdigit() or v.removeprefix(b"-").isdigit())):
+        return int(u), int(v)
+    raise ParseError(f"line {lineno}: expected integers '{names}'")
 
 
 def write_graph_file(path: str, n: int, edges: list[tuple[int, int]]) -> None:

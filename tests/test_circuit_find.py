@@ -463,6 +463,18 @@ def test_phase1_integrity_faults(fault, message):
         fault()
 
 
+def test_phase1_rejects_an_info_edge_in_its_input(tmp_path):
+    from strtour import InfoEdge, find_circuits
+    pl, _ = make_pipeline(tmp_path)
+    try:
+        source = pl.materialize([GraphEdge(1, 2), InfoEdge(1, 2, 0, 1), GraphEdge(2, 1)])
+        with pytest.raises(IntegrityFault,
+                           match="^phase 1 expects a stream of raw graph edges$"):
+            find_circuits(pl, 2, source)
+    finally:
+        pl.cleanup()
+
+
 def test_root_single_circuit_emits_nothing():
     state = fresh_state()
     state.attach(1, (1, 2, 3))

@@ -343,6 +343,41 @@ def test_solve_rejects_a_relabelling_at_the_spill_chunk(tmp_path, monkeypatch):
     assert relabelled
 
 
+def test_solve_rejects_a_prepared_height_that_phase_1_did_not_report(
+        tmp_path, monkeypatch, nine_vertex):
+    from strtour import IntegrityFault, pipeline
+    real = pipeline.find_circuits
+
+    def misreporting_find_circuits(pl, n, source):
+        out = real(pl, n, source)
+        pl.stats.tree_height += 1
+        return out
+
+    n, edges = nine_vertex
+    height = solve(n, edges, tmpdir=str(tmp_path)).stats.tree_height
+    monkeypatch.setattr(pipeline, "find_circuits", misreporting_find_circuits)
+    with pytest.raises(IntegrityFault) as err:
+        solve(n, edges, tmpdir=str(tmp_path))
+    assert str(err.value) == (f"prepared stream encodes height {height}, "
+                              f"phase 1 reported {height + 1}")
+
+
+def test_solve_rejects_a_stream_over_its_budget(tmp_path, monkeypatch):
+    # the real passes, checked against the budget of a graph of half the edges
+    from strtour import IntegrityFault, pipeline
+    n, edges = gen_eulerian(40, 120, 2)
+    limit = 2 * (len(edges) // 2) + 4
+    passes = solve(n, edges, tmpdir=str(tmp_path)).stats.passes
+    first = next(rec for rec in passes if rec.items_out > limit)
+    real = pipeline.assert_stream_budget
+    monkeypatch.setattr(pipeline, "assert_stream_budget",
+                        lambda stats, m: real(stats, m // 2))
+    with pytest.raises(IntegrityFault) as err:
+        solve(n, edges, tmpdir=str(tmp_path))
+    assert str(err.value) == (f"stream budget exceeded at pass {first.index}: "
+                              f"{first.items_out} items > {limit}")
+
+
 @pytest.mark.parametrize("sort_chunk", [None, 7])
 def test_work_directory_is_empty_when_cleanup_runs(tmp_path, monkeypatch, sort_chunk):
     """Every pass deletes its input, and ``emit_tour`` the final stream, so

@@ -776,15 +776,35 @@ def test_graph_file_largest_vertex_count(tmp_path):
     (read_checked, "3 3\n1 2\n2 3\n3 \u00e91\n", "line 4: expected integers 'u v'"),
     (read_checked, "\ufeff3 3\n1 2\n2 3\n3 1\n", "line 1: expected integers 'n m'"),
     (read_tour_file, "1 2\n2 \u00e93\n", "line 2: expected integers 'u v'"),
+    # a field is decimal: an optional "-" and digits, never "_" or "+"
+    (read_checked, "1_0 3\n1 2\n2 3\n3 1\n", "line 1: expected integers 'n m'"),
+    (read_checked, "+3 3\n1 2\n2 3\n3 1\n", "line 1: expected integers 'n m'"),
+    (read_checked, "3 3\n1 2\n2 3\n3 1_0\n", "line 4: expected integers 'u v'"),
+    (read_checked, "3 3\n1 2\n2 3\n3 --1\n", "line 4: expected integers 'u v'"),
+    (read_tour_file, "+2 3\n3 1\n", "line 1: expected integers 'u v'"),
 ], ids=["graph-edge", "graph-edge-before-count", "graph-edge-fields", "graph-header",
         "graph-header-integers", "tour-edge", "graph-edge-non-ascii", "graph-header-bom",
-        "tour-edge-non-ascii"])
+        "tour-edge-non-ascii", "graph-header-underscore", "graph-header-plus",
+        "graph-edge-underscore", "graph-edge-double-sign", "tour-edge-plus"])
 def test_parse_errors_name_the_physical_line(tmp_path, reader, content, message):
     # blank lines are skipped but still counted
     path = tmp_path / "bad.txt"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(ParseError) as err:
         reader(str(path))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("content, message", [
+    ("-3 3\n1 2\n2 3\n3 1\n", "line 1: bad sizes n=-3 m=3"),
+    ("3 -1\n", "line 1: bad sizes n=3 m=-1"),
+    ("3 1\n1 -2\n", "edge 1: endpoint outside 1..3: (1, -2)"),
+])
+def test_negative_fields_are_range_errors(tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(ParseError) as err:
+        read_checked(str(path))
     assert str(err.value) == message
 
 
