@@ -1,20 +1,22 @@
-"""Streaming substrate: stream records, on-disk streams, and metered passes.
+"""Streaming substrate: stream records, streams in memory or on disk, metered passes.
 
-A pipeline run alternates two kinds of passes over a stream of records that
-is materialized on disk between passes.  A streaming pass reads its input
-once, front to back, through a small processor and writes a new stream.  A
-sorting pass reorders the stream under a total order and is treated as a
-primitive: its internal working memory is not charged against the streaming
-meter.  Every pass is logged as a ``PassRecord`` in the pipeline's
-``PassStats`` so budget assertions can be checked after a run.
+A pipeline run alternates two kinds of passes over a stream of records.  A
+streaming pass reads its input once, front to back, through a small
+processor and writes a new stream.  A sorting pass reorders the stream under
+a total order and is treated as a primitive: its internal working memory is
+not charged against the streaming meter.  Between passes a stream is kept
+as a list of records while it fits one sort chunk, and in a file once it
+outgrows one; the source pass always writes a file (``StreamPipeline``).
+Every pass is logged as a ``PassRecord`` in the pipeline's ``PassStats`` so
+budget assertions can be checked after a run.
 
 A stream record is a plain tuple of non-negative ints whose length gives
 its kind: six fields for a graph edge, five for an info edge.  ``GraphEdge``
 and ``InfoEdge`` name the fields; they are tuples too, so a stream accepts
-them, but no pass builds them or reads a field by name.  Inter-pass streams
-and sort spill chunks hold fixed-width binary records (``RECORD``).  Files
-are written in whole blocks of ``BLOCK_RECORDS``, each packed in one call,
-and read a block at a time into plain tuples.  The text form ``G tail head
+them, but no pass builds them or reads a field by name.  Stream files and
+sort spill chunks hold fixed-width binary records (``RECORD``).  Files are
+written in whole blocks of ``BLOCK_RECORDS``, each packed in one call, and
+read a block at a time into plain tuples.  The text form ``G tail head
 f3 f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
 ``decode_item``) appears only in the stream dumps of a trace directory.
 
@@ -110,14 +112,15 @@ def encode_item(item: StreamItem) -> str:
 
 
 def decode_item(line: str) -> StreamItem:
+    """Parse a record's text form.  A field is decimal as in ``_int_pair``:
+    an optional ``-`` and ASCII digits, so ``+1`` and ``1_0`` are faults."""
     parts = line.split()
     if not parts:
         raise ParseError("empty line")
-    tag = parts[0]
-    try:
-        values = [int(p) for p in parts[1:]]
-    except ValueError:
-        raise ParseError(f"non-integer field in {line!r}") from None
+    tag, fields = parts[0], parts[1:]
+    if not all(f.isascii() and f.removeprefix("-").isdigit() for f in fields):
+        raise ParseError(f"non-integer field in {line!r}")
+    values = [int(f) for f in fields]
     if values and min(values) < 0:
         raise ParseError(f"negative field in {line!r}")
     if tag == "G":
@@ -223,19 +226,39 @@ class Fields:
 
 
 class Stream(Fields):
-    """A materialized stream: back-to-back binary records in ``path``."""
+    """A materialized stream of ``items`` records: back-to-back binary
+    records in a file, or, while ``records`` holds them, a list in memory.
+    A list-backed stream has a file name but no file until ``path`` is read.
+    """
 
-    def __init__(self, path: str, items: int = 0):
-        self.path = path
+    def __init__(self, path: str, items: int = 0,
+                 records: Optional[list[StreamItem]] = None):
+        self._path = path
         self.items = items
+        self.records = records
+
+    @property
+    def path(self) -> str:
+        """The file that holds the stream.  A list-backed stream writes it
+        first, with the bytes a pass would have written, and is file-backed
+        from then on."""
+        if self.records is not None:
+            with StreamWriter(self._path) as writer:
+                writer.write_all(self.records)
+            self.records = None
+        return self._path
 
     def iter_items(self) -> Iterator[StreamItem]:
         return chain.from_iterable(self._iter_blocks())
 
     def _iter_blocks(self) -> Iterator[list[StreamItem]]:
+        """The records a block at a time; a list-backed stream is one block."""
+        if self.records is not None:
+            yield self.records
+            return
         block_bytes = BLOCK_RECORDS * RECORD.size
         index = 1
-        with open(self.path, "rb") as fh:
+        with open(self._path, "rb") as fh:
             while block := fh.read(block_bytes):
                 items = decode_block(block, index)
                 index += len(items)
@@ -243,17 +266,21 @@ class Stream(Fields):
 
 
 class StreamWriter:
-    """Appends items to a stream file in whole blocks, counting them.
+    """Appends items to a stream, counting them.
 
     Items wait in ``pending`` until ``flush`` or close writes them; a caller
     may append to it directly.  Every block but the last of a file holds
-    exactly ``BLOCK_RECORDS`` records.
+    exactly ``BLOCK_RECORDS`` records.  A writer given ``keep`` opens its
+    file only at its first ``flush``: closed before that with at most
+    ``keep`` records pending, it leaves them as a list-backed stream and
+    writes no file.  Without ``keep`` the file opens at once.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, keep: Optional[int] = None):
         self.stream = Stream(path)
-        self._fh = open(path, "wb")
         self.pending: list[StreamItem] = []
+        self._keep = keep
+        self._fh = None if keep is not None else open(path, "wb")
 
     def write_all(self, items: Iterable[StreamItem]) -> None:
         items = iter(items)
@@ -269,6 +296,8 @@ class StreamWriter:
         self._write(len(self.pending) // BLOCK_RECORDS * BLOCK_RECORDS)
 
     def _write(self, end: int) -> None:
+        if self._fh is None:
+            self._fh = open(self.stream.path, "wb")
         pending = self.pending
         for start in range(0, end, BLOCK_RECORDS):
             self._fh.write(encode_block(pending[start:start + BLOCK_RECORDS]))
@@ -279,12 +308,18 @@ class StreamWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Write what is pending and close; a failed pass leaves it unwritten."""
+        """Write what is pending, or keep it, and close; a failed pass
+        leaves it unwritten."""
         try:
             if exc_type is None:
-                self._write(len(self.pending))
+                if self._fh is None and len(self.pending) <= self._keep:
+                    self.stream.records = self.pending
+                    self.stream.items = len(self.pending)
+                else:
+                    self._write(len(self.pending))
         finally:
-            self._fh.close()
+            if self._fh is not None:
+                self._fh.close()
 
 
 class PassRecord(NamedTuple):
@@ -476,14 +511,29 @@ class StreamPipeline:
     """Executes metered passes, materializing every stream between passes.
 
     The pipeline owns the run's ``PassStats`` (``stats``) and appends one
-    ``PassRecord`` per pass.  Intermediate binary files live in a private
-    working directory (honoring ``STRTOUR_TMPDIR`` when set).  Each one,
-    a sort's chunk files too, is written by a ``StreamWriter``, held as a
-    ``Stream``, and deleted by ``discard`` once it is consumed; a pass ends
-    in ``_finish``.  When a trace directory is given, it must be absent or
-    empty, and each pass's output is also dumped there as text, one record
-    per line, with its pass index in the file name.  Every pass runs with
-    the cyclic collector paused (``_collector_paused``).
+    ``PassRecord`` per pass.  Every pass but the source pass keeps its
+    output as a list of records while the output holds at most
+    ``sort_chunk`` records, and writes it to a file once it outgrows that.
+    A sort whose input is such a list sorts the list in place and hands it
+    on; a sort of a file that fits one chunk hands on its chunk.  The source
+    pass always writes its file: its reader, phase 1, streams it and does
+    not sort it, and as tuples a source that fits the chunk would take
+    several MiB more than its blocks do.
+
+    Memory rule: besides the processors' metered state, a pass holds at most
+    two lists of records, its input's and its output's, each of at most
+    ``sort_chunk`` records plus what one callback emits.  A sort also holds
+    the keys of the chunk it sorts, and a spilling sort's merge holds one
+    block per chunk file it reads (``_merged``).
+
+    Intermediate binary files live in a private working directory (honoring
+    ``STRTOUR_TMPDIR`` when set).  Each one, a sort's chunk files too, is
+    written by a ``StreamWriter``, held as a ``Stream``, and deleted by
+    ``discard`` once it is consumed; a pass ends in ``_finish``.  When a
+    trace directory is given, it must be absent or empty, and each pass's
+    output is also dumped there as text, one record per line, with its pass
+    index in the file name.  Every pass runs with the cyclic collector
+    paused (``_collector_paused``).
     """
 
     def __init__(self, tmpdir: Optional[str] = None,
@@ -531,7 +581,8 @@ class StreamPipeline:
         return stream
 
     def discard(self, stream: Stream) -> None:
-        """Delete a stream that has been read and is not needed again."""
+        """Drop a stream that has been read and is not needed again."""
+        stream.records = None  # first, so that ``path`` writes nothing
         if os.path.exists(stream.path):
             os.unlink(stream.path)
 
@@ -556,18 +607,23 @@ class StreamPipeline:
         ``scalar_words`` call and counts ``record_words * live_records() +
         scalar_words()`` words.
 
-        ``emit`` appends to the writer's pending block, which is written
-        whenever an ``on_item`` leaves a full block pending.  Like the
-        sorter's chunk, that block is writer buffer outside the meter: fewer
-        than ``BLOCK_RECORDS`` records plus what one callback emits (in
-        phase 1, at most one circuit and one info edge).
+        ``emit`` appends to the writer's pending list.  It is the output
+        while an ``on_item`` leaves at most ``sort_chunk`` records there;
+        once one leaves more, the writer writes every full block, and from
+        then on whenever an ``on_item`` leaves a full block pending.  Like
+        the sorter's chunk, that list is writer buffer outside the meter: at
+        most ``sort_chunk`` or ``BLOCK_RECORDS`` records plus what one
+        callback emits (in phase 1, at most one circuit and one info edge).
         """
         label = label or processor.label
         on_item = processor.on_item
         live_records, scalar_words = processor.live_records, processor.scalar_words
         record_words = processor.record_words
 
-        with StreamWriter(self._new_path(label)) as writer:
+        # the output stays a list until it outgrows the chunk; then the
+        # writer opens its file and writes a block whenever one is full
+        flush_at = self.sort_chunk + 1
+        with StreamWriter(self._new_path(label), keep=self.sort_chunk) as writer:
             pending = writer.pending
             emit = pending.append
             processor.on_start(emit)
@@ -575,8 +631,9 @@ class StreamPipeline:
             peak_words = record_words * peak_records + scalar_words()
             for item in stream.iter_items():
                 on_item(item, emit)
-                if len(pending) >= BLOCK_RECORDS:
+                if len(pending) >= flush_at:
                     writer.flush()
+                    flush_at = BLOCK_RECORDS
                 records = live_records()
                 words = record_words * records + scalar_words() + len(item)
                 records += 1
@@ -598,30 +655,40 @@ class StreamPipeline:
         """Stable sort of the stream under ``key``.
 
         The sorter is a primitive of the model, so it carries no live-state
-        meter.  A stream longer than one chunk is spilled in sorted chunks of
+        meter.  A list-backed stream is sorted in place.  A stream file of
+        fewer than ``sort_chunk`` records is sorted in one chunk, kept as
+        the output's list.  A longer one is spilled in sorted chunks of
         ``sort_chunk`` records, merged (``_merged``) at most ``MERGE_FAN_IN``
         at a time, so a sort holds at most ``MERGE_FAN_IN + 1`` files open.
         """
-        items = stream.iter_items()
-        size = self.sort_chunk
+        path = self._new_path(label)
         runs: list[Stream] = []
-        chunk = list(islice(items, size))
-        while len(chunk) >= size or runs and chunk:
-            chunk.sort(key=key)
-            runs.append(self._chunk_file(chunk))
+        if stream.records is not None:  # at most one chunk, sorted in place
+            chunk = stream.records
+        else:
+            items = stream.iter_items()
+            size = self.sort_chunk
             chunk = list(islice(items, size))
-        # A merge breaks key ties by chunk order, and a merge of too many
-        # chunks first merges runs of consecutive ones, earliest run first,
-        # so the sort stays stable.
-        while len(runs) > MERGE_FAN_IN:
-            runs = [self._merge_run(runs[i:i + MERGE_FAN_IN], key)
-                    for i in range(0, len(runs), MERGE_FAN_IN)]
-        chunk.sort(key=key)  # empty if the stream was spilled
-        with StreamWriter(self._new_path(label)) as writer:
-            writer.write_all(_merged(runs, key) if runs else chunk)
-        for run in runs:
-            self.discard(run)
-        return self._finish("sort", label, phase, stream, writer.stream)
+            while len(chunk) >= size or runs and chunk:
+                chunk.sort(key=key)
+                runs.append(self._chunk_file(chunk))
+                chunk = list(islice(items, size))
+        if runs:
+            # A merge breaks key ties by chunk order, and a merge of too many
+            # chunks first merges runs of consecutive ones, earliest run
+            # first, so the sort stays stable.
+            while len(runs) > MERGE_FAN_IN:
+                runs = [self._merge_run(runs[i:i + MERGE_FAN_IN], key)
+                        for i in range(0, len(runs), MERGE_FAN_IN)]
+            with StreamWriter(path) as writer:
+                writer.write_all(_merged(runs, key))
+            for run in runs:
+                self.discard(run)
+            out = writer.stream
+        else:
+            chunk.sort(key=key)
+            out = Stream(path, len(chunk), chunk)
+        return self._finish("sort", label, phase, stream, out)
 
     def _merge_run(self, runs: list[Stream], key: Callable[[StreamItem], tuple]) -> Stream:
         """Merge a run of chunk files into one new chunk file."""

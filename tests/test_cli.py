@@ -288,13 +288,20 @@ def test_reused_trace_dir_is_refused_and_left_as_it_was(tmp_path, monkeypatch, c
 
 def test_each_failed_block_write_exits_1_and_leaves_nothing(tmp_path, monkeypatch, capsys):
     # every block write of a small solve fails in turn with ENOSPC, while
-    # the source pass is still reading the graph file for the first ones;
-    # an odd graph is rejected after its source pass, so every write it
-    # makes is one of that pass's blocks
-    import errno
-    from strtour import gen_eulerian, perturb
-    from strtour.stream_core import BLOCK_RECORDS, StreamWriter
+    # the source pass is still reading the graph file for the first ones.
+    # At the default sort chunk only the source pass writes.  With the
+    # default lowered, as the benchmark's launcher lowers it, every pass
+    # writes its output and every sort its spill chunks.  An odd graph is
+    # rejected after its source pass, so every write it makes is one of
+    # that pass's blocks
+    import importlib.util
+    from strtour import gen_eulerian, perturb, stream_core
+    from strtour.stream_core import BLOCK_RECORDS
 
+    launcher = Path(__file__).resolve().parent.parent / "perfbench" / "scaled_cli.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scaled_cli", launcher)
+    scaled_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaled_cli)
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     monkeypatch.setenv("STRTOUR_TMPDIR", str(scratch))
@@ -317,32 +324,42 @@ def test_each_failed_block_write_exits_1_and_leaves_nothing(tmp_path, monkeypatc
         def close(self):
             self.fh.close()
 
-    real_init = StreamWriter.__init__
+    def failing_open(file, mode="r", **kwargs):  # stream files open "wb"
+        fh = open(file, mode, **kwargs)
+        return FullDisk(fh) if mode == "wb" else fh
 
-    def failing_init(self, path):
-        real_init(self, path)
-        self._fh = FullDisk(self._fh)
-
-    monkeypatch.setattr(StreamWriter, "__init__", failing_init)
+    monkeypatch.setattr(stream_core, "open", failing_open, raising=False)
     stats = tmp_path / "stats.json"
     assert main(["solve", "--in", nine, "--stats", str(stats)]) == 0
     nine_writes = writes[0]
-    assert nine_writes >= len(json.loads(stats.read_text())["passes"])  # every pass writes
+    assert nine_writes == 1  # the source pass writes its one block
+    divisor = 8192
+    with scaled_cli.sort_memory_divided_by(divisor) as chunk:
+        writes[0] = 0
+        assert main(["solve", "--in", nine, "--stats", str(stats)]) == 0
+        spilled_writes = writes[0]
+    passes = json.loads(stats.read_text())["passes"]
+    assert chunk < min(p["items_out"] for p in passes)
+    # every pass writes its one block, and every sort one per spill chunk
+    assert spilled_writes == len(passes) + sum(
+        -(-p["items_in"] // chunk) for p in passes if p["kind"] == "sort")
     writes[0] = 0
     assert main(["solve", "--in", odd]) == 2
     odd_writes = writes[0]
     assert odd_writes == -(-len(odd_edges) // BLOCK_RECORDS) > 1
     assert capsys.readouterr().out.splitlines()[-1] == "not eulerian: odd degree"
     assert list(scratch.iterdir()) == []
-    for graph, total in ((nine, nine_writes), (odd, odd_writes)):
-        for k in range(1, total + 1):
-            writes[0], fail_at[0] = 0, k
-            assert main(["solve", "--in", graph]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.splitlines() == [
-                f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
-            assert list(scratch.iterdir()) == []
+    for graph, total, scale in ((nine, nine_writes, 1), (nine, spilled_writes, divisor),
+                                (odd, odd_writes, 1)):
+        with scaled_cli.sort_memory_divided_by(scale):
+            for k in range(1, total + 1):
+                writes[0], fail_at[0] = 0, k
+                assert main(["solve", "--in", graph]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.splitlines() == [
+                    f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+                assert list(scratch.iterdir()) == []
 
 
 def wait_for(condition, timeout=60.0):

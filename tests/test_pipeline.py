@@ -397,6 +397,97 @@ def test_work_directory_is_empty_when_cleanup_runs(tmp_path, monkeypatch, sort_c
     assert left == [[]]
 
 
+def test_work_directory_is_empty_after_solves_that_read_every_path(tmp_path, monkeypatch):
+    """Reading ``path`` writes a list-backed stream's file, as the
+    benchmark's tracer does after every pass.  ``discard`` still deletes
+    each file, and a solve whose pass raises still leaves nothing."""
+    from strtour import StreamPipeline, tree_merge
+    finish = StreamPipeline._finish
+
+    def finish_and_read_path(self, *args, **kwargs):
+        stream = finish(self, *args, **kwargs)
+        assert os.path.exists(stream.path) and stream.records is None
+        return stream
+
+    left = []
+    cleanup = StreamPipeline.cleanup
+
+    def recording_cleanup(self):
+        left.append(sorted(os.listdir(self.workdir)))
+        cleanup(self)
+
+    monkeypatch.setattr(StreamPipeline, "_finish", finish_and_read_path)
+    monkeypatch.setattr(StreamPipeline, "cleanup", recording_cleanup)
+    n, edges = gen_eulerian(40, 120, 2)
+    assert len(solve(n, edges, tmpdir=str(tmp_path)).tour) == len(edges)
+    assert left == [[]] and os.listdir(tmp_path) == []
+
+    def failing(self, item, emit):
+        raise ValueError("a failing pass")
+
+    monkeypatch.setattr(tree_merge.SlotRecorder, "on_item", failing)
+    with pytest.raises(ValueError, match="a failing pass"):
+        solve(n, edges, tmpdir=str(tmp_path))
+    assert len(left[1]) == 1  # the failed pass's input, read through ``path``
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("graph", ["nine-vertex", "random"])
+def test_only_passes_whose_output_outgrows_the_chunk_encode(tmp_path, monkeypatch, graph):
+    """A deterministic guard on in-memory streams: ``encode_block`` calls,
+    counted per pass.  At the default chunk only the source pass encodes; at
+    a chunk below every stream every pass does.  Whatever the chunk, a pass
+    encodes when its output outgrows the chunk, or when it sorts a stream
+    file that fills one; tours, stats and trace dumps do not change."""
+    from conftest import NINE_VERTEX_EDGES, NINE_VERTEX_N
+    from strtour import StreamPipeline, stream_core
+    from strtour.stream_core import BLOCK_RECORDS
+    if graph == "nine-vertex":
+        n, edges = NINE_VERTEX_N, list(NINE_VERTEX_EDGES)
+    else:
+        n, edges = gen_eulerian(30, 90, 4)
+    calls = [0]
+    encode_block = stream_core.encode_block
+
+    def counting_encode(items):
+        calls[0] += 1
+        return encode_block(items)
+
+    per_pass, in_force = [], [0]
+    finish = StreamPipeline._finish
+
+    def counting_finish(self, *args, **kwargs):
+        in_force[0] = self.sort_chunk
+        per_pass.append(calls[0])
+        calls[0] = 0
+        return finish(self, *args, **kwargs)
+
+    monkeypatch.setattr(stream_core, "encode_block", counting_encode)
+    monkeypatch.setattr(StreamPipeline, "_finish", counting_finish)
+    reference = solve(n, edges, tmpdir=str(tmp_path))
+    passes = reference.stats.passes
+    longest = reference.stats_dict()["peak_stream_items"]
+    assert per_pass == [-(-len(edges) // BLOCK_RECORDS)] + [0] * (len(passes) - 1)
+    assert 7 < min(rec.items_out for rec in passes)
+    dumps = {}
+    for chunk in (1, 7, longest - 1, longest, longest + 1, None):
+        per_pass.clear()
+        trace = tmp_path / f"trace-{chunk}"
+        result = solve(n, edges, tmpdir=str(tmp_path), trace_dir=str(trace), sort_chunk=chunk)
+        assert result.tour == reference.tour
+        assert result.stats_dict() == reference.stats_dict()
+        dumps[chunk] = {path.name: path.read_bytes() for path in trace.iterdir()}
+        expected = [True]
+        for rec in passes[1:]:
+            sorts_a_full_file = (rec.kind == "sort" and expected[-1]
+                                 and rec.items_in >= in_force[0])
+            expected.append(rec.items_out > in_force[0] or sorts_a_full_file)
+        assert [count > 0 for count in per_pass] == expected
+        if chunk is not None and chunk <= 7:
+            assert all(expected)
+    assert all(dump == dumps[None] for dump in dumps.values())
+
+
 def test_many_spill_chunks_solve_under_a_low_open_file_limit(tmp_path):
     """The golden lollipop at sort_chunk 2 spills 752 chunks per sort.  The
     merge holds at most ``MERGE_FAN_IN`` of them open, so it solves under a

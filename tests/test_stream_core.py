@@ -66,6 +66,10 @@ def test_codec_round_trip_random():
     "I 1 2 3 4",        # arity
     "X 1 2 3 4 5",      # tag
     "G 1 2 3 4 5 x",    # non-integer
+    "G +1 1 0 0 0 0",   # a sign other than -
+    "G 1 1_0 0 0 0 0",  # a digit separator
+    "I 1 2 0 -- 0",     # no digits after the sign
+    "I 1 2 0 \u0663 0",  # a digit outside ASCII
     "G 1 2 3 4 5 -1",   # negative
     "",
 ])
@@ -392,21 +396,54 @@ class Tripling(Processor):
 @pytest.mark.parametrize("processor, copies", [(Identity(), 1), (Tripling(), 3)],
                          ids=["identity", "tripling"])
 def test_writer_encodes_whole_blocks_but_the_last(tmp_path, monkeypatch, processor, copies):
+    # a chunk below the output's length, aligned to a block or not, makes
+    # the pass write its output; the default chunk keeps it in memory
     items = [GraphEdge(i, i + 1) for i in range(1, 5001)]
-    pl, _ = make_pipeline(tmp_path)
-    stream = pl.materialize(items)
+    expected = [item for item in items for _ in range(copies)]
     sizes = []
 
     def spy(block):
         sizes.append(len(block))
         return encode_block(block)
 
-    monkeypatch.setattr(stream_core, "encode_block", spy)
-    out = pl.run_streaming_pass(processor, stream, "test")
-    whole, tail = divmod(copies * len(items), BLOCK_RECORDS)
-    assert sizes == [BLOCK_RECORDS] * whole + [tail]
-    assert list(out.iter_items()) == [item for item in items for _ in range(copies)]
-    pl.cleanup()
+    for chunk in (BLOCK_RECORDS, 2500, None):
+        pl, _ = make_pipeline(tmp_path / str(chunk),
+                              **({} if chunk is None else {"sort_chunk": chunk}))
+        stream = pl.materialize(items)
+        monkeypatch.setattr(stream_core, "encode_block", spy)
+        out = pl.run_streaming_pass(processor, stream, "test")
+        monkeypatch.undo()
+        if chunk is None:
+            assert sizes == [] and out.records == expected
+        else:
+            whole, tail = divmod(len(expected), BLOCK_RECORDS)
+            assert sizes == [BLOCK_RECORDS] * whole + [tail] and out.records is None
+        assert list(out.iter_items()) == expected
+        sizes.clear()
+        pl.cleanup()
+
+
+def test_path_writes_a_list_backed_stream_as_a_chunk_of_one_would(tmp_path):
+    # the same pass at sort_chunk 1 writes its output at once
+    items = [BINARY_ITEMS[i % len(BINARY_ITEMS)] for i in range(2 * BLOCK_RECORDS + 3)]
+    written = {}
+    for chunk in (None, 1):
+        pl, _ = make_pipeline(tmp_path / str(chunk),
+                              **({} if chunk is None else {"sort_chunk": chunk}))
+        source = pl.materialize(items)
+        out = pl.run_sorting_pass(
+            head_key, pl.run_streaming_pass(Identity(), source, "test"), "test", "sort")
+        assert (out.records is not None) == (chunk is None)
+        assert len(os.listdir(pl.workdir)) == (chunk == 1)
+        with open(out.path, "rb") as fh:
+            written[chunk] = os.path.basename(out.path), fh.read()
+        assert out.records is None and out.items == len(items)
+        assert list(out.iter_items()) == sorted(items, key=head_key)
+        assert os.listdir(pl.workdir) == [written[chunk][0]]
+        pl.discard(out)
+        assert os.listdir(pl.workdir) == []
+        pl.cleanup()
+    assert written[None] == written[1]
 
 
 def test_pass_composition_matches_record_replay(tmp_path):
