@@ -4,9 +4,12 @@ A pipeline run alternates two kinds of passes over a stream of records.  A
 streaming pass reads its input once, front to back, through a small
 processor and writes a new stream.  A sorting pass reorders the stream under
 a total order and is treated as a primitive: its internal working memory is
-not charged against the streaming meter.  Between passes a stream is kept
-as a list of records while it fits one sort chunk, and in a file once it
-outgrows one; the source pass always writes a file (``StreamPipeline``).
+not charged against the streaming meter.  Between passes a stream takes
+one of four forms (``Stream``): a list of records while it fits one sort
+chunk; a file, as the source pass always writes; a head of one chunk in
+memory and a file of the rest, once a streaming pass's output outgrows the
+chunk; or the merge of a spilled sort's last chunk files, which no sorted
+output file repeats (``StreamPipeline``).
 Every pass is logged as a ``PassRecord`` in the pipeline's ``PassStats`` so
 budget assertions can be checked after a run.
 
@@ -35,7 +38,7 @@ import shutil
 import struct
 import tempfile
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
@@ -226,38 +229,65 @@ class Fields:
 
 
 class Stream(Fields):
-    """A materialized stream of ``items`` records: back-to-back binary
-    records in a file, or, while ``records`` holds them, a list in memory.
-    A list-backed stream has a file name but no file until ``path`` is read.
+    """A materialized stream of ``items`` records, in one of four forms:
+
+    - a list: ``records`` holds every record, and there is no file;
+    - a file of back-to-back binary records;
+    - a head and a file: ``records`` holds the first records, and the file
+      the rest;
+    - merge-backed: the stream is the merge under ``key`` of ``runs``,
+      sorted chunk files read ``run_block`` records at a time (``_merged``),
+      and there is no file of its own.
+
+    Every form can be read any number of times.  Each read holds its files
+    open only until it ends or is closed.
     """
 
     def __init__(self, path: str, items: int = 0,
-                 records: Optional[list[StreamItem]] = None):
+                 records: Optional[list[StreamItem]] = None,
+                 runs: Optional[list["Stream"]] = None,
+                 key: Optional[Callable[[StreamItem], tuple]] = None,
+                 run_block: int = BLOCK_RECORDS):
         self._path = path
         self.items = items
         self.records = records
+        self.runs = runs
+        self.key = key
+        self.run_block = run_block
 
     @property
     def path(self) -> str:
-        """The file that holds the stream.  A list-backed stream writes it
-        first, with the bytes a pass would have written, and is file-backed
-        from then on."""
-        if self.records is not None:
-            with StreamWriter(self._path) as writer:
-                writer.write_all(self.records)
-            self.records = None
+        """The file that holds the whole stream.  Read on another form, it
+        first writes that file with the bytes a pass would have written: the
+        list, the head and then the file's records, or the drained merge,
+        whose chunk files it then deletes.  The stream is file-backed from
+        then on."""
+        if self.records is not None or self.runs is not None:
+            whole = self._path + ".whole"
+            with StreamWriter(whole) as writer:
+                writer.write_all(self.iter_items())
+            os.replace(whole, self._path)
+            for run in self.runs or ():
+                os.unlink(run._path)
+            self.records = self.runs = self.key = None
         return self._path
 
     def iter_items(self) -> Iterator[StreamItem]:
         return chain.from_iterable(self._iter_blocks())
 
-    def _iter_blocks(self) -> Iterator[list[StreamItem]]:
-        """The records a block at a time; a list-backed stream is one block."""
-        if self.records is not None:
-            yield self.records
+    def _iter_blocks(self, block_records: int = BLOCK_RECORDS) -> Iterator[list[StreamItem]]:
+        """The records a block at a time: a list or a head is one block, a
+        file gives blocks of ``block_records``, and a merge its batches."""
+        if self.runs is not None:
+            yield from _merged(self.runs, self.key, self.run_block)
             return
-        block_bytes = BLOCK_RECORDS * RECORD.size
         index = 1
+        if self.records is not None:
+            index += len(self.records)
+            yield self.records
+            if index > self.items:
+                return
+        block_bytes = block_records * RECORD.size
         with open(self._path, "rb") as fh:
             while block := fh.read(block_bytes):
                 items = decode_block(block, index)
@@ -271,9 +301,11 @@ class StreamWriter:
     Items wait in ``pending`` until ``flush`` or close writes them; a caller
     may append to it directly.  Every block but the last of a file holds
     exactly ``BLOCK_RECORDS`` records.  A writer given ``keep`` opens its
-    file only at its first ``flush``: closed before that with at most
-    ``keep`` records pending, it leaves them as a list-backed stream and
-    writes no file.  Without ``keep`` the file opens at once.
+    file only when more than ``keep`` records are pending at a ``flush`` or
+    at close.  The first ``keep`` of them then stay in memory as the
+    stream's head, and only the rest are written.  Closed before that, it
+    leaves its records as a list-backed stream and writes no file.  Without
+    ``keep`` the file opens at once.
     """
 
     def __init__(self, path: str, keep: Optional[int] = None):
@@ -293,11 +325,18 @@ class StreamWriter:
 
     def flush(self) -> None:
         """Write every full block of ``pending``; a shorter tail waits."""
+        self._open()
         self._write(len(self.pending) // BLOCK_RECORDS * BLOCK_RECORDS)
 
-    def _write(self, end: int) -> None:
+    def _open(self) -> None:
         if self._fh is None:
-            self._fh = open(self.stream.path, "wb")
+            pending, keep = self.pending, self._keep
+            self.stream.records = head = pending[:keep]
+            self.stream.items = len(head)
+            del pending[:keep]
+            self._fh = open(self.stream._path, "wb")
+
+    def _write(self, end: int) -> None:
         pending = self.pending
         for start in range(0, end, BLOCK_RECORDS):
             self._fh.write(encode_block(pending[start:start + BLOCK_RECORDS]))
@@ -316,6 +355,7 @@ class StreamWriter:
                     self.stream.records = self.pending
                     self.stream.items = len(self.pending)
                 else:
+                    self._open()
                     self._write(len(self.pending))
         finally:
             if self._fh is not None:
@@ -454,77 +494,106 @@ def _collector_paused(collect: bool = False) -> Iterator[None]:
 MERGE_FAN_IN = 64
 
 
-def _merged(runs: list[Stream], key: Callable[[StreamItem], tuple]) -> Iterator[StreamItem]:
-    """The records of sorted chunk files in key order; ties go to the earlier file.
+def _merged(runs: list[Stream], key: Callable[[StreamItem], tuple],
+            run_block: int) -> Iterator[list[StreamItem]]:
+    """The records of sorted chunk files in key order, a sorted batch at a
+    time; ties go to the earlier file.
 
-    Each file holds its current block, the offset of its first record not
-    yet merged, and its last record's key.  The horizon is the least of
-    those keys, and ``first`` the earliest file whose block ends on it.  A
-    batch takes, from each file's unmerged part, the keys at most the
-    horizon from ``first`` and the files before it, and the keys below it
-    from the files after.  So a batch precedes every record left, a tie
-    keeps chunk order, and ``first``'s block is used up.  The parts, joined
-    in file order, are sorted under ``key`` (Timsort merges them in C),
-    unless one file gave them all.  The merge holds one block per file plus
-    one batch's keys, up to ``MERGE_FAN_IN * BLOCK_RECORDS`` records: more
-    than a ``sort_chunk`` below that.
+    Each file is read ``run_block`` records at a time.  It holds its current
+    block, the offset of its first record not yet merged, and its last
+    record's key.  In a step, the horizon is the least of those keys, and
+    ``first`` the earliest file whose block ends on it.  The step takes the
+    rest of ``first``'s block, and from each other file the keys at most
+    the horizon from files before ``first`` and the keys below it from the
+    files after.  So a step's records precede every record left, and a tie
+    keeps chunk order.  A batch joins steps that take only ``first``'s
+    block, until those blocks hold half the records read ahead, with the
+    step that ends it, which takes from every file.  That is one stretch of
+    consecutive records per file, so the batch, joined in file order and
+    sorted under ``key`` (Timsort merges the stretches in C), gives the
+    steps' records in the steps' order; one stretch needs no sort.  The
+    merge holds one block per file, ``len(runs) * run_block`` records read
+    ahead, and a batch of fewer than half again as many.  A merge-backed
+    ``Stream`` is read through this, and so is a merge of chunk files into
+    one.
     """
-    return chain.from_iterable(_batches([run._iter_blocks() for run in runs], key))
+    return _batches([run._iter_blocks(run_block) for run in runs], key,
+                    len(runs) * run_block // 2)
 
 
 def _batches(sources: list[Iterator[list[StreamItem]]],
-             key: Callable[[StreamItem], tuple]) -> Iterator[list[StreamItem]]:
-    """The merge of ``_merged``, one sorted batch at a time."""
-    blocks = [next(source) for source in sources]  # a chunk file is never empty
-    starts = [0] * len(blocks)
-    lasts = [key(block[-1]) for block in blocks]
-    while len(blocks) > 1:
-        horizon = min(lasts)
-        first = lasts.index(horizon)
-        batch: list[StreamItem] = []
-        parts = 0
-        for run, block in enumerate(blocks):
-            start = starts[run]
-            if run == first:
-                cut = len(block)
+             key: Callable[[StreamItem], tuple],
+             batch_at: int) -> Iterator[list[StreamItem]]:
+    """The merge of ``_merged``: a batch ends once the blocks it took whole
+    hold ``batch_at`` records, or a file ends.  It closes every source when
+    it ends or is closed."""
+    try:
+        blocks = [next(source) for source in sources]  # a chunk file is never empty
+        starts = [0] * len(blocks)
+        lasts = [key(block[-1]) for block in blocks]
+        stretches: list[list[StreamItem]] = [[] for _ in blocks]
+        whole = 0
+        while len(blocks) > 1:
+            horizon = min(lasts)
+            first = lasts.index(horizon)
+            rest = blocks[first][starts[first]:]
+            stretches[first] += rest
+            whole += len(rest)
+            block = next(sources[first], None)
+            if whole >= batch_at or block is None:
+                batch: list[StreamItem] = []
+                parts = 0
+                for run, stretch in enumerate(stretches):
+                    if run != first:
+                        start = starts[run]
+                        cut = (bisect_right if run < first else bisect_left)(
+                            blocks[run], horizon, start, key=key)
+                        stretch += blocks[run][start:cut]
+                        starts[run] = cut
+                    if stretch:
+                        batch += stretch
+                        parts += 1
+                if parts > 1:
+                    batch.sort(key=key)
+                yield batch
+                stretches = [[] for _ in blocks]
+                whole = 0
+            if block is None:
+                del sources[first], blocks[first], starts[first], lasts[first], stretches[first]
             else:
-                cut = (bisect_right if run < first else bisect_left)(
-                    block, horizon, start, key=key)
-            if cut > start:
-                batch += block[start:cut]
-                starts[run] = cut
-                parts += 1
-        if parts > 1:
-            batch.sort(key=key)
-        yield batch
-        block = next(sources[first], None)
-        if block is None:
-            del sources[first], blocks[first], starts[first], lasts[first]
-        else:
-            blocks[first], starts[first], lasts[first] = block, 0, key(block[-1])
-    if blocks:
-        yield blocks[0][starts[0]:]
-        yield from sources[0]
+                blocks[first], starts[first], lasts[first] = block, 0, key(block[-1])
+        if blocks:
+            yield blocks[0][starts[0]:]
+            yield from sources[0]
+    finally:
+        for source in sources:
+            source.close()
 
 
 class StreamPipeline:
     """Executes metered passes, materializing every stream between passes.
 
     The pipeline owns the run's ``PassStats`` (``stats``) and appends one
-    ``PassRecord`` per pass.  Every pass but the source pass keeps its
-    output as a list of records while the output holds at most
-    ``sort_chunk`` records, and writes it to a file once it outgrows that.
-    A sort whose input is such a list sorts the list in place and hands it
-    on; a sort of a file that fits one chunk hands on its chunk.  The source
-    pass always writes its file: its reader, phase 1, streams it and does
-    not sort it, and as tuples a source that fits the chunk would take
-    several MiB more than its blocks do.
+    ``PassRecord`` per pass.  Every streaming pass keeps its output as a
+    list of records while the output holds at most ``sort_chunk`` records.
+    Once the output outgrows that, its first ``sort_chunk`` records stay in
+    memory as the stream's head, and only the rest are written to its file.
+    A sort of a list sorts it in place and hands it on, and a sort of a file
+    that fits one chunk hands on its chunk.  A longer sort takes a head as
+    its first chunk, undecoded, spills every chunk to a chunk file, and
+    hands on the merge of its last chunk files, with no sorted output file.
+    The source pass always writes its file: its reader, phase 1, streams it
+    and does not sort it, and as tuples a source that fits the chunk would
+    take several MiB more than its blocks do.
 
-    Memory rule: besides the processors' metered state, a pass holds at most
-    two lists of records, its input's and its output's, each of at most
-    ``sort_chunk`` records plus what one callback emits.  A sort also holds
-    the keys of the chunk it sorts, and a spilling sort's merge holds one
-    block per chunk file it reads (``_merged``).
+    Memory rule: besides the processors' metered state, a pass's input
+    holds either a head of at most ``sort_chunk`` records, or a merge's
+    read-ahead of at most ``max(sort_chunk, MERGE_FAN_IN)`` records plus one
+    batch of less than half again as many (``_merged``).  A streaming
+    pass's output holds a head of at most ``sort_chunk`` records, plus less
+    than one block pending, plus what one callback emits.  A sort holds the
+    chunk it sorts and that chunk's keys, and its merges of chunk files into
+    one hold what a merge-backed input does.
 
     Intermediate binary files live in a private working directory (honoring
     ``STRTOUR_TMPDIR`` when set).  Each one, a sort's chunk files too, is
@@ -581,10 +650,13 @@ class StreamPipeline:
         return stream
 
     def discard(self, stream: Stream) -> None:
-        """Drop a stream that has been read and is not needed again."""
-        stream.records = None  # first, so that ``path`` writes nothing
-        if os.path.exists(stream.path):
-            os.unlink(stream.path)
+        """Drop a stream that has been read and is not needed again: its
+        head, its file, or the chunk files of its merge."""
+        for run in stream.runs or ():
+            self.discard(run)
+        stream.records = stream.runs = stream.key = None
+        if os.path.exists(stream._path):
+            os.unlink(stream._path)
 
     # -- passes ------------------------------------------------------------
 
@@ -609,11 +681,14 @@ class StreamPipeline:
 
         ``emit`` appends to the writer's pending list.  It is the output
         while an ``on_item`` leaves at most ``sort_chunk`` records there;
-        once one leaves more, the writer writes every full block, and from
+        once one leaves more, the first ``sort_chunk`` become the output's
+        head, and the writer writes every full block of the rest, and from
         then on whenever an ``on_item`` leaves a full block pending.  Like
         the sorter's chunk, that list is writer buffer outside the meter: at
         most ``sort_chunk`` or ``BLOCK_RECORDS`` records plus what one
         callback emits (in phase 1, at most one circuit and one info edge).
+        The input's read closes its files when the pass ends, also when it
+        raises.
         """
         label = label or processor.label
         on_item = processor.on_item
@@ -621,15 +696,17 @@ class StreamPipeline:
         record_words = processor.record_words
 
         # the output stays a list until it outgrows the chunk; then the
-        # writer opens its file and writes a block whenever one is full
+        # writer keeps one chunk as its head, opens its file and writes a
+        # block whenever one is full
         flush_at = self.sort_chunk + 1
-        with StreamWriter(self._new_path(label), keep=self.sort_chunk) as writer:
+        with (StreamWriter(self._new_path(label), keep=self.sort_chunk) as writer,
+              closing(stream._iter_blocks()) as blocks):
             pending = writer.pending
             emit = pending.append
             processor.on_start(emit)
             peak_records = live_records()
             peak_words = record_words * peak_records + scalar_words()
-            for item in stream.iter_items():
+            for item in chain.from_iterable(blocks):
                 on_item(item, emit)
                 if len(pending) >= flush_at:
                     writer.flush()
@@ -655,24 +732,34 @@ class StreamPipeline:
         """Stable sort of the stream under ``key``.
 
         The sorter is a primitive of the model, so it carries no live-state
-        meter.  A list-backed stream is sorted in place.  A stream file of
-        fewer than ``sort_chunk`` records is sorted in one chunk, kept as
-        the output's list.  A longer one is spilled in sorted chunks of
-        ``sort_chunk`` records, merged (``_merged``) at most ``MERGE_FAN_IN``
-        at a time, so a sort holds at most ``MERGE_FAN_IN + 1`` files open.
+        meter.  A list is sorted in place and handed on.  Any other stream
+        is read in chunks of ``sort_chunk`` records; a head is the first
+        chunk as it is, undecoded, and the input drops it so that it is
+        freed once spilled.  A stream file of fewer than ``sort_chunk``
+        records is sorted in one chunk, kept as the output's list.  A longer
+        stream is spilled in sorted chunk files, one per chunk.  Runs of
+        ``MERGE_FAN_IN`` consecutive chunk files are merged into one, in
+        rounds, until at most ``MERGE_FAN_IN`` remain; the output is backed
+        by the merge of those (``_merged``), and no sorted file is written.
+        So a sort holds at most ``MERGE_FAN_IN + 1`` files open, and the
+        pass that reads its output at most ``MERGE_FAN_IN``.
         """
-        path = self._new_path(label)
         runs: list[Stream] = []
-        if stream.records is not None:  # at most one chunk, sorted in place
-            chunk = stream.records
+        if stream.records is not None and len(stream.records) == stream.items:
+            chunk = stream.records  # a list: at most one chunk, sorted in place
         else:
-            items = stream.iter_items()
             size = self.sort_chunk
-            chunk = list(islice(items, size))
-            while len(chunk) >= size or runs and chunk:
-                chunk.sort(key=key)
-                runs.append(self._chunk_file(chunk))
-                chunk = list(islice(items, size))
+            with closing(stream._iter_blocks()) as blocks:
+                items = chain.from_iterable(blocks)
+                if stream.records is None:
+                    chunk = list(islice(items, size))
+                else:
+                    chunk, stream.records = next(blocks), None
+                while len(chunk) >= size or runs and chunk:
+                    chunk.sort(key=key)
+                    runs.append(self._chunk_file(chunk))
+                    chunk = list(islice(items, size))
+        path = self._new_path(label)
         if runs:
             # A merge breaks key ties by chunk order, and a merge of too many
             # chunks first merges runs of consecutive ones, earliest run
@@ -680,21 +767,25 @@ class StreamPipeline:
             while len(runs) > MERGE_FAN_IN:
                 runs = [self._merge_run(runs[i:i + MERGE_FAN_IN], key)
                         for i in range(0, len(runs), MERGE_FAN_IN)]
-            with StreamWriter(path) as writer:
-                writer.write_all(_merged(runs, key))
-            for run in runs:
-                self.discard(run)
-            out = writer.stream
+            out = Stream(path, sum(run.items for run in runs), runs=runs, key=key,
+                         run_block=self._run_block(runs))
         else:
             chunk.sort(key=key)
             out = Stream(path, len(chunk), chunk)
         return self._finish("sort", label, phase, stream, out)
 
+    def _run_block(self, runs: list[Stream]) -> int:
+        """Records a merge reads from each of ``runs`` at a time, so that it
+        reads at most ``max(sort_chunk, len(runs))`` records ahead; writes
+        stay whole blocks."""
+        return min(BLOCK_RECORDS, max(1, self.sort_chunk // len(runs)))
+
     def _merge_run(self, runs: list[Stream], key: Callable[[StreamItem], tuple]) -> Stream:
         """Merge a run of chunk files into one new chunk file."""
         if len(runs) == 1:
             return runs[0]
-        merged = self._chunk_file(_merged(runs, key))
+        merged = self._chunk_file(chain.from_iterable(
+            _merged(runs, key, self._run_block(runs))))
         for run in runs:
             self.discard(run)
         return merged

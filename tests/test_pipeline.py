@@ -488,6 +488,44 @@ def test_only_passes_whose_output_outgrows_the_chunk_encode(tmp_path, monkeypatc
     assert all(dump == dumps[None] for dump in dumps.values())
 
 
+@pytest.mark.parametrize("sort_chunk", [4096, 1000])
+def test_spilled_streams_cross_the_disk_once(tmp_path, monkeypatch, sort_chunk):
+    """A deterministic I/O guard: every record that ``encode_block`` packs,
+    ``decode_block`` unpacks once, and the pass records give the count.  The
+    source pass writes its file; a streaming pass writes only what its
+    output holds past its in-memory head of one chunk; a spilling sort
+    writes its chunk files and no sorted output, which the next pass reads
+    through the merge.  No sort here merges more than ``MERGE_FAN_IN``
+    chunks, which would write its records once more."""
+    from strtour import stream_core
+    from strtour.stream_core import MERGE_FAN_IN
+    counts = Counter()
+    encode_block, decode_block = stream_core.encode_block, stream_core.decode_block
+
+    def counting_encode(items):
+        counts["encoded"] += len(items)
+        return encode_block(items)
+
+    def counting_decode(block, first):
+        items = decode_block(block, first)
+        counts["decoded"] += len(items)
+        return items
+
+    monkeypatch.setattr(stream_core, "encode_block", counting_encode)
+    monkeypatch.setattr(stream_core, "decode_block", counting_decode)
+    n, edges = gen_eulerian(250, 4750, 1)
+    passes = solve(n, edges, tmpdir=str(tmp_path), sort_chunk=sort_chunk).stats.passes
+    # a sort's input is a streaming pass's output, so it spills when it
+    # outgrows the chunk
+    spilling = [rec for rec in passes if rec.kind == "sort" and rec.items_in > sort_chunk]
+    assert spilling and max(rec.items_in for rec in spilling) <= MERGE_FAN_IN * sort_chunk
+    expected = (passes[0].items_out
+                + sum(max(0, rec.items_out - sort_chunk)
+                      for rec in passes if rec.kind == "stream")
+                + sum(rec.items_in for rec in spilling))
+    assert counts == {"encoded": expected, "decoded": expected}
+
+
 def test_many_spill_chunks_solve_under_a_low_open_file_limit(tmp_path):
     """The golden lollipop at sort_chunk 2 spills 752 chunks per sort.  The
     merge holds at most ``MERGE_FAN_IN`` of them open, so it solves under a

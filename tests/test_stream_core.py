@@ -397,7 +397,8 @@ class Tripling(Processor):
                          ids=["identity", "tripling"])
 def test_writer_encodes_whole_blocks_but_the_last(tmp_path, monkeypatch, processor, copies):
     # a chunk below the output's length, aligned to a block or not, makes
-    # the pass write its output; the default chunk keeps it in memory
+    # the pass keep one chunk as its head and write the rest; the default
+    # chunk keeps it all in memory
     items = [GraphEdge(i, i + 1) for i in range(1, 5001)]
     expected = [item for item in items for _ in range(copies)]
     sizes = []
@@ -416,15 +417,17 @@ def test_writer_encodes_whole_blocks_but_the_last(tmp_path, monkeypatch, process
         if chunk is None:
             assert sizes == [] and out.records == expected
         else:
-            whole, tail = divmod(len(expected), BLOCK_RECORDS)
-            assert sizes == [BLOCK_RECORDS] * whole + [tail] and out.records is None
+            whole, tail = divmod(len(expected) - chunk, BLOCK_RECORDS)
+            assert sizes == [BLOCK_RECORDS] * whole + [tail]
+            assert out.records == expected[:chunk]
         assert list(out.iter_items()) == expected
         sizes.clear()
         pl.cleanup()
 
 
 def test_path_writes_a_list_backed_stream_as_a_chunk_of_one_would(tmp_path):
-    # the same pass at sort_chunk 1 writes its output at once
+    # the same sort at sort_chunk 1 spills 2051 chunk files and merges them
+    # 64 at a time into 33, whose merge backs its output
     items = [BINARY_ITEMS[i % len(BINARY_ITEMS)] for i in range(2 * BLOCK_RECORDS + 3)]
     written = {}
     for chunk in (None, 1):
@@ -434,7 +437,7 @@ def test_path_writes_a_list_backed_stream_as_a_chunk_of_one_would(tmp_path):
         out = pl.run_sorting_pass(
             head_key, pl.run_streaming_pass(Identity(), source, "test"), "test", "sort")
         assert (out.records is not None) == (chunk is None)
-        assert len(os.listdir(pl.workdir)) == (chunk == 1)
+        assert len(os.listdir(pl.workdir)) == (0 if chunk is None else 33)
         with open(out.path, "rb") as fh:
             written[chunk] = os.path.basename(out.path), fh.read()
         assert out.records is None and out.items == len(items)
@@ -599,7 +602,12 @@ def test_sort_merge_holds_at_most_fan_in_files_open(tmp_path, monkeypatch, fan_i
     monkeypatch.undo()
     assert list(out.iter_items()) == expected
     assert peak[0] == fan_in + 1  # a full run of chunks and the file it merges into
-    assert os.listdir(pl.workdir) == [os.path.basename(out.path)]
+    # the output is the merge of the last runs, which are the only files
+    assert sorted(os.listdir(pl.workdir)) == sorted(
+        os.path.basename(run.path) for run in out.runs)
+    assert len(out.runs) <= fan_in
+    path = out.path  # drains the merge into the output's file
+    assert os.listdir(pl.workdir) == [os.path.basename(path)]
     pl.cleanup()
 
 
@@ -610,6 +618,147 @@ def test_sort_is_permutation(tmp_path):
     out = pl.run_sorting_pass(head_key, pl.materialize(items), "test", "sort")
     assert sorted(tuple(it) for it in out.iter_items()) == sorted(tuple(it) for it in items)
     pl.cleanup()
+
+
+# -- stream forms: a head and a file, and merge-backed -------------------------
+
+class FailingAt(Processor):
+    """Passes records through and raises on its ``k``-th."""
+
+    def __init__(self, k):
+        self.k = k
+        self.seen = 0
+
+    def on_item(self, item, emit):
+        self.seen += 1
+        if self.seen == self.k:
+            raise ValueError(f"record {self.k}")
+        emit(item)
+
+
+def tracked_opens(monkeypatch):
+    """Every file that stream_core opens from now on."""
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(stream_core, "open", tracking_open, raising=False)
+    return opened
+
+
+FORM_CHUNK = 7
+FORM_ITEMS = [GraphEdge(i * 7919 % 23, i * 104729 % 31, 1, i) for i in range(1, 6 * FORM_CHUNK)]
+
+
+def head_and_file(pl):
+    stream = pl.run_streaming_pass(Identity(), pl.materialize(FORM_ITEMS), "test")
+    # reading ``path`` would write the whole stream, so list the files
+    assert len(stream.records) == FORM_CHUNK < stream.items
+    assert len(os.listdir(pl.workdir)) == 1
+    return stream
+
+
+def merge_backed(pl):
+    stream = pl.run_sorting_pass(head_key, head_and_file(pl), "test", "sort")
+    assert stream.records is None and len(stream.runs) == -(-len(FORM_ITEMS) // FORM_CHUNK)
+    return stream
+
+
+@pytest.mark.parametrize("make_input, k", [
+    (head_and_file, FORM_CHUNK),  # the head's last record
+    (head_and_file, FORM_CHUNK + 1),  # the file's first record
+    (merge_backed, 3 * FORM_CHUNK + 2),
+], ids=["head-end", "file-start", "merge"])
+def test_a_pass_that_raises_closes_its_input_and_leaves_nothing(
+        tmp_path, monkeypatch, make_input, k):
+    pl, _ = make_pipeline(tmp_path / "work", sort_chunk=FORM_CHUNK)
+    stream = make_input(pl)
+    opened = tracked_opens(monkeypatch)
+    with pytest.raises(ValueError, match=f"record {k}") as raised:
+        pl.run_streaming_pass(FailingAt(k), stream, "test")
+    # closed by the pass, not when the traceback, still held here, is freed;
+    # a pass that fails in its input's head has opened no file
+    assert raised.traceback and all(fh.closed for fh in opened)
+    assert bool(opened) == (k > FORM_CHUNK)
+    pl.cleanup()
+    assert os.listdir(tmp_path / "work") == []
+
+
+@pytest.mark.parametrize("make_input", [head_and_file, merge_backed])
+def test_a_sort_whose_key_raises_closes_its_input_and_leaves_nothing(
+        tmp_path, monkeypatch, make_input):
+    # the key fails in the second chunk, read from the input's file or merge
+    pl, _ = make_pipeline(tmp_path / "work", sort_chunk=FORM_CHUNK)
+    stream = make_input(pl)
+    opened = tracked_opens(monkeypatch)
+    calls = [0]
+
+    def failing_key(item):
+        calls[0] += 1
+        if calls[0] == FORM_CHUNK + 2:
+            raise ValueError("key")
+        return head_key(item)
+
+    with pytest.raises(ValueError, match="key") as raised:
+        pl.run_sorting_pass(failing_key, stream, "test", "sort")
+    assert raised.traceback and opened and all(fh.closed for fh in opened)
+    pl.cleanup()
+    assert os.listdir(tmp_path / "work") == []
+
+
+def test_discard_of_an_unread_merge_deletes_its_chunks_and_writes_no_sorted_file(
+        tmp_path, monkeypatch):
+    pl, _ = make_pipeline(tmp_path, sort_chunk=FORM_CHUNK)
+    source = head_and_file(pl)
+    opened = tracked_opens(monkeypatch)
+    out = pl.run_sorting_pass(head_key, source, "test", "sort")
+    runs = len(out.runs)
+    assert sorted(os.listdir(pl.workdir)) == sorted(
+        os.path.basename(run.path) for run in out.runs)
+    pl.discard(out)
+    assert os.listdir(pl.workdir) == [] and out.runs is None
+    # the input's file and each chunk file, opened once each; never a sorted file
+    assert len(opened) == 1 + runs and all(fh.closed for fh in opened)
+    assert not any(fh.name.endswith("_sort.bin") for fh in opened)
+    pl.cleanup()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sort_chunk=st.sampled_from([1, 2, 7, BLOCK_RECORDS - 1, BLOCK_RECORDS, BLOCK_RECORDS + 1]),
+       offset=st.integers(-3, 3), scale=st.sampled_from([0, 1, 2]),
+       seed=st.integers(0, 2**32 - 1), ties=st.sampled_from([1, 3, 1000]),
+       read_sorted_path=st.booleans())
+def test_identity_sort_identity_across_chunk_boundaries(
+        tmp_path_factory, sort_chunk, offset, scale, seed, ties, read_sorted_path):
+    # lengths on both sides of a chunk, and of two or three chunks: the
+    # outputs are lists, a head and a file, and merges of several chunks
+    length = max(0, (scale + 1) * sort_chunk + offset)
+    rng = random.Random(seed)
+    items = [GraphEdge(rng.randrange(9), rng.randrange(ties), 1, i) if rng.random() < 0.8
+             else InfoEdge(rng.randrange(9), rng.randrange(ties), 0, i, 0)
+             for i in range(1, length + 1)]
+    expected = sorted(items, key=head_key)
+    pl, _ = make_pipeline(tmp_path_factory.mktemp("forms"), sort_chunk=sort_chunk)
+    try:
+        first = pl.run_streaming_pass(Identity(), pl.materialize(items), "test")
+        assert first.items == length and list(first.iter_items()) == items
+        ordered = pl.run_sorting_pass(head_key, first, "test", "sort")
+        assert ordered.items == length and list(ordered.iter_items()) == expected
+        if read_sorted_path:
+            with open(ordered.path, "rb") as fh:
+                assert fh.read() == encode_block(expected)
+        out = pl.run_streaming_pass(Identity(), ordered, "test")
+        assert out.items == length and list(out.iter_items()) == expected
+        with open(out.path, "rb") as fh:
+            assert fh.read() == encode_block(expected)
+        assert out.records is None and list(out.iter_items()) == expected
+        pl.discard(out)
+        assert os.listdir(pl.workdir) == []
+    finally:
+        pl.cleanup()
 
 
 # -- merging spilled chunks longer than one block -----------------------------
