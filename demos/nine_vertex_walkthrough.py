@@ -10,6 +10,7 @@ Run with:  python demos/nine_vertex_walkthrough.py
 
 from strtour import (
     AdjacencyGraph,
+    EdgeTally,
     StreamPipeline,
     encode_item,
     find_circuits,
@@ -63,7 +64,7 @@ try:
               f"{report.height_after}, circuits {report.circuits_before} -> "
               f"{report.circuits_after}")
 
-    tour = emit_tour(pipeline, stream, len(EDGES))
+    tour = emit_tour(pipeline, stream, EdgeTally.of(EDGES))
     print("\nfinal tour:")
     print("  " + " -> ".join(str(u) for u, _ in tour) + f" -> {tour[0][0]}")
     ok = validate_tour(AdjacencyGraph.from_edges(N, EDGES), tour) is None

@@ -170,13 +170,17 @@ class EdgeBuffer:
         No edge is removed, so every finished vertex keeps its edges and
         stays a dead end.
         """
+        nxt = self.path[i + 1]
+        self.truncate(i)
+        self.offer(i, nxt)
+
+    def truncate(self, i: int) -> None:
+        """Drop the path above ``path[i]``, with the heaps of its vertices."""
         path, on_path = self.path, self.on_path
-        nxt = path[i + 1]
         for x in path[i + 1:]:
             del on_path[x]
         del path[i + 1:]
         del self.heaps[i + 1:]
-        self.offer(i, nxt)
 
     def offer(self, i: int, w: int) -> None:
         """Add candidate ``w`` to the heap of ``path[i]``.
@@ -259,10 +263,7 @@ def extract_circuit(buffer: EdgeBuffer) -> Optional[list[tuple[int, int]]]:
                 cycle.append((v, w))
                 for a, b in cycle:
                     buffer.unlink(a, b)
-                for x in path[cut + 1:]:
-                    del on_path[x]
-                del path[cut + 1:]
-                del heaps[cut + 1:]
+                buffer.truncate(cut)
                 if not buffer.edge_count:
                     buffer.reset()  # nothing left to resume; free the scratch
                 return cycle

@@ -58,21 +58,9 @@ def eulerian_reason(g: AdjacencyGraph) -> Optional[str]:
     Odd degree is reported first; vertices of degree zero are ignored by the
     connectivity check.
     """
-    active = sorted(g.adj)  # the vertices of positive degree
-    for v in active:
-        if g.degree(v) % 2 == 1:
-            return ODD_DEGREE
-    if not active:
-        return None
-    seen = {active[0]}
-    stack = [active[0]]
-    while stack:
-        v = stack.pop()
-        for w, _ in g.adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(active):
+    if any(g.degree(v) % 2 for v in g.adj):
+        return ODD_DEGREE
+    if g.edges and not _connected(g.edges):
         return DISCONNECTED
     return None
 

@@ -5,13 +5,9 @@ streaming pass reads its input once, front to back, through a small
 processor and writes a new stream.  A sorting pass reorders the stream under
 a total order and is treated as a primitive: its internal working memory is
 not charged against the streaming meter.  Between passes a stream takes
-one of four forms (``Stream``): a list of records while it fits one sort
-chunk; a file, as the source pass always writes; a head of one chunk in
-memory and a file of the rest, once a streaming pass's output outgrows the
-chunk; or the merge of a spilled sort's last chunk files, which no sorted
-output file repeats (``StreamPipeline``).
-Every pass is logged as a ``PassRecord`` in the pipeline's ``PassStats`` so
-budget assertions can be checked after a run.
+one of the four forms of ``Stream``.  Every pass is logged as a
+``PassRecord`` in the pipeline's ``PassStats`` so budget assertions can be
+checked after a run.
 
 A stream record is a plain tuple of non-negative ints whose length gives
 its kind: six fields for a graph edge, five for an info edge.  ``GraphEdge``
@@ -24,10 +20,11 @@ f3 f4 f5 f6`` / ``I pred succ depth cvertex f5`` (``encode_item`` and
 ``decode_item``) appears only in the stream dumps of a trace directory.
 
 Every pass runs with CPython's cyclic collector paused (``_collector_paused``
-says why and how).  ``EdgeTally`` fingerprints an undirected edge
-multiset in two words, so ``solve`` can check that its tour uses exactly
-the input's edges without another pass.  ``read_graph_file`` is the one
-graph reader: the header at once, the edges lazily, for ``validate_edges``.
+says why and how).  ``EdgeTally`` fingerprints an undirected edge multiset
+in two words, so ``emit_tour`` can check that the tour uses exactly the
+input's edges without another pass over the input.  ``read_graph_file`` is
+the one graph reader: the header at once, the edges lazily, for
+``validate_edges``.
 """
 
 from __future__ import annotations
@@ -267,10 +264,14 @@ class Stream(Fields):
             with StreamWriter(whole) as writer:
                 writer.write_all(self.iter_items())
             os.replace(whole, self._path)
-            for run in self.runs or ():
-                os.unlink(run._path)
-            self.records = self.runs = self.key = None
+            self._drop()
         return self._path
+
+    def _drop(self) -> None:
+        """Drop the list, the head or the merge's chunk files: all but the file."""
+        for run in self.runs or ():
+            os.unlink(run._path)
+        self.records = self.runs = self.key = None
 
     def iter_items(self) -> Iterator[StreamItem]:
         return chain.from_iterable(self._iter_blocks())
@@ -489,15 +490,15 @@ def _collector_paused(collect: bool = False) -> Iterator[None]:
             gc.enable()
 
 
-# The most chunk files one merge reads at once, so that a sort holds at most
-# this many files open, plus its output, however many chunks it spills.
+# The most chunk files one merge reads at once (``run_sorting_pass``).
 MERGE_FAN_IN = 64
 
 
 def _merged(runs: list[Stream], key: Callable[[StreamItem], tuple],
             run_block: int) -> Iterator[list[StreamItem]]:
     """The records of sorted chunk files in key order, a sorted batch at a
-    time; ties go to the earlier file.
+    time; ties go to the earlier file.  It closes every file it reads when
+    it ends or is closed.
 
     Each file is read ``run_block`` records at a time.  It holds its current
     block, the offset of its first record not yet merged, and its last
@@ -513,20 +514,11 @@ def _merged(runs: list[Stream], key: Callable[[StreamItem], tuple],
     sorted under ``key`` (Timsort merges the stretches in C), gives the
     steps' records in the steps' order; one stretch needs no sort.  The
     merge holds one block per file, ``len(runs) * run_block`` records read
-    ahead, and a batch of fewer than half again as many.  A merge-backed
-    ``Stream`` is read through this, and so is a merge of chunk files into
-    one.
+    ahead, and a batch ends once the blocks it took whole hold half that, or
+    a file ends.
     """
-    return _batches([run._iter_blocks(run_block) for run in runs], key,
-                    len(runs) * run_block // 2)
-
-
-def _batches(sources: list[Iterator[list[StreamItem]]],
-             key: Callable[[StreamItem], tuple],
-             batch_at: int) -> Iterator[list[StreamItem]]:
-    """The merge of ``_merged``: a batch ends once the blocks it took whole
-    hold ``batch_at`` records, or a file ends.  It closes every source when
-    it ends or is closed."""
+    sources = [run._iter_blocks(run_block) for run in runs]
+    batch_at = len(runs) * run_block // 2
     try:
         blocks = [next(source) for source in sources]  # a chunk file is never empty
         starts = [0] * len(blocks)
@@ -574,17 +566,12 @@ class StreamPipeline:
     """Executes metered passes, materializing every stream between passes.
 
     The pipeline owns the run's ``PassStats`` (``stats``) and appends one
-    ``PassRecord`` per pass.  Every streaming pass keeps its output as a
-    list of records while the output holds at most ``sort_chunk`` records.
-    Once the output outgrows that, its first ``sort_chunk`` records stay in
-    memory as the stream's head, and only the rest are written to its file.
-    A sort of a list sorts it in place and hands it on, and a sort of a file
-    that fits one chunk hands on its chunk.  A longer sort takes a head as
-    its first chunk, undecoded, spills every chunk to a chunk file, and
-    hands on the merge of its last chunk files, with no sorted output file.
-    The source pass always writes its file: its reader, phase 1, streams it
-    and does not sort it, and as tuples a source that fits the chunk would
-    take several MiB more than its blocks do.
+    ``PassRecord`` per pass.  A streaming pass keeps a head of
+    ``sort_chunk`` records of its output (``StreamWriter``), and a sort
+    hands on a list or a merge (``run_sorting_pass``).  The source pass
+    always writes its file: its reader, phase 1, streams it and does not
+    sort it, and as tuples a source that fits the chunk would take several
+    MiB more than its blocks do.
 
     Memory rule: besides the processors' metered state, a pass's input
     holds either a head of at most ``sort_chunk`` records, or a merge's
@@ -652,9 +639,7 @@ class StreamPipeline:
     def discard(self, stream: Stream) -> None:
         """Drop a stream that has been read and is not needed again: its
         head, its file, or the chunk files of its merge."""
-        for run in stream.runs or ():
-            self.discard(run)
-        stream.records = stream.runs = stream.key = None
+        stream._drop()
         if os.path.exists(stream._path):
             os.unlink(stream._path)
 
@@ -679,25 +664,19 @@ class StreamPipeline:
         ``scalar_words`` call and counts ``record_words * live_records() +
         scalar_words()`` words.
 
-        ``emit`` appends to the writer's pending list.  It is the output
-        while an ``on_item`` leaves at most ``sort_chunk`` records there;
-        once one leaves more, the first ``sort_chunk`` become the output's
-        head, and the writer writes every full block of the rest, and from
-        then on whenever an ``on_item`` leaves a full block pending.  Like
-        the sorter's chunk, that list is writer buffer outside the meter: at
-        most ``sort_chunk`` or ``BLOCK_RECORDS`` records plus what one
-        callback emits (in phase 1, at most one circuit and one info edge).
-        The input's read closes its files when the pass ends, also when it
-        raises.
+        ``emit`` appends to the pending list of a writer that keeps a head
+        of ``sort_chunk`` records (``StreamWriter``).  The pass flushes it
+        once an ``on_item`` leaves more than that pending, and from then on
+        whenever one leaves a full block.  That list is writer buffer
+        outside the meter (``StreamPipeline``'s memory rule); in phase 1 a
+        callback emits at most one circuit and one info edge.  The input's
+        read closes its files when the pass ends, also when it raises.
         """
         label = label or processor.label
         on_item = processor.on_item
         live_records, scalar_words = processor.live_records, processor.scalar_words
         record_words = processor.record_words
 
-        # the output stays a list until it outgrows the chunk; then the
-        # writer keeps one chunk as its head, opens its file and writes a
-        # block whenever one is full
         flush_at = self.sort_chunk + 1
         with (StreamWriter(self._new_path(label), keep=self.sort_chunk) as writer,
               closing(stream._iter_blocks()) as blocks):

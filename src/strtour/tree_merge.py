@@ -46,6 +46,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .stream_core import (
+    EdgeTally,
     GRAPH_EDGE_WORDS,
     INFO_EDGE_WORDS,
     IntegrityFault,
@@ -521,11 +522,13 @@ def tour_position_key(item: StreamItem) -> tuple:
     return (1, item)
 
 
-def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int) -> list[tuple[int, int]]:
+def emit_tour(pipeline: StreamPipeline, stream: Stream,
+              ingested: EdgeTally) -> list[tuple[int, int]]:
     """Final sort by position, then read the tour off the stream.
 
-    The read validates that exactly one circuit with positions 1..m remains
-    and that consecutive edges chain into a closed trail.  The sorted
+    The read checks that one circuit with positions 1..m remains, m being
+    ``ingested.count``, that its edges chain into a closed trail, and that
+    their ``EdgeTally`` is ``ingested``, the source pass's.  The sorted
     stream is deleted once read.  The returned list holds all m edges: an
     O(m) structure outside the meter.
     """
@@ -547,8 +550,10 @@ def emit_tour(pipeline: StreamPipeline, stream: Stream, m: int) -> list[tuple[in
             raise IntegrityFault(f"tour breaks before position {pos}")
         tour.append((tail, head))
     pipeline.discard(s)
-    if len(tour) != m:
-        raise IntegrityFault(f"tour has {len(tour)} edges, expected {m}")
+    if len(tour) != ingested.count:
+        raise IntegrityFault(f"tour has {len(tour)} edges, expected {ingested.count}")
     if tour and tour[-1][1] != tour[0][0]:
         raise IntegrityFault("tour does not close")
+    if EdgeTally.of(tour) != ingested:
+        raise IntegrityFault("tour's edges are not the input's edges")
     return tour

@@ -77,6 +77,32 @@ def spec_rounds(reports):
     return [(r.circuits_after, r.height_after, r.info_edges_after) for r in reports]
 
 
+def circuit(cid, pairs):
+    """Circuit ``cid`` as graph-edge records, its ``(tail, head)`` pairs at
+    positions 1, 2, ..."""
+    return [GraphEdge(t, h, cid, pos, 0, 0)
+            for pos, (t, h) in enumerate(pairs, start=1)]
+
+
+def chain_gadget(levels):
+    """Triangles chained into a path-shaped tree of the given height.
+
+    Circuit i+1 shares vertex 2i+1 with circuit i and starts there, so the
+    stream already satisfies the merge-loop entry properties.  Returns
+    ``n``, the edges and the stream items.
+    """
+    items = []
+    edges = []
+    for i in range(levels + 1):
+        a, b, c = 2 * i + 1, 2 * i + 2, 2 * i + 3
+        pairs = [(a, b), (b, c), (c, a)]
+        items += circuit(i + 1, pairs)
+        edges += pairs
+        if i:
+            items.append(InfoEdge(i, i + 1, i - 1, a, 0))
+    return 2 * (levels + 1) + 1, edges, items
+
+
 def graph_edges(items):
     """The graph-edge records (six fields) of ``items``, with named fields."""
     return [GraphEdge._make(it) for it in items if len(it) == GRAPH_EDGE_WORDS]

@@ -11,7 +11,7 @@ import pytest
 
 from strtour import (
     AdjacencyGraph,
-    GraphEdge,
+    EdgeTally,
     InfoEdge,
     NotEulerianError,
     StreamPipeline,
@@ -35,6 +35,7 @@ from conftest import (
     NINE_VERTEX_HEIGHT,
     NINE_VERTEX_N,
     NINE_VERTEX_PHASE1,
+    chain_gadget,
     graph_edges,
     info_edges,
     run_phase1,
@@ -97,20 +98,6 @@ def test_criterion_02_rejection_sweep(tmp_path):
     note(2, f"{checked} perturbed instances rejected with matching reasons")
 
 
-def chain_gadget(levels):
-    items = []
-    edges = []
-    for i in range(levels + 1):
-        a, b, c = 2 * i + 1, 2 * i + 2, 2 * i + 3
-        pairs = [(a, b), (b, c), (c, a)]
-        items += [GraphEdge(t, h, i + 1, pos, 0, 0)
-                  for pos, (t, h) in enumerate(pairs, start=1)]
-        edges += pairs
-        if i:
-            items.append(InfoEdge(i, i + 1, i - 1, a, 0))
-    return 2 * (levels + 1) + 1, edges, items
-
-
 def test_criterion_03_height_halving(tmp_path):
     for height in range(1, 17):
         n, edges, items = chain_gadget(height)
@@ -126,7 +113,7 @@ def test_criterion_03_height_halving(tmp_path):
                 expected = expected // 2
             assert expected == 0
             assert len(reports) <= iteration_bound(height)
-            tour = emit_tour(pipeline, stream, len(edges))
+            tour = emit_tour(pipeline, stream, EdgeTally.of(edges))
             assert validate_tour(AdjacencyGraph.from_edges(n, edges), tour) is None
         finally:
             pipeline.cleanup()

@@ -20,6 +20,7 @@ from strtour import (
     perturb,
     solve,
 )
+from strtour import circuit_find
 from strtour.circuit_find import EdgeBuffer
 from strtour.stream_core import DISCONNECTED, ODD_DEGREE
 
@@ -446,6 +447,16 @@ def rooted(vertices, records, flag1_parents=()):
     return state.root()
 
 
+def full_buffer_without_a_circuit():
+    """A full buffer on at most n vertices always holds a cycle, so only a
+    broken extraction finds none."""
+    finder = CircuitFinder(3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuit_find, "extract_circuit", lambda buffer: None)
+        for edge in [(1, 2), (2, 3), (3, 1)]:
+            finder.on_item(GraphEdge(*edge), [].append)
+
+
 @pytest.mark.parametrize("fault, message", [
     (lambda: buffer_of([(1, 2), (2, 1)]), "edge (2, 1) buffered twice"),
     (lambda: rooted({2, 3}, [(3, 2, 5)]),
@@ -456,8 +467,9 @@ def rooted(vertices, records, flag1_parents=()):
     (lambda: rooted({1, 2, 3, 4}, [(2, 1, 5), (4, 3, 6), (3, 4, 7)]),
      "connectivity tree is not connected after rooting"),
     (lambda: rooted({1}, [], flag1_parents=[7]), "flag-1 parent 7 not in the connectivity tree"),
+    (full_buffer_without_a_circuit, "no circuit found in a full edge buffer"),
 ], ids=["buffered-twice", "first-missing", "record-count", "unknown-circuit",
-        "disconnected", "flag1-parent"])
+        "disconnected", "flag1-parent", "no-circuit"])
 def test_phase1_integrity_faults(fault, message):
     with pytest.raises(IntegrityFault, match=f"^{re.escape(message)}$"):
         fault()

@@ -8,7 +8,6 @@ import pytest
 from strtour import (
     AdjacencyGraph,
     GenerationError,
-    GraphEdge,
     InfoEdge,
     IntegrityFault,
     PERTURB_DISCONNECTED,
@@ -22,6 +21,8 @@ from strtour import (
     validate_tour,
 )
 from strtour.stream_core import DISCONNECTED, ODD_DEGREE
+
+from conftest import circuit
 
 TRIANGLE = [(1, 2), (2, 3), (3, 1)]
 BOWTIE = [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)]
@@ -48,6 +49,7 @@ def test_two_triangles_disconnected():
 
 def test_isolated_vertices_do_not_disconnect():
     assert eulerian_reason(graph(7, TRIANGLE)) is None
+    assert eulerian_reason(graph(7, [])) is None  # no edges: nothing to connect
 
 
 # -- hierholzer ---------------------------------------------------------------
@@ -79,11 +81,6 @@ def test_hierholzer_always_validates(seed):
 
 
 # -- merge spec -----------------------------------------------------------------
-
-def circuit(cid, pairs):
-    return [GraphEdge(t, h, cid, pos, 0, 0)
-            for pos, (t, h) in enumerate(pairs, start=1)]
-
 
 def test_spec_single_circuit_verbatim():
     assert merge_spec(circuit(1, TRIANGLE)) == (TRIANGLE, [])

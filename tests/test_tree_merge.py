@@ -7,6 +7,7 @@ import pytest
 
 from strtour import (
     AdjacencyGraph,
+    EdgeTally,
     GraphEdge,
     InfoEdge,
     IntegrityFault,
@@ -21,12 +22,15 @@ from strtour import (
 )
 from strtour.tree_merge import GrandparentRewire, SpliceRenumberer
 
-from conftest import graph_edges, info_edges, make_pipeline, run_phase1, spec_rounds
-
-
-def circuit(cid, pairs):
-    return [GraphEdge(t, h, cid, pos, 0, 0)
-            for pos, (t, h) in enumerate(pairs, start=1)]
+from conftest import (
+    chain_gadget,
+    circuit,
+    graph_edges,
+    info_edges,
+    make_pipeline,
+    run_phase1,
+    spec_rounds,
+)
 
 
 def normalize(pl, items):
@@ -43,25 +47,6 @@ def merged_once(tmp_path, items, height):
         return list(out.iter_items()), report, stats
     finally:
         pl.cleanup()
-
-
-def chain_gadget(levels):
-    """Triangles chained into a path-shaped tree of the given height.
-
-    Circuit i+1 shares vertex 2i+1 with circuit i and starts there, so the
-    stream already satisfies the merge-loop entry properties.
-    """
-    items = []
-    edges = []
-    for i in range(levels + 1):
-        a, b, c = 2 * i + 1, 2 * i + 2, 2 * i + 3
-        pairs = [(a, b), (b, c), (c, a)]
-        items += circuit(i + 1, pairs)
-        edges += pairs
-        if i:
-            items.append(InfoEdge(i, i + 1, i - 1, a, 0))
-    n = 2 * (levels + 1) + 1
-    return n, edges, items
 
 
 # -- single merge -------------------------------------------------------------
@@ -121,7 +106,7 @@ def test_chain_heights_halve_exactly(tmp_path, height):
             assert rep.height_after == expect // 2
             expect //= 2
         assert len(reports) == iteration_bound(height)
-        tour = emit_tour(pl, out, len(edges))
+        tour = emit_tour(pl, out, EdgeTally.of(edges))
         g = AdjacencyGraph.from_edges(n, edges)
         assert validate_tour(g, tour) is None
     finally:
@@ -267,7 +252,7 @@ def test_emit_tour_position_gap_faults(tmp_path):
     try:
         items = [GraphEdge(1, 2, 1, 1, 0, 0), GraphEdge(2, 1, 1, 3, 0, 0)]
         with pytest.raises(IntegrityFault):
-            emit_tour(pl, pl.materialize(items), 2)
+            emit_tour(pl, pl.materialize(items), EdgeTally(count=2))
     finally:
         pl.cleanup()
 
@@ -277,23 +262,27 @@ def test_emit_tour_rejects_two_circuits(tmp_path):
     try:
         items = circuit(1, [(1, 2), (2, 1)]) + circuit(2, [(3, 4), (4, 3)])
         with pytest.raises(IntegrityFault):
-            emit_tour(pl, pl.materialize(items), 4)
+            emit_tour(pl, pl.materialize(items), EdgeTally(count=4))
     finally:
         pl.cleanup()
 
 
-@pytest.mark.parametrize("items, m, message", [
-    (circuit(1, [(1, 2), (2, 3), (3, 1)]) + [InfoEdge(1, 2, 0, 1, 0)], 3,
+@pytest.mark.parametrize("items, ingested, message", [
+    (circuit(1, [(1, 2), (2, 3), (3, 1)]) + [InfoEdge(1, 2, 0, 1, 0)], EdgeTally(count=3),
      "info edge left in the final stream"),
-    (circuit(1, [(1, 2), (3, 1)]), 2, "tour breaks before position 2"),
-    (circuit(1, [(1, 2), (2, 3), (3, 1)]), 4, "tour has 3 edges, expected 4"),
-    (circuit(1, [(1, 2), (2, 3)]), 2, "tour does not close"),
-], ids=["info-edge", "chain-break", "edge-count", "open-trail"])
-def test_emit_tour_rejects_broken_final_stream(tmp_path, items, m, message):
+    (circuit(1, [(1, 2), (3, 1)]), EdgeTally(count=2), "tour breaks before position 2"),
+    (circuit(1, [(1, 2), (2, 3), (3, 1)]), EdgeTally(count=4), "tour has 3 edges, expected 4"),
+    (circuit(1, [(1, 2), (2, 3)]), EdgeTally(count=2), "tour does not close"),
+    # a closed trail at positions 1..3 whose last edge (3, 1) relabels the
+    # input's (3, 4): only the tally tells them apart
+    (circuit(1, [(1, 2), (2, 3), (3, 1)]), EdgeTally.of([(1, 2), (2, 3), (3, 4)]),
+     "tour's edges are not the input's edges"),
+], ids=["info-edge", "chain-break", "edge-count", "open-trail", "relabelled-edge"])
+def test_emit_tour_rejects_broken_final_stream(tmp_path, items, ingested, message):
     pl, _ = make_pipeline(tmp_path)
     try:
         with pytest.raises(IntegrityFault, match=f"^{re.escape(message)}$"):
-            emit_tour(pl, pl.materialize(items), m)
+            emit_tour(pl, pl.materialize(items), ingested)
     finally:
         pl.cleanup()
 

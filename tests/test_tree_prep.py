@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from strtour import (
-    GraphEdge,
     InfoEdge,
     IntegrityFault,
     complete_depths,
@@ -16,12 +15,7 @@ from strtour import (
     rotate_member_circuits,
 )
 
-from conftest import graph_edges, info_edges, make_pipeline
-
-
-def circuit(cid, pairs, start_pos=1):
-    return [GraphEdge(t, h, cid, pos, 0, 0)
-            for pos, (t, h) in enumerate(pairs, start=start_pos)]
+from conftest import circuit, graph_edges, info_edges, make_pipeline
 
 
 def by_position(items, cid):
