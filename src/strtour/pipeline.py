@@ -29,20 +29,13 @@ from .tree_merge import MergeIterationReport, emit_tour, prepare, run_merges
 def initial_stream(n: int, edges: Iterable[tuple[int, int]], odd: set[int]):
     """Raw input items: one unannotated graph edge per validated input edge.
 
-    Each edge flips both its ends in ``odd``, which starts empty and so ends
-    as the odd-degree vertices: ingest state of the source pass, outside the
-    meter, with one entry per vertex seen.
+    Each edge flips both its ends in ``odd`` (two vertices: ``validate_edges``
+    rejects a self-loop), which starts empty and so ends as the odd-degree
+    vertices: ingest state of the source pass, outside the meter, with one
+    entry per vertex seen.
     """
-    add, discard = odd.add, odd.discard
     for u, v in validate_edges(n, edges):
-        if u in odd:
-            discard(u)
-        else:
-            add(u)
-        if v in odd:
-            discard(v)
-        else:
-            add(v)
+        odd ^= {u, v}
         yield u, v, 0, 0, 0, 0
 
 

@@ -596,12 +596,16 @@ class StreamPipeline:
                  trace_dir: Optional[str] = None, sort_chunk: int = 1 << 16):
         if sort_chunk < 1:
             raise ValueError(f"sort_chunk must be at least 1, got {sort_chunk}")
-        if trace_dir:  # before the work directory, so a failure leaves nothing
-            os.makedirs(trace_dir, exist_ok=True)
-            if os.listdir(trace_dir):  # one run per directory
-                raise ValueError(f"trace directory {trace_dir} is not empty")
         base = tmpdir or os.environ.get("STRTOUR_TMPDIR") or None
         self.workdir = tempfile.mkdtemp(prefix="strtour-", dir=base)
+        if trace_dir:  # after the work directory, so a failure leaves neither
+            try:
+                os.makedirs(trace_dir, exist_ok=True)
+                if os.listdir(trace_dir):  # one run per directory
+                    raise ValueError(f"trace directory {trace_dir} is not empty")
+            except BaseException:
+                os.rmdir(self.workdir)
+                raise
         self.stats = PassStats()
         self.trace_dir = trace_dir
         self._sort_chunk = sort_chunk
@@ -711,33 +715,29 @@ class StreamPipeline:
         """Stable sort of the stream under ``key``.
 
         The sorter is a primitive of the model, so it carries no live-state
-        meter.  A list is sorted in place and handed on.  Any other stream
-        is read in chunks of ``sort_chunk`` records; a head is the first
+        meter.  Its plan is one rule on the input's length: a stream of at
+        most ``sort_chunk`` records is sorted in memory as one chunk and
+        handed on as a list; a longer one is spilled chunk by chunk, each
+        sorted into a chunk file of its own.  A list or a head is the first
         chunk as it is, undecoded, and the input drops it so that it is
-        freed once spilled.  A stream file of fewer than ``sort_chunk``
-        records is sorted in one chunk, kept as the output's list.  A longer
-        stream is spilled in sorted chunk files, one per chunk.  Runs of
-        ``MERGE_FAN_IN`` consecutive chunk files are merged into one, in
-        rounds, until at most ``MERGE_FAN_IN`` remain; the output is backed
-        by the merge of those (``_merged``), and no sorted file is written.
-        So a sort holds at most ``MERGE_FAN_IN + 1`` files open, and the
-        pass that reads its output at most ``MERGE_FAN_IN``.
+        freed once sorted or spilled; any other stream is read
+        ``sort_chunk`` records at a time.  Runs of ``MERGE_FAN_IN``
+        consecutive chunk files are merged into one, in rounds, until at
+        most ``MERGE_FAN_IN`` remain; the output is backed by the merge of
+        those (``_merged``), and no sorted file is written.  So a sort holds
+        at most ``MERGE_FAN_IN + 1`` files open, and the pass that reads its
+        output at most ``MERGE_FAN_IN``.
         """
+        size = self.sort_chunk
         runs: list[Stream] = []
-        if stream.records is not None and len(stream.records) == stream.items:
-            chunk = stream.records  # a list: at most one chunk, sorted in place
-        else:
-            size = self.sort_chunk
-            with closing(stream._iter_blocks()) as blocks:
-                items = chain.from_iterable(blocks)
-                if stream.records is None:
-                    chunk = list(islice(items, size))
-                else:
-                    chunk, stream.records = next(blocks), None
-                while len(chunk) >= size or runs and chunk:
-                    chunk.sort(key=key)
-                    runs.append(self._chunk_file(chunk))
-                    chunk = list(islice(items, size))
+        with closing(stream._iter_blocks()) as blocks:
+            items = chain.from_iterable(blocks)
+            chunk = list(islice(items, size)) if stream.records is None else next(blocks)
+            stream.records = None
+            while stream.items > size and chunk:
+                chunk.sort(key=key)
+                runs.append(self._chunk_file(chunk))
+                chunk = list(islice(items, size))
         path = self._new_path(label)
         if runs:
             # A merge breaks key ties by chunk order, and a merge of too many

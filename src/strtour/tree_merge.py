@@ -83,7 +83,8 @@ def circuit_grouping_key(item: StreamItem) -> tuple:
     Preparation sorts by it to rotate circuits.  A merge round sorts by it
     to put each instruction in front of its child: after the rewire every
     info edge's ``succ`` is its child, and each child has one parent edge,
-    so ``f5`` (the slot there) never decides the order."""
+    so ``f5`` (the slot there) never decides the order.  Emit sorts the
+    last circuit by it, which orders that circuit's edges by position."""
     if len(item) == INFO_EDGE_WORDS:
         return (item[1], 0, item[4], item)
     return (item[2], 1, item[3], item)
@@ -516,15 +517,9 @@ def run_merges(pipeline: StreamPipeline, stream: Stream, height: int,
     return stream, reports
 
 
-def tour_position_key(item: StreamItem) -> tuple:
-    if len(item) == GRAPH_EDGE_WORDS:
-        return (0, item[3], item)
-    return (1, item)
-
-
 def emit_tour(pipeline: StreamPipeline, stream: Stream,
               ingested: EdgeTally) -> list[tuple[int, int]]:
-    """Final sort by position, then read the tour off the stream.
+    """Final sort by circuit and position, then read the tour off the stream.
 
     The read checks that one circuit with positions 1..m remains, m being
     ``ingested.count``, that its edges chain into a closed trail, and that
@@ -532,7 +527,7 @@ def emit_tour(pipeline: StreamPipeline, stream: Stream,
     stream is deleted once read.  The returned list holds all m edges: an
     O(m) structure outside the meter.
     """
-    s = pipeline.run_sorting_pass(tour_position_key, stream, "emit", "sort-tour")
+    s = pipeline.run_sorting_pass(circuit_grouping_key, stream, "emit", "sort-tour")
     tour: list[tuple[int, int]] = []
     circuit = None
     for item in s.iter_items():

@@ -8,6 +8,8 @@ components, and a triangle on {2,8,9} that owns no tree vertex of its own.
 The edge order below forces exactly that discovery sequence.
 """
 
+import random
+
 import pytest
 
 from strtour import GraphEdge, InfoEdge, StreamPipeline, find_circuits, initial_stream
@@ -101,6 +103,22 @@ def chain_gadget(levels):
         if i:
             items.append(InfoEdge(i, i + 1, i - 1, a, 0))
     return 2 * (levels + 1) + 1, edges, items
+
+
+def triangle_chain_shuffled(k, seed):
+    """A path of ``k`` triangles, each sharing one vertex with the next.
+
+    The seed permutes the vertex labels, so phase 1 meets the triangles out
+    of order and the circuit tree is deep (height 368 for k = 500).
+    """
+    n = 2 * k + 1
+    labels = list(range(1, n + 1))
+    random.Random(seed).shuffle(labels)
+    edges = []
+    for i in range(k):
+        a, b, c = labels[2 * i], labels[2 * i + 1], labels[2 * i + 2]
+        edges += [(a, b), (b, c), (c, a)]
+    return n, edges
 
 
 def graph_edges(items):

@@ -265,6 +265,17 @@ def test_uncreatable_trace_dir_leaves_no_work_directory(tmp_path, monkeypatch, c
     assert list(scratch.iterdir()) == []
 
 
+def test_uncreatable_work_directory_makes_no_trace_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STRTOUR_TMPDIR", str(tmp_path / "missing"))
+    trace = tmp_path / "trace"
+    assert main(["solve", "--in", write_nine(tmp_path), "--trace-dir", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not trace.exists()
+
+
 def test_reused_trace_dir_is_refused_and_left_as_it_was(tmp_path, monkeypatch, capsys):
     trace = tmp_path / "trace"
     trace.mkdir()  # an existing empty directory is fine

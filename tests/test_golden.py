@@ -24,6 +24,8 @@ import pytest
 
 from strtour import gen_eulerian, solve, write_stats_file
 
+from conftest import triangle_chain_shuffled
+
 
 def lollipop(big_n):
     """Path 1..N, N/2 triangles hanging off vertex N, then the edge (N, 1)."""
@@ -49,22 +51,6 @@ def lollipop_shuffled(big_n, seed):
         a, b = fresh[k], fresh[k + 1]
         edges += [(big_n, a), (a, b), (b, big_n)]
     edges.append((big_n, 1))
-    return n, edges
-
-
-def triangle_chain_shuffled(k, seed):
-    """A path of ``k`` triangles, each sharing one vertex with the next.
-
-    The seed permutes the vertex labels, so phase 1 meets the triangles out
-    of order and the circuit tree is deep (height 368 for k = 500).
-    """
-    n = 2 * k + 1
-    labels = list(range(1, n + 1))
-    random.Random(seed).shuffle(labels)
-    edges = []
-    for i in range(k):
-        a, b, c = labels[2 * i], labels[2 * i + 1], labels[2 * i + 2]
-        edges += [(a, b), (b, c), (c, a)]
     return n, edges
 
 

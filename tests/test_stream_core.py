@@ -572,7 +572,7 @@ def test_sort_spills_one_chunk_per_full_or_partial_chunk(tmp_path, monkeypatch, 
             head_key, small.materialize(items), "t", "s").iter_items())
         small.cleanup()
         assert got == expected
-        assert len(spills) == (0 if length < chunk else -(-length // chunk))
+        assert len(spills) == (0 if length <= chunk else -(-length // chunk))
         spills.clear()
 
 
